@@ -240,8 +240,18 @@ class _Checks:
         return all(ok for _, ok, _ in self.rows)
 
 
-def _verify_code_objective(args, mu, checks) -> dict:
-    payload, _ = run_code(args)
+def _nml_checks(mu: Distribution, radius: float, saturated, residuals) -> dict[str, bool]:
+    """saturation_rule and root_certificates for one set of coordinatewise suprema."""
+    cutoff = math.exp(-radius) if radius > 0.0 else 1.0
+    return {
+        "saturation_rule": all((p >= cutoff) == (k in saturated) for k, p in enumerate(mu.probs)),
+        "root_certificates": radius == 0.0 or all(
+            r <= 1e-10 for k, r in enumerate(residuals) if k not in saturated
+        ),
+    }
+
+
+def _check_code_report(args, mu, payload: dict, checks: _Checks) -> None:
     lengths = CodeLengths(tuple(payload["lengths"]), arity=payload["arity"])
     checks.add("kraft", kraft_sum(lengths) <= 1.0 + 1e-12,
                f"kraft_sum={_fmt(kraft_sum(lengths))}")
@@ -252,10 +262,10 @@ def _verify_code_objective(args, mu, checks) -> dict:
 
     radius = _radius(args)
     if args.objective in ("avg-red", "gg"):
-        # a tilt-rooted worst case must sit on the ball boundary; flat-code
-        # winners (no beta) peak at an inside vertex instead
-        if payload["regime"] == "interior" and "beta" in payload:
-            residual = abs(kl_divergence(worst, mu) - radius)
+        # a tilt-rooted worst case must sit on the ball boundary; the report
+        # carries its divergence residual exactly then (interior, with beta);
+        # flat-code winners (no beta) peak at an inside vertex instead
+        for residual in payload["diagnostics"]["residuals"]:
             checks.add("worst_case_divergence", residual <= max(args.tol, 1e-9),
                        f"residual={_fmt(residual)}")
         if mu.m <= 4 and args.arity == 2 and radius > 0.0:
@@ -276,15 +286,11 @@ def _verify_code_objective(args, mu, checks) -> dict:
                 checks.add("oracle_minimax", gap <= 5e-3, f"gap={_fmt(gap)}")
     elif args.objective == "pointwise":
         ball = DivergenceBall(mu, radius)
+        # the solve at --tol behind the report's residuals; its saturated set
+        # and raw roots are not in the report
         nml = nml_distribution(ball, args.tol)
-        cutoff = math.exp(-radius) if radius > 0.0 else 1.0
-        checks.add("saturation_rule",
-                   all((p >= cutoff) == (k in nml.saturated)
-                       for k, p in enumerate(mu.probs)))
-        ok_roots = all(
-            r <= 1e-10 for k, r in enumerate(nml.roots_residual) if k not in nml.saturated
-        )
-        checks.add("root_certificates", radius == 0.0 or ok_roots)
+        for name, ok in _nml_checks(mu, radius, nml.saturated, nml.roots_residual).items():
+            checks.add(name, ok)
         if radius > 0.0:
             in_range = all(
                 mu.probs[k] < nml.raw[k] <= pinsker_upper(mu.probs[k], radius)
@@ -297,18 +303,19 @@ def _verify_code_objective(args, mu, checks) -> dict:
             )
             gap = abs(report.optimum_value - payload["achieved_utility"])
             checks.add("oracle_pointwise", gap <= 1e-9, f"gap={_fmt(gap)}")
+        # both codes are scored on the one distribution the Huffman code was
+        # built for, the reported worst case
         shannon = robust_shannon_pointwise(ball, args.arity)
         by_symbol = all(
             h <= s for h, s in zip(lengths.lengths, shannon.lengths)
         )
-        shannon_value = pointwise_utility(shannon, nml.normalized)
+        shannon_value = pointwise_utility(shannon, worst)
         checks.add("shannon_dominance",
-                   by_symbol and payload["achieved_utility"] <= shannon_value < 1.0,
-                   f"huffman={_fmt(payload['achieved_utility'])} shannon={_fmt(shannon_value)}")
+                   by_symbol and recomputed <= shannon_value < 1.0,
+                   f"huffman={_fmt(recomputed)} shannon={_fmt(shannon_value)}")
     elif args.objective == "shannon-nominal":
         expected = tuple(ceil_log_inv(p, args.arity) for p in mu.probs)
         checks.add("shannon_lengths", tuple(payload["lengths"]) == expected)
-    return payload
 
 
 def _recompute_utility(objective, lengths, worst, mu) -> float:
@@ -321,70 +328,44 @@ def _recompute_utility(objective, lengths, worst, mu) -> float:
     return avg_redundancy(lengths, worst)
 
 
-def _diagnostics_for_result(args, mu, payload: dict) -> dict:
-    """Recompute the diagnostics block from a re-ingested result payload."""
-    if args.objective in ("nml-only", "nml-tv"):
-        if args.objective == "nml-only":
-            fresh = nml_distribution(DivergenceBall(mu, _radius(args)), args.tol)
-        else:
-            fresh = nml_tv(mu, args.tv)
-        return {"residuals": list(fresh.roots_residual)}
-    lengths = CodeLengths(tuple(payload["lengths"]), arity=payload["arity"])
-    residuals = []
-    if (args.objective in ("avg-red", "gg") and payload.get("regime") == "interior"
-            and "beta" in payload):
-        worst = Distribution(tuple(payload["worst_case"]))
-        residuals.append(abs(kl_divergence(worst, mu) - _radius(args)))
-    elif args.objective == "pointwise":
-        fresh = nml_distribution(DivergenceBall(mu, _radius(args)), args.tol)
-        residuals = list(fresh.roots_residual)
-    return {"kraft_sum": kraft_sum(lengths), "residuals": residuals}
+def _check_stored_report(path: str, fresh: dict, checks: _Checks) -> None:
+    """Compare a stored report with the fresh one, field by field."""
+    with open(path, "r", encoding="utf-8") as handle:
+        stored = json.load(handle)
+    try:
+        if "lengths" in fresh:
+            checks.add("result_lengths", stored.get("lengths") == fresh["lengths"])
+            checks.add("result_codewords", stored.get("codewords") == fresh["codewords"])
+            checks.add(
+                "result_utility",
+                abs(stored.get("achieved_utility", math.nan) - fresh["achieved_utility"]) <= 1e-9,
+            )
+        same = json.dumps(fresh["diagnostics"], sort_keys=True) == json.dumps(
+            stored.get("diagnostics"), sort_keys=True
+        )
+        checks.add("diagnostics_roundtrip", same)
+        if "worst_case" in fresh:
+            checks.add("result_worst_case", stored.get("worst_case") == fresh["worst_case"])
+    except TypeError as exc:
+        checks.add("result_integrity", False, str(exc))
 
 
 def run_verify(args) -> tuple[str, int]:
     mu = load_distribution(args.input, args.allow_zero)
+    fresh, _ = run_code(args)
     checks = _Checks()
-    fresh = None
-    if args.objective in ("avg-red", "gg", "pointwise", "shannon-nominal"):
-        fresh = _verify_code_objective(args, mu, checks)
-    elif args.objective == "nml-only":
-        radius = _radius(args)
-        result = nml_distribution(DivergenceBall(mu, radius), args.tol)
-        ok_roots = all(
-            r <= 1e-10 for k, r in enumerate(result.roots_residual)
-            if k not in result.saturated
-        )
-        checks.add("root_certificates", radius == 0.0 or ok_roots)
-        cutoff = math.exp(-radius) if radius > 0.0 else 1.0
-        checks.add("saturation_rule",
-                   all((p >= cutoff) == (k in result.saturated)
-                       for k, p in enumerate(mu.probs)))
+    if args.objective == "nml-only":
+        rows = _nml_checks(mu, _radius(args), fresh["saturated"],
+                           fresh["diagnostics"]["residuals"])
+        for name in ("root_certificates", "saturation_rule"):
+            checks.add(name, rows[name])
     elif args.objective == "nml-tv":
-        if args.tv is None:
-            raise CodingError("--tv is required for nml-tv")
-        result = nml_tv(mu, args.tv)
         expected = tuple(min(1.0, p + args.tv / 2.0) for p in mu.probs)
-        checks.add("tv_suprema", result.raw == expected)
-
+        checks.add("tv_suprema", tuple(fresh["raw"]) == expected)
+    else:
+        _check_code_report(args, mu, fresh, checks)
     if args.result is not None:
-        with open(args.result, "r", encoding="utf-8") as handle:
-            stored = json.load(handle)
-        try:
-            if fresh is not None:
-                checks.add("result_lengths", stored.get("lengths") == fresh["lengths"])
-                checks.add("result_codewords", stored.get("codewords") == fresh["codewords"])
-                checks.add(
-                    "result_utility",
-                    abs(stored.get("achieved_utility", math.nan) - fresh["achieved_utility"]) <= 1e-9,
-                )
-            recomputed = _diagnostics_for_result(args, mu, stored)
-            same = json.dumps(recomputed, sort_keys=True) == json.dumps(
-                stored.get("diagnostics"), sort_keys=True
-            )
-            checks.add("diagnostics_roundtrip", same)
-        except (CodingError, KeyError, TypeError) as exc:
-            checks.add("result_integrity", False, str(exc))
-
+        _check_stored_report(args.result, fresh, checks)
     text = checks.render()
     return text, EXIT_OK if checks.all_ok else EXIT_VERIFY
 

@@ -206,10 +206,25 @@ def kl_divergence(nu: Distribution, mu: Distribution) -> float:
         raise DimensionMismatchError(f"dimension mismatch {nu.m} vs {mu.m}")
     p = nu.as_array()
     q = mu.as_array()
-    nz = p > 0.0
-    if np.any(q[nz] == 0.0):
+    if np.any(q[p > 0.0] == 0.0):
         raise AbsoluteContinuityError("nu puts mass where mu is zero")
+    return array_divergence(p, q)
+
+
+def array_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """sum_k p_k log(p_k / q_k) over p_k > 0, unchecked; kl_divergence validates."""
+    nz = p > 0.0
     return float(np.sum(p[nz] * np.log(p[nz] / q[nz])))
+
+
+def pair_divergence(t: float, a: float, b: float) -> float:
+    """t log(t/a) + (1-t) log((1-t)/b): the divergence of a point carried by two symbols."""
+    total = 0.0
+    if t > 0.0:
+        total += t * math.log(t / a)
+    if t < 1.0:
+        total += (1.0 - t) * math.log((1.0 - t) / b)
+    return total
 
 
 def binary_divergence(p: float, m: float) -> float:
@@ -218,12 +233,7 @@ def binary_divergence(p: float, m: float) -> float:
         raise DomainError(f"m must be in (0, 1), got {m}")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p must be in [0, 1], got {p}")
-    total = 0.0
-    if p > 0.0:
-        total += p * math.log(p / m)
-    if p < 1.0:
-        total += (1.0 - p) * math.log((1.0 - p) / (1.0 - m))
-    return total
+    return pair_divergence(p, m, 1.0 - m)
 
 
 def kraft_sum(lengths: CodeLengths) -> float:

@@ -8,6 +8,14 @@ the one sanctioned exception is the analytic tilted worst case, which the
 ball-dependent objectives include alongside the samples because a sampled
 supremum alone is only a lower bound.
 
+For the same reason the bisection loops here (the ball crossings of
+ball_sample and brute_binary_root) stay written out rather than calling the
+root finders of tilted and nml.  They share only the divergence formulas of
+core.  Their tie rules also differ on purpose: a segment crossing moves its
+inside end when the divergence equals the radius, the edge crossings move
+the outside end.  A shared loop would have to pick one rule, which moves
+sampled points and with them every oracle figure built on the samples.
+
 Enumeration yields non-decreasing vectors only.  Assigning the sorted
 lengths to weight-sorted symbols (shortest to heaviest) is optimal for
 every objective in this package: swapping a shorter length onto a larger
@@ -22,7 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, DivergenceBall, CodeLengths, binary_divergence, kl_divergence
+from .core import (
+    CodeLengths,
+    Distribution,
+    DivergenceBall,
+    array_divergence,
+    binary_divergence,
+    kl_divergence,
+    pair_divergence,
+)
 from .errors import DomainError, LimitExceededError
 from .tilted import avg_redundancy, gg_utility, nu_infinity, tilted_root
 
@@ -126,15 +142,18 @@ def ball_sample(
     m = mu.m
     out: list[Distribution] = [mu]
 
+    def segment_divergence(target: np.ndarray, t: float) -> float:
+        return array_divergence((1.0 - t) * p + t * target, p)
+
     def crossing(target: np.ndarray) -> Distribution | None:
         # divergence along nu(t) = (1-t) mu + t target is 0 at t=0, convex
-        end = _segment_divergence(p, target, 1.0)
+        end = segment_divergence(target, 1.0)
         if end <= radius:
             return Distribution(tuple(target))
         lo, hi = 0.0, 1.0
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
-            if _segment_divergence(p, target, mid) <= radius:
+            if segment_divergence(target, mid) <= radius:
                 lo = mid
             else:
                 hi = mid
@@ -153,13 +172,13 @@ def ball_sample(
             if j == k or p[j] == 0.0 or p[k] == 0.0:
                 continue
             center = p[j] / (p[j] + p[k])
-            if _pair_divergence(p, j, k, center) > radius:
+            if pair_divergence(center, p[j], p[k]) > radius:
                 continue
             if -math.log(p[j]) > radius:
                 lo, hi = center, 1.0
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    if _pair_divergence(p, j, k, mid) < radius:
+                    if pair_divergence(mid, p[j], p[k]) < radius:
                         lo = mid
                     else:
                         hi = mid
@@ -199,21 +218,6 @@ def ball_sample(
 
     certified = [nu for nu in out if kl_divergence(nu, mu) <= radius + CERT_TOL]
     return certified
-
-
-def _segment_divergence(p: np.ndarray, target: np.ndarray, t: float) -> float:
-    blend = (1.0 - t) * p + t * target
-    nz = blend > 0.0
-    return float(np.sum(blend[nz] * np.log(blend[nz] / p[nz])))
-
-
-def _pair_divergence(p: np.ndarray, j: int, k: int, t: float) -> float:
-    total = 0.0
-    if t > 0.0:
-        total += t * math.log(t / p[j])
-    if t < 1.0:
-        total += (1.0 - t) * math.log((1.0 - t) / p[k])
-    return total
 
 
 class _SampleTable:

@@ -170,28 +170,14 @@ def _solve(
             )
         return sample_cache[0]
 
-    gg_threshold = -math.log(min(mu.probs))
-    at_boundary = radius >= r_max or (objective == "gg" and radius >= gg_threshold)
-    if at_boundary:
+    # r_max <= -log min mu (the limit's argmax set holds at least one symbol),
+    # so this also covers the GG shortcut radius
+    if radius >= r_max:
         if strict_boundary:
             raise BoundaryRegimeError(
                 f"radius {radius} is at or beyond the existence threshold {r_max}"
             )
-        limit = nu_infinity(mu, limit_code)
-        if objective == "gg":
-            worst = limit.distribution
-            value = gg_utility(limit_code, worst, mu)
-        elif mu.m <= 12:
-            value, worst = exact_avg_sup(mu, limit_code, radius, tol=min(tol, 1e-12))
-        else:
-            # convex objective beyond enumeration scale: honest sampled bound
-            worst = limit.distribution
-            value = avg_redundancy(limit_code, worst)
-            for nu in sampled():
-                v = avg_redundancy(limit_code, nu)
-                if v > value:
-                    value = v
-                    worst = nu
+        value, worst, _, _ = _candidate_sup(objective, mu, radius, limit_code, tol, sampled)
         return RobustCodeResult(
             lengths=limit_code,
             codewords=canonical_codewords(limit_code),

@@ -25,8 +25,10 @@ import numpy as np
 from .core import (
     CodeLengths,
     Distribution,
+    array_divergence,
     kl_divergence,
     log_sum_exp,
+    pair_divergence,
 )
 from .errors import DimensionMismatchError, DomainError
 
@@ -66,17 +68,10 @@ def nu_circ(mu: Distribution, lengths: CodeLengths, beta: float) -> TiltedPoint:
     if not (beta > 0.0):
         raise DomainError(f"beta must be positive, got {beta}")
     p = mu.as_array()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.log(p)
-        logw = beta * _log_ratios(mu, lengths) + logp
-    logw[p == 0.0] = -np.inf
-    norm = log_sum_exp(logw)
-    with np.errstate(invalid="ignore"):
-        nu = np.exp(logw - norm)
-    nu[~np.isfinite(nu)] = 0.0
-    dist = Distribution(tuple(nu / nu.sum()))
+    dist = Distribution(tuple(_face_point(p, _log_ratios(mu, lengths), p > 0.0, beta)))
+    # nu lives on mu's support by construction, so kl_divergence's checks are moot
     return TiltedPoint(beta=float(beta), distribution=dist,
-                       divergence_from_center=kl_divergence(dist, mu))
+                       divergence_from_center=array_divergence(dist.as_array(), p))
 
 
 def xi(mu: Distribution, beta: float) -> Distribution:
@@ -163,7 +158,8 @@ def nu_infinity(mu: Distribution, lengths: CodeLengths) -> LimitPoint:
     nu[members] = p[members] / mass
     return LimitPoint(
         distribution=Distribution(tuple(nu)),
-        divergence_from_center=-math.log(mass),
+        # -log(1.0) is -0.0: a limit that keeps all the mass reports 0.0
+        divergence_from_center=max(0.0, -math.log(mass)),
         argmax_set=frozenset(int(i) for i in members),
     )
 
@@ -171,8 +167,7 @@ def nu_infinity(mu: Distribution, lengths: CodeLengths) -> LimitPoint:
 def _face_point(p: np.ndarray, log_r: np.ndarray, mask: np.ndarray, beta: float) -> np.ndarray:
     """Member of the tilted family restricted to one face of the simplex."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = beta * log_r + np.log(p)
-    logw[~mask] = -np.inf
+        logw = np.where(mask, beta * log_r + np.log(p), -np.inf)
     norm = log_sum_exp(logw)
     with np.errstate(invalid="ignore"):
         nu = np.exp(logw - norm)
@@ -180,9 +175,52 @@ def _face_point(p: np.ndarray, log_r: np.ndarray, mask: np.ndarray, beta: float)
     return nu / nu.sum()
 
 
-def _divergence(nu: np.ndarray, p: np.ndarray) -> float:
-    nz = nu > 0.0
-    return float(np.sum(nu[nz] * np.log(nu[nz] / p[nz])))
+def _root_in_beta(evaluate, radius: float, tol: float, max_iter: int = 200):
+    """Tilt whose divergence equals the radius, for a divergence nondecreasing in beta.
+
+    evaluate(beta) returns (divergence, point).  The bracket doubles from
+    beta = 1; bisection from [0, hi] then keeps the probe closest to the
+    radius.  Returns that probe's point, or None when sixty doublings do not
+    reach the radius (numerically indistinguishable from the limit).
+    """
+    hi = 1.0
+    best = evaluate(hi)
+    doublings = 0
+    while best[0] < radius:
+        hi *= 2.0
+        best = evaluate(hi)
+        doublings += 1
+        if doublings > 60:
+            return None
+    lo = 0.0
+    for _ in range(max_iter):
+        if abs(best[0] - radius) <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        probe = evaluate(mid)
+        if abs(probe[0] - radius) < abs(best[0] - radius):
+            best = probe
+        if probe[0] < radius:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, hi):
+            break
+    return best[1]
+
+
+def _crossing(divergence_at, inside: float, outside: float, radius: float) -> float:
+    """Parameter where divergence_at crosses the radius between an inside and an outside end.
+
+    A fixed 100 halvings; a tie moves the outside end.
+    """
+    for _ in range(100):
+        mid = 0.5 * (inside + outside)
+        if divergence_at(mid) < radius:
+            inside = mid
+        else:
+            outside = mid
+    return 0.5 * (inside + outside)
 
 
 def exact_avg_sup(
@@ -229,14 +267,6 @@ def exact_avg_sup(
         nu[k] = 1.0 - t
         return nu
 
-    def pair_divergence(j: int, k: int, t: float) -> float:
-        total = 0.0
-        if t > 0.0:
-            total += t * math.log(t / p[j])
-        if t < 1.0:
-            total += (1.0 - t) * math.log((1.0 - t) / p[k])
-        return total
-
     for k in range(m):
         if p[k] > 0.0 and -math.log(p[k]) <= radius:
             vertex = np.zeros(m)
@@ -247,29 +277,19 @@ def exact_avg_sup(
         for k in range(j + 1, m):
             if p[j] == 0.0 or p[k] == 0.0:
                 continue
+
+            def on_edge(t: float) -> float:
+                return pair_divergence(t, p[j], p[k])
+
             t_center = p[j] / (p[j] + p[k])
-            if pair_divergence(j, k, t_center) > radius:
+            if on_edge(t_center) > radius:
                 continue  # the segment never enters the ball
             # crossing toward each endpoint, where the divergence rises
             # monotonically from the in-ball center
             if -math.log(p[j]) > radius:
-                lo, hi = t_center, 1.0
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    if pair_divergence(j, k, mid) < radius:
-                        lo = mid
-                    else:
-                        hi = mid
-                consider(pair_point(j, k, 0.5 * (lo + hi)))
+                consider(pair_point(j, k, _crossing(on_edge, t_center, 1.0, radius)))
             if -math.log(p[k]) > radius:
-                lo, hi = t_center, 0.0
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    if pair_divergence(j, k, mid) < radius:
-                        lo = mid
-                    else:
-                        hi = mid
-                consider(pair_point(j, k, 0.5 * (lo + hi)))
+                consider(pair_point(j, k, _crossing(on_edge, t_center, 0.0, radius)))
 
     for bits in range(1, 2**m):
         mask = np.array([(bits >> k) & 1 == 1 for k in range(m)])
@@ -292,38 +312,23 @@ def exact_avg_sup(
                 center = center / center.sum()
                 vertex = np.zeros(m)
                 vertex[k_min] = 1.0
-                lo, hi = 0.0, 1.0
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    blend = (1.0 - mid) * center + mid * vertex
-                    if _divergence(blend, p) < radius:
-                        lo = mid
-                    else:
-                        hi = mid
-                t = 0.5 * (lo + hi)
-                consider((1.0 - t) * center + t * vertex)
+
+                def blend(t: float) -> np.ndarray:
+                    return (1.0 - t) * center + t * vertex
+
+                t = _crossing(lambda t: array_divergence(blend(t), p), 0.0, 1.0, radius)
+                consider(blend(t))
             continue
-        lo, hi = 0.0, 1.0
-        while _divergence(_face_point(p, log_r, mask, hi), p) < radius:
-            hi *= 2.0
-            if hi > 2**60:
-                break
-        point = _face_point(p, log_r, mask, hi)
-        for _ in range(200):
-            if abs(_divergence(point, p) - radius) <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            nu_mid = _face_point(p, log_r, mask, mid)
-            div_mid = _divergence(nu_mid, p)
-            if abs(div_mid - radius) < abs(_divergence(point, p) - radius):
-                point = nu_mid
-            if div_mid < radius:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                break
-        consider(point)
+
+        def on_face(beta: float):
+            nu = _face_point(p, log_r, mask, beta)
+            return array_divergence(nu, p), nu
+
+        # None only when the radius is numerically at the face's limit, which
+        # lies on a subface that the enumeration visits
+        point = _root_in_beta(on_face, radius, tol)
+        if point is not None:
+            consider(point)
 
     if witness is None:
         raise DomainError("no feasible extreme point found")
@@ -350,31 +355,8 @@ def tilted_root(
     if radius >= limit.divergence_from_center:
         return None
 
-    def g(beta: float) -> TiltedPoint:
-        return nu_circ(mu, lengths, beta)
+    def on_simplex(beta: float):
+        point = nu_circ(mu, lengths, beta)
+        return point.divergence_from_center, point
 
-    hi = 1.0
-    point_hi = g(hi)
-    doublings = 0
-    while point_hi.divergence_from_center < radius:
-        hi *= 2.0
-        point_hi = g(hi)
-        doublings += 1
-        if doublings > 60:
-            return None  # radius numerically indistinguishable from the limit
-    lo = 0.0
-    best = point_hi
-    for _ in range(max_iter):
-        if abs(best.divergence_from_center - radius) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        point = g(mid)
-        if abs(point.divergence_from_center - radius) < abs(best.divergence_from_center - radius):
-            best = point
-        if point.divergence_from_center < radius:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return best
+    return _root_in_beta(on_simplex, radius, tol, max_iter)

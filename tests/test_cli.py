@@ -289,3 +289,67 @@ def test_negative_radius_exits_2(capsys):
         ["code", instance("skewed3.json"), "--objective", "avg-red", "--radius", "-0.1"],
     )
     assert status == 2
+
+
+def _radius_fraction(path, fraction):
+    from klcodes.solver import existence_threshold
+
+    return repr(fraction * existence_threshold(cli.load_distribution(str(path)))[0])
+
+
+def test_analyze_dyadic_r_max_is_positive_zero(capsys):
+    status, out, _ = run(capsys, ["analyze", instance("dyadic3.json"), "--format", "json"])
+    assert status == 0
+    assert '"r_max": 0.0,' in out
+    assert math.copysign(1.0, json.loads(out)["r_max"]) == 1.0
+
+
+def test_verify_pointwise_shannon_tie_passes(capsys, tmp_path):
+    # the Huffman and Shannon codes tie on this centre, so scoring them on
+    # two root solves of different tolerance splits the tie in the last bits
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(
+        {"probs": [0.21999880296244043, 0.7636332274854468, 0.01636796955211282]}))
+    radius = _radius_fraction(path, 0.3)
+    status, out, _ = run(
+        capsys,
+        ["verify", str(path), "--objective", "pointwise", "--radius", radius,
+         "--samples", "2000"],
+    )
+    assert status == 0, out
+    assert ("PASS shannon_dominance (huffman=0.38430018194355675 "
+            "shannon=0.38430018194355675)") in out
+
+
+@pytest.mark.parametrize("objective", ["avg-red", "gg"])
+def test_verify_result_round_trip_unnormalised_worst_case(capsys, tmp_path, objective):
+    # the stored worst case sums to 0.9999999999999999, so re-ingesting it
+    # renormalises it; the stored report must still verify unchanged
+    path = tmp_path / "centre.json"
+    path.write_text(json.dumps(
+        {"probs": [0.556821311817372, 0.3879956424924505, 0.055183045690177415]}))
+    result_path = tmp_path / "result.json"
+    argv = [str(path), "--objective", objective, "--radius", _radius_fraction(path, 0.1)]
+    status, _, _ = run(capsys, ["code", *argv, "--output", str(result_path)])
+    assert status == 0
+    status, out, _ = run(capsys, ["verify", *argv, "--result", str(result_path),
+                                  "--samples", "2000"])
+    assert status == 0, out
+    assert "PASS diagnostics_roundtrip" in out
+    assert "PASS result_worst_case" in out
+
+
+def test_verify_result_detects_tampered_worst_case(capsys, tmp_path):
+    result_path = tmp_path / "result.json"
+    argv = [instance("skewed3.json"), "--objective", "avg-red", "--radius", "0.05"]
+    status, _, _ = run(capsys, ["code", *argv, "--output", str(result_path)])
+    assert status == 0
+    payload = json.loads(result_path.read_text())
+    payload["worst_case"][0] += 1e-12
+    payload["worst_case"][1] -= 1e-12
+    result_path.write_text(json.dumps(payload))
+    status, out, _ = run(capsys, ["verify", *argv, "--result", str(result_path),
+                                  "--samples", "1000"])
+    assert status == 5
+    assert "FAIL result_worst_case" in out
+    assert "PASS diagnostics_roundtrip" in out

@@ -178,6 +178,17 @@ def test_nu_infinity_all_ratios_equal():
     assert limit.divergence_from_center == pytest.approx(0.0, abs=1e-15)
 
 
+def test_nu_infinity_full_support_is_positive_zero():
+    # -log(1.0) is -0.0; the limit divergence is clamped to +0.0
+    from klcodes.solver import existence_threshold
+
+    mu = validate_distribution([0.5, 0.25, 0.25])
+    r_max, limit, _ = existence_threshold(mu)
+    for value in (r_max, limit.divergence_from_center,
+                  nu_infinity(mu, L122).divergence_from_center):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_nu_infinity_frozen_example():
     limit = nu_infinity(SKEWED, L122)
     assert limit.argmax_set == frozenset({0, 1})
