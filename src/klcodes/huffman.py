@@ -17,13 +17,19 @@ Ties are broken by (weight, creation order), original items before merged
 nodes, so outputs are deterministic across runs and platforms.  For D > 2
 the weight list is padded with zero-weight dummies until (M'-1) mod (D-1)
 = 0; dummy leaves are dropped from the returned vector.
+
+The heap holds (log-weight, node id) tuples and the tree is a parent
+array, so a build makes no node objects.  The sum and exponential merges
+run on Python floats, rounded exactly as core.log_sum_exp rounds, so the
+depths match those of its array form bit for bit.  A sort-once two-queue
+merge would save the heap, but a merged log-weight, once rounded, need not
+come out nondecreasing, and near-ties could then merge in another order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,24 +45,6 @@ from .errors import (
 )
 
 
-@dataclass
-class WeightedItem:
-    """Heap entry while building a code tree.
-
-    origin_index is the position in the caller's weight list, or -1 for a
-    zero-weight padding dummy.  creation_order makes ties deterministic and
-    keeps original items ahead of merged nodes of equal weight.
-    """
-
-    log_weight: float
-    origin_index: int
-    creation_order: int
-    children: list["WeightedItem"] = field(default_factory=list)
-
-    def __lt__(self, other: "WeightedItem") -> bool:
-        return (self.log_weight, self.creation_order) < (other.log_weight, other.creation_order)
-
-
 def _dummy_count(m: int, arity: int) -> int:
     if arity == 2:
         return 0
@@ -64,32 +52,46 @@ def _dummy_count(m: int, arity: int) -> int:
 
 
 def _build_tree(log_weights, arity, combine) -> list[int]:
-    """Run the greedy merge loop; returns the depth of every leaf, dummies last."""
-    m = len(log_weights)
-    pad = _dummy_count(m, arity)
-    heap: list[WeightedItem] = [
-        WeightedItem(lw, i, i) for i, lw in enumerate(log_weights)
-    ]
-    heap.extend(WeightedItem(-math.inf, -1, m + j) for j in range(pad))
-    order = m + pad
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        children = [heapq.heappop(heap) for _ in range(arity)]
-        merged = WeightedItem(combine([c.log_weight for c in children]), -1, order, children)
-        order += 1
-        heapq.heappush(heap, merged)
+    """Run the greedy merge loop; returns the depth of every leaf, dummies last.
 
-    depths = [0] * (m + pad)
-    stack = [(heap[0], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node.children:
-            stack.extend((c, depth + 1) for c in node.children)
-        else:
-            # leaves: real items at origin_index, dummies at creation_order
-            slot = node.origin_index if node.origin_index >= 0 else node.creation_order
-            depths[slot] = depth
-    return depths
+    Heap entries are (log_weight, node_id) tuples, node_id being creation
+    order.  combine gets the children's log-weights in pop order, so
+    ascending with the largest last.
+    """
+    m = len(log_weights)
+    leaves = m + _dummy_count(m, arity)
+    heap = [(lw, i) for i, lw in enumerate(log_weights)]
+    heap.extend((-math.inf, i) for i in range(m, leaves))
+    heapq.heapify(heap)
+    nodes = leaves + (leaves - 1) // (arity - 1)
+    parent = [0] * nodes
+    for node in range(leaves, nodes):
+        children = [heapq.heappop(heap) for _ in range(arity)]
+        heapq.heappush(heap, (combine([lw for lw, _ in children]), node))
+        for _, child in children:
+            parent[child] = node
+    depths = [0] * nodes
+    for node in range(nodes - 2, -1, -1):
+        depths[node] = depths[parent[node]] + 1
+    return depths[:leaves]
+
+
+def _log_sum_exp_ascending(values: list[float]) -> float:
+    """core.log_sum_exp of ascending Python floats, rounded exactly as it rounds.
+
+    Scalar numpy exp and log give the bits of numpy's array loops (the
+    math module's differ in the last place), and numpy sums fewer than
+    eight terms left to right; longer lists go through log_sum_exp itself.
+    """
+    if len(values) >= 8:
+        return log_sum_exp(np.asarray(values))
+    hi = values[-1]
+    if hi == -math.inf:
+        return hi
+    total = 0.0
+    for value in values[:-1]:
+        total += np.exp(value - hi)
+    return float(hi + np.log(total + 1.0))
 
 
 def _check_weights(weights, arity) -> np.ndarray:
@@ -113,7 +115,7 @@ def _log_weights(w: np.ndarray) -> list[float]:
 def huffman(weights, arity: int = 2) -> CodeLengths:
     """Optimal integer lengths for expected length sum w_k * l_k."""
     w = _check_weights(weights, arity)
-    depths = _build_tree(_log_weights(w), arity, log_sum_exp)
+    depths = _build_tree(_log_weights(w), arity, _log_sum_exp_ascending)
     return CodeLengths(tuple(depths[: w.size]), arity=arity)
 
 
@@ -148,7 +150,7 @@ def exponential_huffman_log(log_weights, beta: float, arity: int = 2) -> CodeLen
     bump = beta * math.log(arity)
 
     def combine(children):
-        return bump + log_sum_exp(np.asarray(children))
+        return bump + _log_sum_exp_ascending(children)
 
     depths = _build_tree(log_weights, arity, combine)
     return CodeLengths(tuple(depths[: len(log_weights)]), arity=arity)
@@ -166,7 +168,7 @@ def max_huffman(weights, arity: int = 2) -> CodeLengths:
     bump = math.log(arity)
 
     def combine(children):
-        return bump + max(children)
+        return bump + children[-1]
 
     depths = _build_tree(_log_weights(w), arity, combine)
     return CodeLengths(tuple(depths[: w.size]), arity=arity)

@@ -26,6 +26,7 @@ from .errors import BoundaryRegimeError, NoConvergenceError, ZeroProbabilityErro
 from .huffman import canonical_codewords, exponential_huffman_log, huffman, max_huffman
 from .tilted import (
     LimitPoint,
+    TiltedPoint,
     avg_redundancy,
     exact_avg_sup,
     gg_utility,
@@ -77,7 +78,13 @@ def existence_threshold(mu: Distribution, arity: int = 2) -> tuple[float, LimitP
 
 
 def g_of_beta(mu: Distribution, arity: int, beta: float) -> tuple[float, CodeLengths]:
-    """Divergence of the tilted worst case induced by the optimal code at this tilt.
+    """Divergence of the tilted worst case induced by the optimal code at this tilt."""
+    point, lengths = _tilt_probe(mu, arity, beta)
+    return point.divergence_from_center, lengths
+
+
+def _tilt_probe(mu: Distribution, arity: int, beta: float) -> tuple[TiltedPoint, CodeLengths]:
+    """The optimal code at this tilt and the tilted worst case it induces.
 
     The tilted weights xi_k ~ mu_k^(beta+1) are handed to the coder in
     log-domain and unnormalized (the coder is scale invariant); a linear
@@ -85,8 +92,7 @@ def g_of_beta(mu: Distribution, arity: int, beta: float) -> tuple[float, CodeLen
     """
     log_xi = [(beta + 1.0) * math.log(p) for p in mu.probs]
     lengths = exponential_huffman_log(log_xi, beta, arity)
-    point = nu_circ(mu, lengths, beta)
-    return point.divergence_from_center, lengths
+    return nu_circ(mu, lengths, beta), lengths
 
 
 def _eval_utility(objective: str, lengths: CodeLengths, nu: Distribution, mu: Distribution) -> float:
@@ -192,12 +198,12 @@ def _solve(
     candidates: dict[tuple[int, ...], CodeLengths] = {}
 
     def probe(beta: float) -> float:
-        divergence, lengths = g_of_beta(mu, arity, beta)
+        point, lengths = _tilt_probe(mu, arity, beta)
         key = tuple(int(l) for l in lengths.lengths)
         candidates.setdefault(key, lengths)
-        utility = _eval_utility(objective, lengths, nu_circ(mu, lengths, beta).distribution, mu)
-        probes.append((beta, divergence, utility))
-        return divergence
+        utility = _eval_utility(objective, lengths, point.distribution, mu)
+        probes.append((beta, point.divergence_from_center, utility))
+        return point.divergence_from_center
 
     # structured candidates beyond the tilt path: Huffman codes of the
     # nominal hedged toward uniform.  t=0 is plain Huffman, t=1 the flattest

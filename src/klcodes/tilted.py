@@ -67,11 +67,22 @@ def nu_circ(mu: Distribution, lengths: CodeLengths, beta: float) -> TiltedPoint:
     """Tilted distribution nu(beta)_i ∝ (mu_i/theta_i)^beta * mu_i."""
     if not (beta > 0.0):
         raise DomainError(f"beta must be positive, got {beta}")
-    p = mu.as_array()
-    dist = Distribution(tuple(_face_point(p, _log_ratios(mu, lengths), p > 0.0, beta)))
-    # nu lives on mu's support by construction, so kl_divergence's checks are moot
-    return TiltedPoint(beta=float(beta), distribution=dist,
-                       divergence_from_center=array_divergence(dist.as_array(), p))
+    divergence, raw = _tilt(mu.as_array(), _log_ratios(mu, lengths), beta)
+    return TiltedPoint(beta=float(beta), distribution=Distribution(tuple(raw.tolist())),
+                       divergence_from_center=divergence)
+
+
+def _tilt(p: np.ndarray, log_r: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
+    """Divergence from p of the tilt at beta, and the raw point Distribution takes.
+
+    The divergence is that of the point as Distribution would store it,
+    renormalised by its fsum unless that is exactly 1.  nu lives on p's
+    support by construction, so kl_divergence's checks are moot.
+    """
+    raw = _face_point(p, log_r, p > 0.0, beta)
+    total = math.fsum(raw.tolist())
+    nu = raw if total == 1.0 else raw / total
+    return array_divergence(nu, p), raw
 
 
 def xi(mu: Distribution, beta: float) -> Distribution:
@@ -281,9 +292,11 @@ def exact_avg_sup(
             def on_edge(t: float) -> float:
                 return pair_divergence(t, p[j], p[k])
 
-            t_center = p[j] / (p[j] + p[k])
-            if on_edge(t_center) > radius:
+            # the centre's divergence is -log(p_j + p_k); evaluated on the
+            # edge it can round above a radius it equals, as at r_max
+            if -math.log(p[j] + p[k]) > radius:
                 continue  # the segment never enters the ball
+            t_center = p[j] / (p[j] + p[k])
             # crossing toward each endpoint, where the divergence rises
             # monotonically from the in-ball center
             if -math.log(p[j]) > radius:
@@ -354,9 +367,12 @@ def tilted_root(
     limit = nu_infinity(mu, lengths)
     if radius >= limit.divergence_from_center:
         return None
+    p = mu.as_array()
+    log_r = _log_ratios(mu, lengths)
 
     def on_simplex(beta: float):
-        point = nu_circ(mu, lengths, beta)
-        return point.divergence_from_center, point
+        return _tilt(p, log_r, beta)[0], beta
 
-    return _root_in_beta(on_simplex, radius, tol, max_iter)
+    # the probes stay on arrays; only the root becomes a TiltedPoint
+    beta = _root_in_beta(on_simplex, radius, tol, max_iter)
+    return None if beta is None else nu_circ(mu, lengths, beta)

@@ -1,9 +1,11 @@
+import heapq
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from klcodes.core import kraft_integer_ok, kraft_sum, validate_distribution
+from klcodes.core import kraft_integer_ok, kraft_sum, log_sum_exp, validate_distribution
 from klcodes.errors import (
     AllZeroWeightsError,
     ArityTooSmallError,
@@ -14,10 +16,12 @@ from klcodes.errors import (
 from klcodes.huffman import (
     _build_tree,
     _dummy_count,
+    _log_sum_exp_ascending,
     canonical_codewords,
     exp_cost_log,
     expected_cost,
     exponential_huffman,
+    exponential_huffman_log,
     huffman,
     max_cost_log,
     max_huffman,
@@ -167,8 +171,6 @@ def test_padded_kraft_equality_ternary():
         w = rng.dirichlet(np.ones(m))
         with np.errstate(divide="ignore"):
             logw = [float(x) for x in np.log(w)]
-        from klcodes.core import log_sum_exp
-
         depths = _build_tree(logw, 3, log_sum_exp)
         assert len(depths) == m + _dummy_count(m, 3)
         lmax = max(depths)
@@ -221,3 +223,94 @@ def test_default_l_max_covers_worst_depth():
     for m in range(2, 9):
         assert default_l_max(m, 3) >= math.ceil((m + _dummy_count(m, 3) - 1) / 2)
         assert default_l_max(m, 2) == m
+
+
+def test_scalar_log_sum_exp_rounds_like_array_form():
+    # merges of 2..9 children, gaps from 1e-12 to 1e2 nats, -inf and exact ties
+    rng = np.random.default_rng(67)
+    for n in range(2, 10):
+        for _ in range(1500):
+            values = rng.normal(size=n) * 10.0 ** rng.uniform(-12.0, 2.0) + rng.normal() * 50.0
+            if rng.random() < 0.1:
+                values[0] = -math.inf
+            if rng.random() < 0.1:
+                values[-1] = values[-2]
+            values = sorted(float(v) for v in values)
+            assert _log_sum_exp_ascending(values) == log_sum_exp(np.asarray(values))
+    assert _log_sum_exp_ascending([-math.inf, -math.inf]) == -math.inf
+
+
+@dataclass
+class WeightedItem:
+    """Node of the reference tree builder, ordered by (log_weight, creation_order)."""
+
+    log_weight: float
+    origin_index: int
+    creation_order: int
+    children: list["WeightedItem"] = field(default_factory=list)
+
+    def __lt__(self, other: "WeightedItem") -> bool:
+        return (self.log_weight, self.creation_order) < (other.log_weight, other.creation_order)
+
+
+def _reference_depths(log_weights, arity, combine) -> list[int]:
+    """The greedy merge loop on a heap of node objects, written out literally."""
+    m = len(log_weights)
+    pad = _dummy_count(m, arity)
+    heap = [WeightedItem(lw, i, i) for i, lw in enumerate(log_weights)]
+    heap.extend(WeightedItem(-math.inf, -1, m + j) for j in range(pad))
+    order = m + pad
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        children = [heapq.heappop(heap) for _ in range(arity)]
+        merged = WeightedItem(combine([c.log_weight for c in children]), -1, order, children)
+        order += 1
+        heapq.heappush(heap, merged)
+    depths = [0] * (m + pad)
+    stack = [(heap[0], 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.children:
+            stack.extend((c, depth + 1) for c in node.children)
+        else:
+            slot = node.origin_index if node.origin_index >= 0 else node.creation_order
+            depths[slot] = depth
+    return depths[:m]
+
+
+def _reference_weights(rng, m: int, kind: str) -> np.ndarray:
+    if kind == "ties":
+        # small integers: equal leaves, and merged nodes equal to leaves
+        return rng.integers(1, 4, m).astype(float)
+    w = rng.dirichlet(np.ones(m))
+    if kind == "zeros":
+        w[rng.permutation(m)[: max(1, m // 3)]] = 0.0
+        w[rng.integers(m)] = 1.0
+    return w
+
+
+def test_tree_builders_match_reference_heap():
+    # every combine rule, arities 2-4 (with -inf dummies at 3 and 4), exact
+    # ties, zero weights and tilts over nine decades must give the depths of
+    # the node-object heap, bit for bit
+    rng = np.random.default_rng(61)
+    sizes = list(range(2, 41)) + list(range(41, 301, 13)) + [255, 256, 257, 300]
+    kinds = ("random", "ties", "zeros")
+    for index, m in enumerate(sizes):
+        for arity in (2, 3, 4):
+            w = _reference_weights(rng, m, kinds[(index + arity) % 3])
+            with np.errstate(divide="ignore"):
+                logw = [float(x) for x in np.log(w)]
+            bump = math.log(arity)
+            assert list(huffman(w, arity).lengths) == _reference_depths(logw, arity, log_sum_exp)
+            assert list(max_huffman(w, arity).lengths) == _reference_depths(
+                logw, arity, lambda c: bump + max(c))
+            if index % 5 == 0:
+                beta = (1e-6, 1e3)[arity % 2]
+            else:
+                beta = float(10.0 ** rng.uniform(-6.0, 3.0))
+            log_xi = [(beta + 1.0) * math.log(p) if p > 0.0 else -math.inf for p in w]
+            tilt_bump = beta * bump
+            expected = _reference_depths(
+                log_xi, arity, lambda c: tilt_bump + log_sum_exp(np.asarray(c)))
+            assert list(exponential_huffman_log(log_xi, beta, arity).lengths) == expected

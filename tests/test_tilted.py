@@ -262,6 +262,20 @@ def test_exact_avg_sup_dyadic_level_set():
     assert kl_divergence(witness, mu) == pytest.approx(0.1, abs=1e-9)
 
 
+def test_exact_avg_sup_keeps_edge_centre_on_the_shell():
+    # at r_max the centre of edge {0, 1} lies on the shell, but its divergence
+    # evaluated on the edge rounds one ulp above the radius
+    from klcodes.solver import existence_threshold
+    from klcodes.tilted import exact_avg_sup
+
+    r_max = existence_threshold(SKEWED)[0]
+    assert r_max == 0.1053605156578264
+    value, witness = exact_avg_sup(SKEWED, L122, r_max)
+    edge_centre = Distribution((2 / 3, 1 / 3, 0.0))
+    assert value >= avg_redundancy(L122, edge_centre) - 1e-8
+    assert kl_divergence(witness, SKEWED) <= r_max + 1e-12
+
+
 def test_tilted_point_is_supremum_over_samples():
     # for any fixed code, the root-tilted point dominates every ball member
     from klcodes.core import DivergenceBall
