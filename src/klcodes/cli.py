@@ -1,8 +1,9 @@
 """Batch front door: ingest a distribution, solve an objective, emit results.
 
 Exit codes: 0 success, 2 malformed input, 3 boundary regime in strict mode,
-4 no convergence, 5 failed verification.  Reports are rendered completely
-before anything is written, so error paths never leave partial output.
+4 no convergence, 5 failed verification, 6 input valid but beyond the exact
+range.  Reports are rendered completely before anything is written, so error
+paths never leave partial output.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core import (
     pinsker_upper,
     validate_distribution,
 )
-from .errors import BoundaryRegimeError, CodingError, NoConvergenceError
+from .errors import BoundaryRegimeError, CodingError, LimitExceededError, NoConvergenceError
 from .huffman import canonical_codewords, shannon_lengths
 from .nml import nml_distribution, nml_tv, pointwise_utility, robust_huffman_pointwise, robust_shannon_pointwise
 from .solver import RobustCodeResult, existence_threshold, solve_avg_redundancy, solve_gg
@@ -38,6 +39,7 @@ EXIT_INPUT = 2
 EXIT_BOUNDARY = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_VERIFY = 5
+EXIT_LIMIT = 6
 
 OBJECTIVES = ("avg-red", "gg", "pointwise", "shannon-nominal", "nml-only", "nml-tv")
 
@@ -211,8 +213,7 @@ def run_code(args) -> tuple[dict, int]:
         return _code_payload(objective, result, residuals), EXIT_OK
 
     solve = solve_avg_redundancy if objective == "avg-red" else solve_gg
-    result = solve(ball, arity, tol, strict_boundary=args.strict_boundary,
-                   samples=args.samples, seed=args.seed)
+    result = solve(ball, arity, tol, strict_boundary=args.strict_boundary)
     residuals = []
     if result.regime == "interior" and result.beta is not None:
         residuals.append(abs(kl_divergence(result.worst_case, mu) - radius))
@@ -397,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     code.add_argument("--tol", type=float, default=1e-9)
     code.add_argument("--strict-boundary", action="store_true",
                       help="error out instead of returning the boundary-regime code")
-    code.add_argument("--samples", type=int, default=2000)
-    code.add_argument("--seed", type=int, default=0)
     code.add_argument("--format", choices=("json", "table"), default="json")
     code.add_argument("--output", default=None, help="write the report to this file")
 
@@ -436,6 +435,9 @@ def main(argv=None) -> int:
     except NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except LimitExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except (CodingError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

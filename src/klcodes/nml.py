@@ -5,8 +5,8 @@ normalized coordinatewise suprema pi_k = sup {nu_k : nu in ball}.  For a
 relative-entropy ball each supremum is either 1 (when the vertex at k is
 itself inside, i.e. mu_k >= e^-R) or the larger root of the scalar
 equation d(p || mu_k) = R, where d is the binary relative entropy.  The
-root is found by Newton's method (optionally Halley's) inside a bisection
-safeguard, started from the small-radius closed form
+root is found by Newton's method inside a bisection safeguard, started
+from the small-radius closed form
 mu_k + sqrt(2 R mu_k (1 - mu_k)); the returned value always carries a
 recomputed residual certificate, never the approximation itself.
 
@@ -58,15 +58,13 @@ def solve_pi_k(
     m: float,
     radius: float,
     tol: float = 1e-13,
-    method: str = "newton",
-    max_iter: int = 60,
     return_info: bool = False,
 ):
     """Larger root of d(p || m) = radius on (m, 1), safeguarded to tolerance tol.
 
-    Newton steps (or Halley steps with method="halley") that would leave the
-    current bracket are replaced by bisection, so convergence is
-    unconditional; the objective is increasing and convex on (m, 1).
+    Newton steps that would leave the current bracket are replaced by
+    bisection, so convergence is unconditional; the objective is increasing
+    and convex on (m, 1).  At most 60 steps are taken.
     """
     if not (0.0 < m < 1.0):
         raise DomainError(f"m must be in (0, 1), got {m}")
@@ -74,8 +72,6 @@ def solve_pi_k(
         raise DomainError(f"radius must be positive, got {radius}")
     if m >= math.exp(-radius):
         raise SaturatedInputError(f"m={m} saturates at radius {radius}")
-    if method not in ("newton", "halley"):
-        raise DomainError(f"unknown method {method!r}")
 
     lo = m + 1e-15
     hi = min(pinsker_upper(m, radius), 1.0 - 1e-15)
@@ -89,7 +85,7 @@ def solve_pi_k(
 
     steps = 0
     value = h(p)
-    for _ in range(max_iter):
+    for _ in range(60):
         if abs(value) <= tol:
             break
         if value < 0.0:
@@ -97,12 +93,7 @@ def solve_pi_k(
         else:
             hi = min(hi, p)
         slope = h1(p)
-        if method == "halley":
-            curve = 1.0 / p + 1.0 / (1.0 - p)
-            denom = 2.0 * slope * slope - value * curve
-            step = 2.0 * value * slope / denom if denom != 0.0 else math.inf
-        else:
-            step = value / slope if slope != 0.0 else math.inf
+        step = value / slope if slope != 0.0 else math.inf
         trial = p - step
         if not math.isfinite(trial) or not (lo < trial < hi):
             trial = 0.5 * (lo + hi)
@@ -124,7 +115,7 @@ def solve_pi_k(
                 steps += 1
 
     if return_info:
-        return p, {"residual": abs(value), "iterations": steps, "method": method}
+        return p, {"residual": abs(value), "iterations": steps}
     return p
 
 

@@ -242,7 +242,6 @@ def brute_sup_over_ball(
     ball: DivergenceBall,
     utility: str,
     samples: list[Distribution],
-    include_analytic: bool = True,
 ) -> float:
     """Maximum of the utility over the given samples; a lower bound on the sup.
 
@@ -252,7 +251,7 @@ def brute_sup_over_ball(
     """
     mu = ball.center
     points = list(samples)
-    if include_analytic and ball.radius > 0.0 and utility in ("avg_red", "gg"):
+    if ball.radius > 0.0 and utility in ("avg_red", "gg"):
         point = tilted_root(mu, lengths, ball.radius)
         if point is not None:
             points.append(point.distribution)

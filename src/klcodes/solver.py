@@ -7,7 +7,7 @@ exponential Huffman coding of the tilted weights; the tilt parameter is
 located by bracketing and bisection.  Because the inner problem is
 discrete, the divergence-vs-beta curve can jump where the optimal length
 multiset changes, so every probed candidate code is kept and the winner is
-chosen by its directly verified supremum, not by the root alone.
+chosen by its exact supremum over the ball, not by the root alone.
 
 Outside that range the solvers degrade explicitly: R = 0 reduces to plain
 Huffman coding, and R at or beyond the threshold returns the minimax
@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from . import oracle
 from .core import CodeLengths, Distribution, DivergenceBall, PrefixCode
 from .errors import BoundaryRegimeError, NoConvergenceError, ZeroProbabilityError
 from .huffman import canonical_codewords, exponential_huffman_log, huffman, max_huffman
 from .tilted import (
+    MAX_DOUBLINGS,
     LimitPoint,
     TiltedPoint,
     avg_redundancy,
@@ -38,7 +38,6 @@ from .tilted import (
 Regime = Literal["interior", "boundary", "zero_radius", "reduced"]
 
 BETA_LO = 1e-6
-BETA_CAP = 1e4
 MAX_BISECT = 200
 
 
@@ -107,36 +106,23 @@ def _candidate_sup(
     radius: float,
     lengths: CodeLengths,
     tol: float,
-    sampled,
 ):
-    """Supremum of the objective over the ball for one fixed code.
+    """Exact supremum of the objective over the ball for one fixed code.
 
-    Returns (value, worst distribution, beta or None, verified flag).  The
-    tilted root gives the exact supremum when it exists.  Without a root the
-    limit point is exact for the linear GG objective, and the convex average
-    objective is maximized exactly by face enumeration at desk scale; only
-    beyond that does the sampled lower bound (verified=False) remain.
+    Returns (value, worst distribution, beta or None).  The tilted root gives
+    the supremum when it exists.  Without a root the limit point is exact for
+    the linear GG objective, and the convex average objective is maximized by
+    face enumeration, which raises LimitExceededError beyond its symbol limit.
     """
     point = tilted_root(mu, lengths, radius, tol=min(tol, 1e-12))
     if point is not None:
         value = _eval_utility(objective, lengths, point.distribution, mu)
-        return value, point.distribution, point.beta, True
-    limit = nu_infinity(mu, lengths)
+        return value, point.distribution, point.beta
     if objective == "gg":
-        value = gg_utility(lengths, limit.distribution, mu)
-        return value, limit.distribution, None, True
-    if mu.m <= 12:
-        value, worst = exact_avg_sup(mu, lengths, radius, tol=min(tol, 1e-12))
-        return value, worst, None, True
-    best_nu = limit.distribution
-    best = avg_redundancy(lengths, best_nu)
-    for nu in sampled():
-        value = avg_redundancy(lengths, nu)
-        if value > best:
-            best = value
-            best_nu = nu
-    cap = float(max(lengths.lengths))
-    return best, best_nu, None, best >= cap - 1e-12
+        limit = nu_infinity(mu, lengths).distribution
+        return gg_utility(lengths, limit, mu), limit, None
+    value, worst = exact_avg_sup(mu, lengths, radius, tol=min(tol, 1e-12))
+    return value, worst, None
 
 
 def _solve(
@@ -145,8 +131,6 @@ def _solve(
     tol: float,
     objective: str,
     strict_boundary: bool,
-    samples: int,
-    seed: int,
 ) -> RobustCodeResult:
     mu = ball.center
     radius = ball.radius
@@ -166,16 +150,6 @@ def _solve(
 
     r_max, _, limit_code = existence_threshold(mu, arity)
 
-    sample_cache: list = []
-
-    def sampled():
-        if not sample_cache:
-            sample_cache.append(
-                oracle.ball_sample(ball, n_interior=samples, n_boundary=64,
-                                   seed=seed, arity=arity)
-            )
-        return sample_cache[0]
-
     # r_max <= -log min mu (the limit's argmax set holds at least one symbol),
     # so this also covers the GG shortcut radius
     if radius >= r_max:
@@ -183,7 +157,7 @@ def _solve(
             raise BoundaryRegimeError(
                 f"radius {radius} is at or beyond the existence threshold {r_max}"
             )
-        value, worst, _, _ = _candidate_sup(objective, mu, radius, limit_code, tol, sampled)
+        value, worst, _ = _candidate_sup(objective, mu, radius, limit_code, tol)
         return RobustCodeResult(
             lengths=limit_code,
             codewords=canonical_codewords(limit_code),
@@ -224,14 +198,16 @@ def _solve(
         lo = BETA_LO
         hi = 1.0
         g_hi = probe(hi)
-        while g_hi < radius and hi <= BETA_CAP:
+        # every probe so far is a doubling, so iterations counts them
+        while g_hi < radius and iterations < MAX_DOUBLINGS:
             lo = hi
             hi *= 2.0
             g_hi = probe(hi)
             iterations += 1
         if g_hi < radius:
             raise NoConvergenceError(
-                f"no tilt bracket below beta={BETA_CAP} for radius {radius}"
+                f"no tilt bracket within {MAX_DOUBLINGS} doublings (beta={hi}) "
+                f"for radius {radius}"
             )
     bracket = (lo, hi)
     for _ in range(MAX_BISECT):
@@ -249,11 +225,10 @@ def _solve(
 
     scored = []
     for position, lengths in enumerate(candidates.values()):
-        value, worst, beta, verified = _candidate_sup(objective, mu, radius, lengths, tol, sampled)
-        scored.append((not verified, value, beta if beta is not None else math.inf, position,
-                       lengths, worst))
-    scored.sort(key=lambda item: item[:4])
-    _, value, beta, _, lengths, worst = scored[0]
+        value, worst, beta = _candidate_sup(objective, mu, radius, lengths, tol)
+        scored.append((value, beta if beta is not None else math.inf, position, lengths, worst))
+    scored.sort(key=lambda item: item[:3])
+    value, beta, _, lengths, worst = scored[0]
     return RobustCodeResult(
         lengths=lengths,
         codewords=canonical_codewords(lengths),
@@ -270,11 +245,9 @@ def solve_avg_redundancy(
     arity: int = 2,
     tol: float = 1e-9,
     strict_boundary: bool = False,
-    samples: int = 2000,
-    seed: int = 0,
 ) -> RobustCodeResult:
     """Best prefix code for the worst average redundancy inside the ball."""
-    return _solve(ball, arity, tol, "avg", strict_boundary, samples, seed)
+    return _solve(ball, arity, tol, "avg", strict_boundary)
 
 
 def solve_gg(
@@ -282,12 +255,10 @@ def solve_gg(
     arity: int = 2,
     tol: float = 1e-9,
     strict_boundary: bool = False,
-    samples: int = 2000,
-    seed: int = 0,
 ) -> RobustCodeResult:
     """Best prefix code for the worst nominal-referenced redundancy in the ball.
 
     For radius at or beyond -log min_i mu_i the minimax pointwise code is
     optimal outright and is returned with regime "boundary".
     """
-    return _solve(ball, arity, tol, "gg", strict_boundary, samples, seed)
+    return _solve(ball, arity, tol, "gg", strict_boundary)

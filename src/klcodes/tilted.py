@@ -30,9 +30,11 @@ from .core import (
     log_sum_exp,
     pair_divergence,
 )
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, LimitExceededError
 
 ARGMAX_LOG_TOL = 1e-12
+# a tilt root bracket gives up after this many doublings of beta from 1
+MAX_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,7 @@ def _face_point(p: np.ndarray, log_r: np.ndarray, mask: np.ndarray, beta: float)
     return nu / nu.sum()
 
 
-def _root_in_beta(evaluate, radius: float, tol: float, max_iter: int = 200):
+def _root_in_beta(evaluate, radius: float, tol: float):
     """Tilt whose divergence equals the radius, for a divergence nondecreasing in beta.
 
     evaluate(beta) returns (divergence, point).  The bracket doubles from
@@ -201,10 +203,10 @@ def _root_in_beta(evaluate, radius: float, tol: float, max_iter: int = 200):
         hi *= 2.0
         best = evaluate(hi)
         doublings += 1
-        if doublings > 60:
+        if doublings > MAX_DOUBLINGS:
             return None
     lo = 0.0
-    for _ in range(max_iter):
+    for _ in range(200):
         if abs(best[0] - radius) <= tol:
             break
         mid = 0.5 * (lo + hi)
@@ -255,7 +257,7 @@ def exact_avg_sup(
         raise DomainError(f"radius must be positive, got {radius}")
     m = mu.m
     if m > 12:
-        raise DomainError("exact supremum enumeration is limited to 12 symbols")
+        raise LimitExceededError(f"exact supremum enumeration is limited to 12 symbols, got {m}")
     p = mu.as_array()
     log_r = _log_ratios(mu, lengths)
     log_d = math.log(lengths.arity)
@@ -353,7 +355,6 @@ def tilted_root(
     lengths: CodeLengths,
     radius: float,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> TiltedPoint | None:
     """Find beta with D(nu(beta)||mu) = radius for this fixed code.
 
@@ -374,5 +375,5 @@ def tilted_root(
         return _tilt(p, log_r, beta)[0], beta
 
     # the probes stay on arrays; only the root becomes a TiltedPoint
-    beta = _root_in_beta(on_simplex, radius, tol, max_iter)
+    beta = _root_in_beta(on_simplex, radius, tol)
     return None if beta is None else nu_circ(mu, lengths, beta)

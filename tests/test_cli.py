@@ -1,10 +1,12 @@
+import argparse
 import json
 import math
 import os
+import re
 
 import pytest
 
-from klcodes import cli
+from klcodes import cli, oracle
 from klcodes.errors import NoConvergenceError
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
@@ -111,6 +113,21 @@ def test_code_no_convergence_exits_4(capsys, monkeypatch):
     )
     assert status == 4
     assert "stuck" in err
+
+
+def test_code_beyond_exact_range_exits_6(capsys, tmp_path, monkeypatch):
+    # p proportional to 1..13: some avg-red candidate has no tilt root, and
+    # face enumeration stops at 12 symbols
+    def sampled(*args, **kwargs):
+        raise AssertionError("the solver must not sample the ball")
+
+    monkeypatch.setattr(oracle, "ball_sample", sampled)
+    path = tmp_path / "thirteen.json"
+    path.write_text(json.dumps({"probs": [k / 91 for k in range(1, 14)]}))
+    status, out, err = run(capsys, ["code", str(path), "--objective", "avg-red", "--radius", "3.0"])
+    assert status == 6
+    assert out == ""
+    assert "12 symbols" in err
 
 
 def test_code_nml_tv(capsys, tmp_path):
@@ -353,3 +370,23 @@ def test_verify_result_detects_tampered_worst_case(capsys, tmp_path):
     assert status == 5
     assert "FAIL result_worst_case" in out
     assert "PASS diagnostics_roundtrip" in out
+
+
+def test_readme_synopsis_lists_every_option():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    block = re.search(r"```\n(klcodes analyze .*?)```", text, re.S).group(1)
+    documented: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        command = re.match(r"klcodes (\w+)", line)
+        if command:
+            options = documented.setdefault(command.group(1), set())
+        options.update(re.findall(r"--[a-z][a-z-]*", line))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert documented == parsed

@@ -59,16 +59,6 @@ def test_solve_pi_k_agrees_with_bisection_randomized():
         assert p == pytest.approx(brute_binary_root(m, radius), abs=1e-12)
 
 
-def test_solve_pi_k_halley_matches_newton():
-    rng = np.random.default_rng(67)
-    for _ in range(50):
-        radius = float(rng.uniform(1e-3, 1.0))
-        m = float(rng.uniform(1e-4, math.exp(-radius) * 0.999))
-        a = solve_pi_k(m, radius, method="newton")
-        b = solve_pi_k(m, radius, method="halley")
-        assert a == pytest.approx(b, abs=1e-12)
-
-
 def test_nml_saturation_at_boundary_case():
     mu = validate_distribution([0.5, 0.5])
     result = nml_distribution(DivergenceBall(mu, math.log(2)))

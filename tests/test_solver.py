@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import klcodes
 from klcodes.core import DivergenceBall, kl_divergence, validate_distribution
 from klcodes.errors import BoundaryRegimeError
 from klcodes.huffman import expected_cost, huffman
@@ -107,7 +111,7 @@ def test_solve_avg_strict_boundary_raises():
 def test_solve_avg_monotone_in_radius():
     values = []
     for radius in (0.0, 0.01, 0.03, 0.05, 0.08, 0.1):
-        result = solve_avg_redundancy(DivergenceBall(SKEWED, radius), seed=2)
+        result = solve_avg_redundancy(DivergenceBall(SKEWED, radius))
         values.append(result.achieved_utility)
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
@@ -181,7 +185,7 @@ def test_regime_consistency():
     r_max, _, _ = existence_threshold(SKEWED, 2)
     for radius, expected in ((0.0, "zero_radius"), (r_max * 0.5, "interior"),
                              (r_max, "boundary"), (r_max * 2, "boundary")):
-        result = solve_avg_redundancy(DivergenceBall(SKEWED, radius), seed=1)
+        result = solve_avg_redundancy(DivergenceBall(SKEWED, radius))
         assert result.regime == expected
 
 
@@ -205,7 +209,7 @@ def test_flat_code_wins_at_large_interior_radius():
     radius = 1.0691968184870178
     assert radius < r_max  # interior regime
     ball = DivergenceBall(mu, radius)
-    result = solve_avg_redundancy(ball, seed=3)
+    result = solve_avg_redundancy(ball)
     assert result.regime == "interior"
     assert sorted(result.lengths.lengths) == [2, 2, 2, 2]
     assert result.beta is None
@@ -300,8 +304,8 @@ def test_solve_gg_strict_boundary_raises():
 
 def test_solve_is_deterministic():
     ball = DivergenceBall(SKEWED, 0.05)
-    first = solve_avg_redundancy(ball, seed=9)
-    second = solve_avg_redundancy(ball, seed=9)
+    first = solve_avg_redundancy(ball)
+    second = solve_avg_redundancy(ball)
     assert first.lengths.lengths == second.lengths.lengths
     assert first.beta == second.beta
     assert first.achieved_utility == second.achieved_utility
@@ -312,9 +316,9 @@ def test_concurrent_solves_agree():
     from concurrent.futures import ThreadPoolExecutor
 
     balls = [DivergenceBall(SKEWED, r) for r in (0.02, 0.05, 0.08)] * 4
-    serial = [solve_avg_redundancy(b, seed=1).achieved_utility for b in balls]
+    serial = [solve_avg_redundancy(b).achieved_utility for b in balls]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(lambda b: solve_avg_redundancy(b, seed=1).achieved_utility, balls))
+        threaded = list(pool.map(lambda b: solve_avg_redundancy(b).achieved_utility, balls))
     assert serial == threaded
 
 
@@ -325,8 +329,31 @@ def test_whole_simplex_radius():
     from klcodes.tilted import exact_avg_sup
 
     mu = validate_distribution([0.4, 0.3, 0.2, 0.1])
-    result = solve_avg_redundancy(DivergenceBall(mu, 10.0), seed=2)
+    result = solve_avg_redundancy(DivergenceBall(mu, 10.0))
     assert result.regime == "boundary"
     value, _ = exact_avg_sup(mu, result.lengths, 10.0)
     assert value == pytest.approx(max(result.lengths.lengths), abs=1e-9)
     assert result.achieved_utility == pytest.approx(value, abs=1e-9)
+
+
+def test_interior_root_beyond_beta_ten_thousand():
+    # the tilt bracket doubles beta until it straddles the radius; here the
+    # root lies near beta = 16550
+    rng = np.random.default_rng(1)
+    p = np.maximum(rng.dirichlet(np.ones(1024)), 1e-6)
+    mu = validate_distribution((p / p.sum()).tolist())
+    radius = 0.95 * existence_threshold(mu, 2)[0]
+    result = solve_gg(DivergenceBall(mu, radius))
+    assert result.regime == "interior"
+    assert result.beta > 1e4
+    assert kl_divergence(result.worst_case, mu) == pytest.approx(radius, abs=1e-9)
+
+
+def test_import_leaves_oracle_unloaded():
+    # the reference oracle is for the CLI's verify and the tests only
+    src = os.path.dirname(os.path.dirname(os.path.abspath(klcodes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, klcodes; print('klcodes.oracle' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
