@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import BoundaryRegimeError, CodingError, LimitExceededError, NoConvergenceError
 from .huffman import canonical_codewords, shannon_lengths
-from .nml import nml_distribution, nml_tv, pointwise_utility, robust_huffman_pointwise, robust_shannon_pointwise
+from .nml import NmlResult, nml_distribution, nml_tv, pointwise_code, pointwise_utility
 from .solver import RobustCodeResult, existence_threshold, solve_avg_redundancy, solve_gg
 from .tilted import avg_redundancy, gg_utility
 
@@ -73,7 +73,7 @@ def _radius(args) -> float:
     radius = args.radius
     if radius is None:
         raise CodingError("--radius is required for this objective")
-    if radius < 0.0:
+    if not (radius >= 0.0):
         raise CodingError(f"radius must be >= 0, got {radius}")
     return radius * math.log(2.0) if args.bits else radius
 
@@ -139,7 +139,7 @@ def _code_payload(objective: str, result: RobustCodeResult, residuals: list[floa
     return payload
 
 
-def run_analyze(args) -> tuple[dict, int]:
+def run_analyze(args) -> dict:
     mu = load_distribution(args.input, args.allow_zero)
     arity = args.arity
     r_max, _, limit_code = existence_threshold(mu, arity)
@@ -157,43 +157,44 @@ def run_analyze(args) -> tuple[dict, int]:
         payload["radius"] = radius
         payload["saturation_cutoff"] = cutoff
         payload["saturated"] = [p >= cutoff for p in mu.probs]
-    return payload, EXIT_OK
+    return payload
 
 
-def run_code(args) -> tuple[dict, int]:
+def _nml_payload(objective: str, key: str, value: float, result: NmlResult) -> dict:
+    return {
+        "objective": objective,
+        key: value,
+        "raw": list(result.raw),
+        "normalized": list(result.normalized.probs),
+        "saturated": sorted(result.saturated),
+        "diagnostics": {"residuals": list(result.roots_residual)},
+    }
+
+
+def run_code(args) -> tuple[dict, NmlResult | None]:
+    """The report and the suprema solve behind it, if any."""
     mu = load_distribution(args.input, args.allow_zero)
     objective = args.objective
     arity = args.arity
-    tol = args.tol
 
     if objective == "nml-tv":
         if args.tv is None:
             raise CodingError("--tv is required for nml-tv")
-        result = nml_tv(mu, args.tv)
-        payload = {
-            "objective": objective,
-            "tv": args.tv,
-            "raw": list(result.raw),
-            "normalized": list(result.normalized.probs),
-            "saturated": sorted(result.saturated),
-            "diagnostics": {"residuals": list(result.roots_residual)},
-        }
-        return payload, EXIT_OK
+        nml = nml_tv(mu, args.tv)
+        return _nml_payload(objective, "tv", args.tv, nml), nml
 
     radius = _radius(args)
     ball = DivergenceBall(mu, radius)
 
     if objective == "nml-only":
-        result = nml_distribution(ball, tol)
-        payload = {
-            "objective": objective,
-            "radius": radius,
-            "raw": list(result.raw),
-            "normalized": list(result.normalized.probs),
-            "saturated": sorted(result.saturated),
-            "diagnostics": {"residuals": list(result.roots_residual)},
-        }
-        return payload, EXIT_OK
+        nml = nml_distribution(ball, args.tol)
+        return _nml_payload(objective, "radius", radius, nml), nml
+
+    if objective == "pointwise":
+        # one solve: the code, its worst case and the residuals all come from it
+        nml = nml_distribution(ball)
+        result = pointwise_code(ball, nml, arity)
+        return _code_payload(objective, result, list(nml.roots_residual)), nml
 
     if objective == "shannon-nominal":
         lengths = shannon_lengths(mu, arity)
@@ -205,19 +206,14 @@ def run_code(args) -> tuple[dict, int]:
             achieved_utility=avg_redundancy(lengths, mu),
             regime="zero_radius",
         )
-        return _code_payload(objective, result, []), EXIT_OK
-
-    if objective == "pointwise":
-        result = robust_huffman_pointwise(ball, arity)
-        residuals = list(nml_distribution(ball, tol).roots_residual)
-        return _code_payload(objective, result, residuals), EXIT_OK
+        return _code_payload(objective, result, []), None
 
     solve = solve_avg_redundancy if objective == "avg-red" else solve_gg
-    result = solve(ball, arity, tol, strict_boundary=args.strict_boundary)
+    result = solve(ball, arity, args.tol, strict_boundary=args.strict_boundary)
     residuals = []
-    if result.regime == "interior" and result.beta is not None:
+    if result.beta is not None:
         residuals.append(abs(kl_divergence(result.worst_case, mu) - radius))
-    return _code_payload(objective, result, residuals), EXIT_OK
+    return _code_payload(objective, result, residuals), None
 
 
 class _Checks:
@@ -241,18 +237,18 @@ class _Checks:
         return all(ok for _, ok, _ in self.rows)
 
 
-def _nml_checks(mu: Distribution, radius: float, saturated, residuals) -> dict[str, bool]:
-    """saturation_rule and root_certificates for one set of coordinatewise suprema."""
+def _nml_checks(mu: Distribution, radius: float, nml: NmlResult) -> dict[str, bool]:
+    """saturation_rule and root_certificates for one solve of the suprema."""
     cutoff = math.exp(-radius) if radius > 0.0 else 1.0
     return {
-        "saturation_rule": all((p >= cutoff) == (k in saturated) for k, p in enumerate(mu.probs)),
+        "saturation_rule": all((p >= cutoff) == (k in nml.saturated) for k, p in enumerate(mu.probs)),
         "root_certificates": radius == 0.0 or all(
-            r <= 1e-10 for k, r in enumerate(residuals) if k not in saturated
+            r <= 1e-10 for k, r in enumerate(nml.roots_residual) if k not in nml.saturated
         ),
     }
 
 
-def _check_code_report(args, mu, payload: dict, checks: _Checks) -> None:
+def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _Checks) -> None:
     lengths = CodeLengths(tuple(payload["lengths"]), arity=payload["arity"])
     checks.add("kraft", kraft_sum(lengths) <= 1.0 + 1e-12,
                f"kraft_sum={_fmt(kraft_sum(lengths))}")
@@ -264,7 +260,7 @@ def _check_code_report(args, mu, payload: dict, checks: _Checks) -> None:
     radius = _radius(args)
     if args.objective in ("avg-red", "gg"):
         # a tilt-rooted worst case must sit on the ball boundary; the report
-        # carries its divergence residual exactly then (interior, with beta);
+        # carries its divergence residual exactly then (with beta);
         # flat-code winners (no beta) peak at an inside vertex instead
         for residual in payload["diagnostics"]["residuals"]:
             checks.add("worst_case_divergence", residual <= max(args.tol, 1e-9),
@@ -286,11 +282,9 @@ def _check_code_report(args, mu, payload: dict, checks: _Checks) -> None:
                 gap = abs(report.optimum_value - payload["achieved_utility"])
                 checks.add("oracle_minimax", gap <= 5e-3, f"gap={_fmt(gap)}")
     elif args.objective == "pointwise":
-        ball = DivergenceBall(mu, radius)
-        # the solve at --tol behind the report's residuals; its saturated set
-        # and raw roots are not in the report
-        nml = nml_distribution(ball, args.tol)
-        for name, ok in _nml_checks(mu, radius, nml.saturated, nml.roots_residual).items():
+        # the solve the code was built from; its saturated set and raw roots
+        # are not in the report
+        for name, ok in _nml_checks(mu, radius, nml).items():
             checks.add(name, ok)
         if radius > 0.0:
             in_range = all(
@@ -306,7 +300,7 @@ def _check_code_report(args, mu, payload: dict, checks: _Checks) -> None:
             checks.add("oracle_pointwise", gap <= 1e-9, f"gap={_fmt(gap)}")
         # both codes are scored on the one distribution the Huffman code was
         # built for, the reported worst case
-        shannon = robust_shannon_pointwise(ball, args.arity)
+        shannon = shannon_lengths(nml.normalized, args.arity)
         by_symbol = all(
             h <= s for h, s in zip(lengths.lengths, shannon.lengths)
         )
@@ -353,18 +347,17 @@ def _check_stored_report(path: str, fresh: dict, checks: _Checks) -> None:
 
 def run_verify(args) -> tuple[str, int]:
     mu = load_distribution(args.input, args.allow_zero)
-    fresh, _ = run_code(args)
+    fresh, nml = run_code(args)
     checks = _Checks()
     if args.objective == "nml-only":
-        rows = _nml_checks(mu, _radius(args), fresh["saturated"],
-                           fresh["diagnostics"]["residuals"])
+        rows = _nml_checks(mu, _radius(args), nml)
         for name in ("root_certificates", "saturation_rule"):
             checks.add(name, rows[name])
     elif args.objective == "nml-tv":
         expected = tuple(min(1.0, p + args.tv / 2.0) for p in mu.probs)
         checks.add("tv_suprema", tuple(fresh["raw"]) == expected)
     else:
-        _check_code_report(args, mu, fresh, checks)
+        _check_code_report(args, mu, fresh, nml, checks)
     if args.result is not None:
         _check_stored_report(args.result, fresh, checks)
     text = checks.render()
@@ -420,15 +413,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "analyze":
-            payload, status = run_analyze(args)
-            _write_atomic(_render(payload, args.format), None)
+            _write_atomic(_render(run_analyze(args), args.format), None)
         elif args.command == "code":
-            payload, status = run_code(args)
+            payload, _ = run_code(args)
             _write_atomic(_render(payload, args.format), args.output)
         else:
             text, status = run_verify(args)
             _write_atomic(text, args.output)
-        return status
+            return status
+        return EXIT_OK
     except BoundaryRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY

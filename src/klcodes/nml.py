@@ -26,7 +26,6 @@ from .core import (
     Distribution,
     DivergenceBall,
     binary_divergence,
-    ceil_log_inv,
     pinsker_upper,
 )
 from .errors import (
@@ -35,7 +34,7 @@ from .errors import (
     SaturatedInputError,
     ZeroProbabilityError,
 )
-from .huffman import canonical_codewords, max_huffman
+from .huffman import canonical_codewords, max_huffman, shannon_lengths
 from .solver import RobustCodeResult
 
 
@@ -161,7 +160,7 @@ def nml_distribution(ball: DivergenceBall, tol: float = 1e-13) -> NmlResult:
 
 def nml_tv(mu: Distribution, tv: float) -> NmlResult:
     """Coordinatewise suprema over a total-variation ball: min(1, mu_k + T/2)."""
-    if tv < 0.0:
+    if not (tv >= 0.0):
         raise DomainError(f"total variation must be >= 0, got {tv}")
     raw = tuple(min(1.0, p + tv / 2.0) for p in mu.probs)
     total = math.fsum(raw)
@@ -183,25 +182,26 @@ def pointwise_utility(lengths: CodeLengths, dist: Distribution) -> float:
 
 def robust_shannon_pointwise(ball: DivergenceBall, arity: int = 2) -> CodeLengths:
     """Shannon code on the normalized suprema: ceil(-log_D pi_k)."""
-    result = nml_distribution(ball)
-    return CodeLengths(
-        tuple(ceil_log_inv(p, arity) for p in result.normalized.probs), arity=arity
-    )
+    return shannon_lengths(nml_distribution(ball).normalized, arity)
 
 
-def robust_huffman_pointwise(ball: DivergenceBall, arity: int = 2) -> RobustCodeResult:
-    """Optimal prefix code for maximal minimax pointwise redundancy.
+def pointwise_code(ball: DivergenceBall, suprema: NmlResult, arity: int) -> RobustCodeResult:
+    """Max-combining code on the solved suprema of this ball.
 
-    Builds the max-combining code on the normalized suprema and reports the
-    reduced adversary (the normalized NML distribution) as the worst case.
+    The reduced adversary (the normalized NML distribution) is reported as
+    the worst case.
     """
-    result = nml_distribution(ball)
-    lengths = max_huffman(result.normalized.probs, arity)
+    lengths = max_huffman(suprema.normalized.probs, arity)
     return RobustCodeResult(
         lengths=lengths,
         codewords=canonical_codewords(lengths),
         beta=None,
-        worst_case=result.normalized,
-        achieved_utility=pointwise_utility(lengths, result.normalized),
+        worst_case=suprema.normalized,
+        achieved_utility=pointwise_utility(lengths, suprema.normalized),
         regime="zero_radius" if ball.radius == 0.0 else "reduced",
     )
+
+
+def robust_huffman_pointwise(ball: DivergenceBall, arity: int = 2) -> RobustCodeResult:
+    """Optimal prefix code for maximal minimax pointwise redundancy."""
+    return pointwise_code(ball, nml_distribution(ball), arity)

@@ -113,6 +113,12 @@ def sorted_assignment(weights, sorted_lengths) -> tuple[int, ...]:
     return tuple(assigned)
 
 
+def _analytic_worst(mu: Distribution, lengths: CodeLengths, radius: float) -> Distribution:
+    """The code's tilted point at this radius, else its limit as the tilt grows."""
+    point = tilted_root(mu, lengths, radius)
+    return point.distribution if point is not None else nu_infinity(mu, lengths).distribution
+
+
 def ball_sample(
     ball: DivergenceBall,
     n_interior: int = 20000,
@@ -210,11 +216,7 @@ def ball_sample(
     stride = max(1, len(codes) // 200)
     for sorted_lengths in codes[::stride]:
         lengths = CodeLengths(sorted_assignment(p, sorted_lengths), arity=arity)
-        point = tilted_root(mu, lengths, radius)
-        if point is not None:
-            out.append(point.distribution)
-        else:
-            out.append(nu_infinity(mu, lengths).distribution)
+        out.append(_analytic_worst(mu, lengths, radius))
 
     certified = [nu for nu in out if kl_divergence(nu, mu) <= radius + CERT_TOL]
     return certified
@@ -252,11 +254,7 @@ def brute_sup_over_ball(
     mu = ball.center
     points = list(samples)
     if ball.radius > 0.0 and utility in ("avg_red", "gg"):
-        point = tilted_root(mu, lengths, ball.radius)
-        if point is not None:
-            points.append(point.distribution)
-        else:
-            points.append(nu_infinity(mu, lengths).distribution)
+        points.append(_analytic_worst(mu, lengths, ball.radius))
     if utility == "avg_red":
         table = _SampleTable(points, lengths.arity)
         return table.sup_avg_red(lengths.as_array())
@@ -337,11 +335,7 @@ def brute_min_over_codes(
         value = table.sup_avg_red(arr) if utility == "avg_red" else table.sup_gg(arr, log_mu_d)
         if ball.radius == 0.0:
             return value
-        point = tilted_root(ball.center, lengths, ball.radius)
-        if point is not None:
-            worst = point.distribution
-        else:
-            worst = nu_infinity(ball.center, lengths).distribution
+        worst = _analytic_worst(ball.center, lengths, ball.radius)
         analytic = (avg_redundancy(lengths, worst) if utility == "avg_red"
                     else gg_utility(lengths, worst, ball.center))
         return max(value, analytic)

@@ -11,7 +11,8 @@ chosen by its exact supremum over the ball, not by the root alone.
 
 Outside that range the solvers degrade explicitly: R = 0 reduces to plain
 Huffman coding, and R at or beyond the threshold returns the minimax
-pointwise limit code (regime "boundary", or an error in strict mode).
+pointwise limit code (regime "boundary", or an error in strict mode), for
+gg below -log min mu only when no hedged code does better.
 """
 
 from __future__ import annotations
@@ -125,6 +126,44 @@ def _candidate_sup(
     return value, worst, None
 
 
+def _hedged_codes(mu: Distribution, arity: int) -> list[CodeLengths]:
+    """Huffman codes of the nominal hedged toward uniform.
+
+    t=0 is plain Huffman, t=1 the flattest code; at large radii the minimax
+    optimum sits on this family rather than on the tilt path, whose codes
+    only steepen with beta.
+    """
+    return [huffman([(1.0 - t) * p + t / mu.m for p in mu.probs], arity)
+            for t in (i / 20.0 for i in range(21))]
+
+
+def _best_candidate(
+    objective: str,
+    mu: Distribution,
+    radius: float,
+    candidates,
+    tol: float,
+    regime: Regime,
+    trace: Optional[BetaSolveTrace],
+) -> RobustCodeResult:
+    """The candidate with the least exact supremum; ties go to the smaller
+    tilt, then to the earlier candidate."""
+    scored = []
+    for position, lengths in enumerate(candidates):
+        value, worst, beta = _candidate_sup(objective, mu, radius, lengths, tol)
+        scored.append((value, beta if beta is not None else math.inf, position, lengths, worst))
+    value, beta, _, lengths, worst = min(scored, key=lambda item: item[:3])
+    return RobustCodeResult(
+        lengths=lengths,
+        codewords=canonical_codewords(lengths),
+        beta=None if beta == math.inf else beta,
+        worst_case=worst,
+        achieved_utility=value,
+        regime=regime,
+        trace=trace,
+    )
+
+
 def _solve(
     ball: DivergenceBall,
     arity: int,
@@ -157,38 +196,27 @@ def _solve(
             raise BoundaryRegimeError(
                 f"radius {radius} is at or beyond the existence threshold {r_max}"
             )
-        value, worst, _ = _candidate_sup(objective, mu, radius, limit_code, tol)
-        return RobustCodeResult(
-            lengths=limit_code,
-            codewords=canonical_codewords(limit_code),
-            beta=None,
-            worst_case=worst,
-            achieved_utility=value,
-            regime="boundary",
-        )
+        # below the shortcut radius other gg codes can still have tilt roots
+        # and beat the limit code, which comes first so that a code tying it
+        # at its own limit point does not replace it; an avg-red candidate
+        # without a root costs a face enumeration, so avg-red scores the
+        # limit code alone
+        boundary = [limit_code]
+        if objective == "gg" and radius < -math.log(min(mu.probs)):
+            boundary = dict.fromkeys((limit_code, *_hedged_codes(mu, arity)))
+        return _best_candidate(objective, mu, radius, boundary, tol, "boundary", None)
 
     # interior: bracket the tilt, bisect, and keep every candidate code seen
+    # (an ordered set), after the hedged codes and the limit code
     probes: list[tuple[float, float, float]] = []
-    candidates: dict[tuple[int, ...], CodeLengths] = {}
+    candidates = dict.fromkeys((*_hedged_codes(mu, arity), limit_code))
 
     def probe(beta: float) -> float:
         point, lengths = _tilt_probe(mu, arity, beta)
-        key = tuple(int(l) for l in lengths.lengths)
-        candidates.setdefault(key, lengths)
+        candidates.setdefault(lengths)
         utility = _eval_utility(objective, lengths, point.distribution, mu)
         probes.append((beta, point.divergence_from_center, utility))
         return point.divergence_from_center
-
-    # structured candidates beyond the tilt path: Huffman codes of the
-    # nominal hedged toward uniform.  t=0 is plain Huffman, t=1 the flattest
-    # code; at large radii the minimax optimum sits on this family rather
-    # than on the tilt path, whose codes only steepen with beta
-    m = mu.m
-    hedged = [huffman([(1.0 - t) * p + t / m for p in mu.probs], arity)
-              for t in (i / 20.0 for i in range(21))]
-    for endpoint in (*hedged, limit_code):
-        key = tuple(int(l) for l in endpoint.lengths)
-        candidates.setdefault(key, endpoint)
 
     iterations = 0
     g_lo = probe(BETA_LO)
@@ -222,22 +250,7 @@ def _solve(
             hi = mid
 
     trace = BetaSolveTrace(probes=tuple(probes), bracket=bracket, iterations=iterations)
-
-    scored = []
-    for position, lengths in enumerate(candidates.values()):
-        value, worst, beta = _candidate_sup(objective, mu, radius, lengths, tol)
-        scored.append((value, beta if beta is not None else math.inf, position, lengths, worst))
-    scored.sort(key=lambda item: item[:3])
-    value, beta, _, lengths, worst = scored[0]
-    return RobustCodeResult(
-        lengths=lengths,
-        codewords=canonical_codewords(lengths),
-        beta=None if beta == math.inf else beta,
-        worst_case=worst,
-        achieved_utility=value,
-        regime="interior",
-        trace=trace,
-    )
+    return _best_candidate(objective, mu, radius, candidates, tol, "interior", trace)
 
 
 def solve_avg_redundancy(

@@ -66,19 +66,45 @@ def test_code_avg_red_zero_radius(capsys):
 
 
 def test_code_pointwise_matches_library(capsys):
-    status, out, _ = run(
+    from klcodes.core import DivergenceBall
+    from klcodes.nml import nml_distribution, robust_huffman_pointwise
+
+    # on mixed4 a solve at tolerance 1e-9 leaves other residuals than the
+    # one at the library default the code is built from; the report must
+    # carry the residuals of the latter
+    for name in ("nml3.json", "mixed4.csv"):
+        status, out, _ = run(
+            capsys,
+            ["code", instance(name), "--objective", "pointwise", "--radius", "0.05"],
+        )
+        assert status == 0
+        payload = json.loads(out)
+        ball = DivergenceBall(cli.load_distribution(instance(name)), 0.05)
+        expected = robust_huffman_pointwise(ball)
+        assert payload["lengths"] == [int(l) for l in expected.lengths.lengths]
+        assert payload["achieved_utility"] == pytest.approx(expected.achieved_utility, abs=1e-15)
+        assert payload["diagnostics"]["residuals"] == list(nml_distribution(ball).roots_residual)
+
+
+@pytest.mark.parametrize("command", ["code", "verify"])
+def test_pointwise_solves_suprema_once(capsys, monkeypatch, command):
+    from klcodes import nml
+
+    calls = []
+    real = nml.nml_distribution
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nml, "nml_distribution", counted)
+    monkeypatch.setattr(cli, "nml_distribution", counted)
+    status, _, _ = run(
         capsys,
-        ["code", instance("nml3.json"), "--objective", "pointwise", "--radius", "0.05"],
+        [command, instance("mixed4.csv"), "--objective", "pointwise", "--radius", "0.05"],
     )
     assert status == 0
-    payload = json.loads(out)
-    from klcodes.core import DivergenceBall, validate_distribution
-    from klcodes.nml import robust_huffman_pointwise
-
-    mu = validate_distribution([0.5, 0.3, 0.2])
-    expected = robust_huffman_pointwise(DivergenceBall(mu, 0.05))
-    assert payload["lengths"] == [int(l) for l in expected.lengths.lengths]
-    assert payload["achieved_utility"] == pytest.approx(expected.achieved_utility, abs=1e-15)
+    assert len(calls) == 1
 
 
 def test_code_radius_in_bits(capsys):
@@ -306,6 +332,29 @@ def test_negative_radius_exits_2(capsys):
         ["code", instance("skewed3.json"), "--objective", "avg-red", "--radius", "-0.1"],
     )
     assert status == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", instance("mixed4.csv"), "--objective", "nml-tv", "--tv", "nan"],
+    ["analyze", instance("mixed4.csv"), "--radius", "nan"],
+])
+def test_nan_parameter_exits_2(capsys, argv):
+    status, out, err = run(capsys, argv)
+    assert status == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_verify_gg_between_r_max_and_shortcut_radius(capsys):
+    # r_max of mixed4 is 0.9163 < -log 0.1; the code (1,2,3,3) still has a
+    # tilt root there and beats the limit code (2,2,2,2)
+    status, out, _ = run(
+        capsys,
+        ["verify", instance("mixed4.csv"), "--objective", "gg",
+         "--radius", "0.916290731874155", "--samples", "2000"],
+    )
+    assert status == 0, out
+    assert "PASS oracle_minimax" in out
 
 
 def _radius_fraction(path, fraction):
