@@ -51,8 +51,12 @@ def load_distribution(path: str, allow_zero_drop: bool = False) -> Distribution:
     stripped = text.lstrip()
     if path.endswith(".json") or stripped.startswith("{"):
         payload = json.loads(text)
-        probs = payload["probs"]
+        probs = payload.get("probs") if isinstance(payload, dict) else None
+        if not (isinstance(probs, list) and all(type(p) in (int, float) for p in probs)):
+            raise CodingError('JSON input must be an object whose "probs" is a list of numbers')
         labels = payload.get("labels")
+        if not (labels is None or isinstance(labels, list)):
+            raise CodingError('"labels" must be a list')
     else:
         probs, labels = [], []
         for line in text.splitlines():
@@ -171,9 +175,8 @@ def _nml_payload(objective: str, key: str, value: float, result: NmlResult) -> d
     }
 
 
-def run_code(args) -> tuple[dict, NmlResult | None]:
-    """The report and the suprema solve behind it, if any."""
-    mu = load_distribution(args.input, args.allow_zero)
+def run_code(args, mu: Distribution) -> tuple[dict, NmlResult | None]:
+    """The report on the loaded distribution and the suprema solve behind it, if any."""
     objective = args.objective
     arity = args.arity
 
@@ -347,7 +350,7 @@ def _check_stored_report(path: str, fresh: dict, checks: _Checks) -> None:
 
 def run_verify(args) -> tuple[str, int]:
     mu = load_distribution(args.input, args.allow_zero)
-    fresh, nml = run_code(args)
+    fresh, nml = run_code(args, mu)
     checks = _Checks()
     if args.objective == "nml-only":
         rows = _nml_checks(mu, _radius(args), nml)
@@ -415,7 +418,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             _write_atomic(_render(run_analyze(args), args.format), None)
         elif args.command == "code":
-            payload, _ = run_code(args)
+            payload, _ = run_code(args, load_distribution(args.input, args.allow_zero))
             _write_atomic(_render(payload, args.format), args.output)
         else:
             text, status = run_verify(args)

@@ -49,7 +49,8 @@ class Distribution:
         if any(p < 0.0 for p in probs):
             raise NegativeProbabilityError(f"negative entry in {probs}")
         total = math.fsum(probs)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        # NaN-safe: a NaN entry makes the sum NaN, which fails this test
+        if not (abs(total - 1.0) <= NORMALIZATION_TOL):
             raise NotNormalizedError(f"probabilities sum to {total!r}")
         if total != 1.0:
             probs = tuple(p / total for p in probs)

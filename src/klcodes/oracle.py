@@ -54,7 +54,6 @@ class OracleReport:
     optimum_value: float
     optimal_length_vectors: tuple[tuple[int, ...], ...]
     evaluations: int
-    parameters: dict
 
 
 def default_l_max(m: int, arity: int) -> int:
@@ -279,7 +278,6 @@ def brute_min_over_codes(
     *,
     weights=None,
     ball: DivergenceBall | None = None,
-    m: int | None = None,
     arity: int = 2,
     l_max: int | None = None,
     beta: float | None = None,
@@ -341,18 +339,12 @@ def brute_min_over_codes(
         return max(value, analytic)
 
     scored = [(evaluate(vector), vector) for vector in _enumerated(m, arity, l_max)]
-    count = len(scored)
     best = min(value for value, _ in scored)
     argmin = [vector for value, vector in scored if value <= best + 1e-12]
     return OracleReport(
         optimum_value=best,
         optimal_length_vectors=tuple(argmin),
-        evaluations=count,
-        parameters={
-            "m": m, "arity": arity, "l_max": l_max, "utility": utility,
-            "beta": beta, "seed": seed,
-            "n_samples": len(samples) if samples is not None else 0,
-        },
+        evaluations=len(scored),
     )
 
 

@@ -4,7 +4,8 @@ Two objectives share one engine.  For radius R strictly between zero and
 the existence threshold, the worst case inside the ball is the tilted
 point whose divergence equals R, and the matching code comes from
 exponential Huffman coding of the tilted weights; the tilt parameter is
-located by bracketing and bisection.  Because the inner problem is
+located by tilted._root_in_beta, the search tilted_root runs for a fixed
+code, with every probe recorded.  Because the inner problem is
 discrete, the divergence-vs-beta curve can jump where the optimal length
 multiset changes, so every probed candidate code is kept and the winner is
 chosen by its exact supremum over the ball, not by the root alone.
@@ -28,6 +29,7 @@ from .tilted import (
     MAX_DOUBLINGS,
     LimitPoint,
     TiltedPoint,
+    _root_in_beta,
     avg_redundancy,
     exact_avg_sup,
     gg_utility,
@@ -38,17 +40,12 @@ from .tilted import (
 
 Regime = Literal["interior", "boundary", "zero_radius", "reduced"]
 
-BETA_LO = 1e-6
-MAX_BISECT = 200
-
 
 @dataclass(frozen=True)
 class BetaSolveTrace:
-    """Diagnostics from the tilt root search: every probe and the bracket."""
+    """Diagnostics from the tilt root search: every probe, in order."""
 
     probes: tuple[tuple[float, float, float], ...]  # (beta, divergence, utility)
-    bracket: Optional[tuple[float, float]]
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -206,50 +203,24 @@ def _solve(
             boundary = dict.fromkeys((limit_code, *_hedged_codes(mu, arity)))
         return _best_candidate(objective, mu, radius, boundary, tol, "boundary", None)
 
-    # interior: bracket the tilt, bisect, and keep every candidate code seen
-    # (an ordered set), after the hedged codes and the limit code
+    # interior: the tilt root search of tilted_root, keeping every candidate
+    # code a probe meets (an ordered set) after the hedged codes and the
+    # limit code
     probes: list[tuple[float, float, float]] = []
     candidates = dict.fromkeys((*_hedged_codes(mu, arity), limit_code))
 
-    def probe(beta: float) -> float:
+    def probe(beta: float) -> tuple[float, float]:
         point, lengths = _tilt_probe(mu, arity, beta)
         candidates.setdefault(lengths)
         utility = _eval_utility(objective, lengths, point.distribution, mu)
         probes.append((beta, point.divergence_from_center, utility))
-        return point.divergence_from_center
+        return point.divergence_from_center, beta
 
-    iterations = 0
-    g_lo = probe(BETA_LO)
-    if g_lo >= radius:
-        lo, hi = BETA_LO * 1e-6, BETA_LO
-    else:
-        lo = BETA_LO
-        hi = 1.0
-        g_hi = probe(hi)
-        # every probe so far is a doubling, so iterations counts them
-        while g_hi < radius and iterations < MAX_DOUBLINGS:
-            lo = hi
-            hi *= 2.0
-            g_hi = probe(hi)
-            iterations += 1
-        if g_hi < radius:
-            raise NoConvergenceError(
-                f"no tilt bracket within {MAX_DOUBLINGS} doublings (beta={hi}) "
-                f"for radius {radius}"
-            )
-    bracket = (lo, hi)
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        g_mid = probe(mid)
-        iterations += 1
-        if abs(g_mid - radius) <= tol or hi - lo <= 1e-12:
-            break
-        if g_mid < radius:
-            lo = mid
-        else:
-            hi = mid
-
-    trace = BetaSolveTrace(probes=tuple(probes), bracket=bracket, iterations=iterations)
+    if _root_in_beta(probe, radius, tol) is None:
+        raise NoConvergenceError(
+            f"no tilt bracket within {MAX_DOUBLINGS} doublings for radius {radius}"
+        )
+    trace = BetaSolveTrace(probes=tuple(probes))
     return _best_candidate(objective, mu, radius, candidates, tol, "interior", trace)
 
 

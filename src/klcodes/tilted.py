@@ -191,21 +191,28 @@ def _face_point(p: np.ndarray, log_r: np.ndarray, mask: np.ndarray, beta: float)
 def _root_in_beta(evaluate, radius: float, tol: float):
     """Tilt whose divergence equals the radius, for a divergence nondecreasing in beta.
 
-    evaluate(beta) returns (divergence, point).  The bracket doubles from
-    beta = 1; bisection from [0, hi] then keeps the probe closest to the
-    radius.  Returns that probe's point, or None when sixty doublings do not
-    reach the radius (numerically indistinguishable from the limit).
+    evaluate(beta) returns (divergence, point), and no beta is evaluated
+    twice.  The bracket doubles from beta = 1; bisection then starts from
+    [hi / 2, hi] after a doubling, else from [0, 1], and keeps the probe
+    closest to the radius (the last doubling below it included).  Returns
+    that probe's point, or None when sixty doublings do not reach the radius
+    (numerically indistinguishable from the limit).
     """
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     best = evaluate(hi)
-    doublings = 0
-    while best[0] < radius:
+    for _ in range(MAX_DOUBLINGS):
+        if best[0] >= radius:
+            break
+        lo, below = hi, best
         hi *= 2.0
         best = evaluate(hi)
-        doublings += 1
-        if doublings > MAX_DOUBLINGS:
-            return None
-    lo = 0.0
+    if best[0] < radius:
+        return None
+    # the last doubling below the radius stands in for the midpoint hi / 2
+    # that bisection from [0, hi] would probe first
+    gap = abs(best[0] - radius)
+    if lo and tol < gap and abs(below[0] - radius) < gap:
+        best = below
     for _ in range(200):
         if abs(best[0] - radius) <= tol:
             break

@@ -107,6 +107,23 @@ def test_pointwise_solves_suprema_once(capsys, monkeypatch, command):
     assert len(calls) == 1
 
 
+def test_verify_loads_input_once(capsys, monkeypatch):
+    calls = []
+    real = cli.load_distribution
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_distribution", counted)
+    status, _, _ = run(
+        capsys,
+        ["verify", instance("mixed4.csv"), "--objective", "pointwise", "--radius", "0.05"],
+    )
+    assert status == 0
+    assert len(calls) == 1
+
+
 def test_code_radius_in_bits(capsys):
     status, out, _ = run(
         capsys,
@@ -311,6 +328,18 @@ def test_missing_probs_key_exits_2(capsys, tmp_path):
     status, _, err = run(capsys, ["analyze", str(path)])
     assert status == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("document", [
+    {"probs": None}, [0.5, 0.5], {"probs": [0.5, None]}, {"probs": [0.5, 0.5], "labels": 7},
+], ids=["null-probs", "bare-list", "null-entry", "scalar-labels"])
+def test_malformed_json_exits_2(capsys, tmp_path, document):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(document))
+    status, _, err = run(
+        capsys, ["code", str(path), "--objective", "pointwise", "--radius", "0.1"])
+    assert status == 2
+    assert err.startswith("error:")
 
 
 def test_bad_csv_value_exits_2(capsys, tmp_path):

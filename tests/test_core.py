@@ -38,6 +38,11 @@ def test_validate_rejects_unnormalized():
         validate_distribution([0.5, 0.4])
 
 
+def test_validate_rejects_nan():
+    with pytest.raises(NotNormalizedError):
+        validate_distribution([0.5, 0.5, float("nan")])
+
+
 def test_validate_rejects_zero_by_default():
     with pytest.raises(ZeroProbabilityError):
         validate_distribution([0.6, 0.3, 0.1, 0.0])

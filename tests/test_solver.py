@@ -8,7 +8,7 @@ import pytest
 
 import klcodes
 from klcodes.core import DivergenceBall, kl_divergence, validate_distribution
-from klcodes.errors import BoundaryRegimeError
+from klcodes.errors import BoundaryRegimeError, NoConvergenceError
 from klcodes.huffman import expected_cost, huffman
 from klcodes.oracle import ball_sample, brute_min_over_codes
 from klcodes.solver import existence_threshold, g_of_beta, solve_avg_redundancy, solve_gg
@@ -97,10 +97,10 @@ def test_solve_avg_interior_instance():
     samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=12)
     report = brute_min_over_codes("avg_red", ball=ball, l_max=4, samples=samples)
     assert result.achieved_utility == pytest.approx(report.optimum_value, abs=5e-3)
-    # trace bpercolates the probes and bracket
+    # the trace records probes on both sides of the radius
     assert result.trace is not None
-    lo, hi = result.trace.bracket
-    assert lo < hi
+    divergences = [divergence for _, divergence, _ in result.trace.probes]
+    assert min(divergences) < 0.05 <= max(divergences)
 
 
 def test_solve_avg_strict_boundary_raises():
@@ -269,14 +269,24 @@ def test_ternary_interior_vs_oracle():
 
 
 def test_trace_bracket_straddles_radius():
+    # every probe is recorded: the search brackets the root from below and
+    # from at or above the radius, and evaluates no tilt twice
     result = solve_avg_redundancy(DivergenceBall(SKEWED, 0.05))
-    trace = result.trace
-    lo, hi = trace.bracket
-    by_beta = {beta: divergence for beta, divergence, _ in trace.probes}
-    assert by_beta[hi] >= 0.05
-    if lo in by_beta:
-        assert by_beta[lo] < 0.05
-    assert trace.iterations >= 1
+    probes = result.trace.probes
+    assert any(divergence < 0.05 for _, divergence, _ in probes)
+    assert any(divergence >= 0.05 for _, divergence, _ in probes)
+    betas = [beta for beta, _, _ in probes]
+    assert len(set(betas)) == len(betas)
+
+
+def test_unreached_radius_raises_no_convergence(monkeypatch):
+    # with no doublings allowed, beta = 1 is the whole bracket and its
+    # divergence lies below the radius
+    from klcodes import tilted
+
+    monkeypatch.setattr(tilted, "MAX_DOUBLINGS", 0)
+    with pytest.raises(NoConvergenceError):
+        solve_avg_redundancy(DivergenceBall(SKEWED, 0.09))
 
 
 def test_g_of_beta_matches_public_composition():

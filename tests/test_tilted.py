@@ -5,6 +5,7 @@ import pytest
 
 from klcodes.core import CodeLengths, Distribution, kl_divergence, validate_distribution
 from klcodes.tilted import (
+    _root_in_beta,
     avg_redundancy,
     decomposition_terms,
     gg_utility,
@@ -223,6 +224,36 @@ def test_tilted_root_hits_radius():
 
 def test_tilted_root_none_beyond_limit():
     assert tilted_root(SKEWED, L122, 0.2) is None
+
+
+def _recording_divergence(seen):
+    def evaluate(beta):
+        seen.append(beta)
+        return nu_circ(SKEWED, L122, beta).divergence_from_center, beta
+
+    return evaluate
+
+
+def test_root_in_beta_evaluates_no_beta_twice():
+    # the root at beta = 5 takes doublings to 8; bisection then starts from
+    # [4, 8] instead of probing 4 again as the midpoint of [0, 8]
+    radius = nu_circ(SKEWED, L122, 5.0).divergence_from_center
+    seen = []
+    beta = _root_in_beta(_recording_divergence(seen), radius, 1e-12)
+    assert seen[:4] == [1.0, 2.0, 4.0, 8.0]
+    assert all(4.0 < b < 8.0 for b in seen[4:])
+    assert len(set(seen)) == len(seen)
+    assert beta == pytest.approx(5.0, rel=1e-9)
+
+
+def test_root_in_beta_keeps_last_doubling_within_tol():
+    # the doubling at beta = 2 lies within tol below the radius, and beta = 4
+    # lies far above: the search returns the doubling, as bisection from
+    # [0, 4] would on meeting it again as its first midpoint
+    radius = nu_circ(SKEWED, L122, 2.0).divergence_from_center + 1e-13
+    seen = []
+    assert _root_in_beta(_recording_divergence(seen), radius, 1e-12) == 2.0
+    assert seen == [1.0, 2.0, 4.0]
 
 
 def test_exact_avg_sup_dominates_sampling():
