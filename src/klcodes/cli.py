@@ -179,6 +179,8 @@ def run_code(args, mu: Distribution) -> tuple[dict, NmlResult | None]:
     """The report on the loaded distribution and the suprema solve behind it, if any."""
     objective = args.objective
     arity = args.arity
+    if not (args.tol >= 0.0):
+        raise CodingError(f"tol must be >= 0, got {args.tol}")
 
     if objective == "nml-tv":
         if args.tv is None:
@@ -330,6 +332,8 @@ def _check_stored_report(path: str, fresh: dict, checks: _Checks) -> None:
     """Compare a stored report with the fresh one, field by field."""
     with open(path, "r", encoding="utf-8") as handle:
         stored = json.load(handle)
+    if not isinstance(stored, dict):
+        raise CodingError(f"{path} must hold a JSON report object")
     try:
         if "lengths" in fresh:
             checks.add("result_lengths", stored.get("lengths") == fresh["lengths"])
@@ -349,6 +353,8 @@ def _check_stored_report(path: str, fresh: dict, checks: _Checks) -> None:
 
 
 def run_verify(args) -> tuple[str, int]:
+    if args.lmax is not None and args.lmax < 1:
+        raise CodingError(f"lmax must be >= 1, got {args.lmax}")
     mu = load_distribution(args.input, args.allow_zero)
     fresh, nml = run_code(args, mu)
     checks = _Checks()

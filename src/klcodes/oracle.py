@@ -244,33 +244,23 @@ def brute_sup_over_ball(
     utility: str,
     samples: list[Distribution],
 ) -> float:
-    """Maximum of the utility over the given samples; a lower bound on the sup.
+    """Maximum of "avg_red" or "gg" over the given samples; a lower bound on the sup.
 
-    For the ball objectives the analytic tilted point of this code (or its
-    limit, exact for the linear GG objective) is added so the bound is tight
-    wherever the tilted model applies.
+    The analytic tilted point of this code (or its limit, exact for the
+    linear GG objective) is added so the bound is tight wherever the tilted
+    model applies.
     """
+    if utility not in ("avg_red", "gg"):
+        raise DomainError(f"unknown ball utility {utility!r}")
     mu = ball.center
     points = list(samples)
-    if ball.radius > 0.0 and utility in ("avg_red", "gg"):
+    if ball.radius > 0.0:
         points.append(_analytic_worst(mu, lengths, ball.radius))
+    table = _SampleTable(points, lengths.arity)
     if utility == "avg_red":
-        table = _SampleTable(points, lengths.arity)
         return table.sup_avg_red(lengths.as_array())
-    if utility == "gg":
-        table = _SampleTable(points, lengths.arity)
-        log_mu_d = np.log(mu.as_array()) / math.log(lengths.arity)
-        return table.sup_gg(lengths.as_array(), log_mu_d)
-    if utility == "pointwise":
-        log_d = math.log(lengths.arity)
-        l = lengths.as_array()
-        best = -math.inf
-        for nu in points:
-            q = nu.as_array()
-            nz = q > 0.0
-            best = max(best, float(np.max(l[nz] + np.log(q[nz]) / log_d)))
-        return best
-    raise DomainError(f"unknown ball utility {utility!r}")
+    log_mu_d = np.log(mu.as_array()) / math.log(lengths.arity)
+    return table.sup_gg(lengths.as_array(), log_mu_d)
 
 
 def brute_min_over_codes(

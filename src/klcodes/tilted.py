@@ -11,6 +11,13 @@ nondecreasing in beta, which is what makes it usable as the worst case
 inside a relative-entropy ball: the beta whose divergence equals the radius
 pins the adversary exactly.
 
+Restricted to a face of the simplex (a support mask), the same family gives
+the shell maxima of the average redundancy when the full-support tilt has
+no root.  One kernel serves every face: _tilt (the point and its
+divergence), _face_limit (the beta -> infinity end) and _face_root (the
+tilt at the radius).  nu_circ, nu_infinity and tilted_root run it on the
+full support p > 0, exact_avg_sup on every face.
+
 All exponentials are evaluated in log-domain with max subtraction, since
 beta can be large (limit checks use beta = 1e3 and more).
 """
@@ -69,19 +76,25 @@ def nu_circ(mu: Distribution, lengths: CodeLengths, beta: float) -> TiltedPoint:
     """Tilted distribution nu(beta)_i ∝ (mu_i/theta_i)^beta * mu_i."""
     if not (beta > 0.0):
         raise DomainError(f"beta must be positive, got {beta}")
-    divergence, raw = _tilt(mu.as_array(), _log_ratios(mu, lengths), beta)
+    p = mu.as_array()
+    divergence, raw = _tilt(p, _log_ratios(mu, lengths), p > 0.0, beta)
     return TiltedPoint(beta=float(beta), distribution=Distribution(tuple(raw.tolist())),
                        divergence_from_center=divergence)
 
 
-def _tilt(p: np.ndarray, log_r: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
-    """Divergence from p of the tilt at beta, and the raw point Distribution takes.
+def _tilt(p: np.ndarray, log_r: np.ndarray, mask: np.ndarray,
+          beta: float) -> tuple[float, np.ndarray]:
+    """Divergence from p of the tilt of one face at beta, and its raw point.
 
     The divergence is that of the point as Distribution would store it,
-    renormalised by its fsum unless that is exactly 1.  nu lives on p's
-    support by construction, so kl_divergence's checks are moot.
+    renormalised by its fsum unless that is exactly 1.  The point lives on
+    the face, inside p's support, so kl_divergence's checks are moot.
     """
-    raw = _face_point(p, log_r, p > 0.0, beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = np.where(mask, beta * log_r + np.log(p), -np.inf)
+        raw = np.exp(logw - log_sum_exp(logw))
+    raw[~np.isfinite(raw)] = 0.0
+    raw = raw / raw.sum()
     total = math.fsum(raw.tolist())
     nu = raw if total == 1.0 else raw / total
     return array_divergence(nu, p), raw
@@ -156,36 +169,37 @@ def decomposition_terms(
 
 
 def nu_infinity(mu: Distribution, lengths: CodeLengths) -> LimitPoint:
-    """Limit of the tilted family: mu restricted to argmax(mu_i/theta_i).
-
-    Log-ratio ties within ARGMAX_LOG_TOL all join the argmax set, so exact
-    ties split by float noise are not dropped.
-    """
-    log_r = _log_ratios(mu, lengths)
+    """Limit of the tilted family: mu restricted to argmax(mu_i/theta_i)."""
     p = mu.as_array()
-    log_r = np.where(p == 0.0, -np.inf, log_r)
-    top = np.max(log_r)
-    members = np.nonzero(log_r >= top - ARGMAX_LOG_TOL)[0]
-    mass = float(np.sum(p[members]))
-    nu = np.zeros_like(p)
-    nu[members] = p[members] / mass
+    members, mass = _face_limit(p, _log_ratios(mu, lengths), p > 0.0)
     return LimitPoint(
-        distribution=Distribution(tuple(nu)),
+        distribution=Distribution(tuple(np.where(members, p / mass, 0.0))),
         # -log(1.0) is -0.0: a limit that keeps all the mass reports 0.0
         divergence_from_center=max(0.0, -math.log(mass)),
-        argmax_set=frozenset(int(i) for i in members),
+        argmax_set=frozenset(int(i) for i in np.nonzero(members)[0]),
     )
 
 
-def _face_point(p: np.ndarray, log_r: np.ndarray, mask: np.ndarray, beta: float) -> np.ndarray:
-    """Member of the tilted family restricted to one face of the simplex."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.where(mask, beta * log_r + np.log(p), -np.inf)
-    norm = log_sum_exp(logw)
-    with np.errstate(invalid="ignore"):
-        nu = np.exp(logw - norm)
-    nu[~np.isfinite(nu)] = 0.0
-    return nu / nu.sum()
+def _face_limit(p: np.ndarray, log_r: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float]:
+    """The beta -> infinity end of one face's tilt: its argmax mask and that set's mass.
+
+    Log-ratio ties within ARGMAX_LOG_TOL all join the argmax set, so exact
+    ties split by float noise are not dropped.  The limit's divergence from
+    p is -log(mass).
+    """
+    face_log_r = np.where(mask, log_r, -np.inf)
+    members = face_log_r >= np.max(face_log_r) - ARGMAX_LOG_TOL
+    return members, float(p[members].sum())
+
+
+def _face_root(p: np.ndarray, log_r: np.ndarray, mask: np.ndarray, radius: float, tol: float):
+    """The probe of _root_in_beta on one face's tilt: (beta, divergence, raw point), or None."""
+
+    def evaluate(beta: float):
+        divergence, raw = _tilt(p, log_r, mask, beta)
+        return divergence, (beta, divergence, raw)
+
+    return _root_in_beta(evaluate, radius, tol)
 
 
 def _root_in_beta(evaluate, radius: float, tol: float):
@@ -267,19 +281,9 @@ def exact_avg_sup(
         raise LimitExceededError(f"exact supremum enumeration is limited to 12 symbols, got {m}")
     p = mu.as_array()
     log_r = _log_ratios(mu, lengths)
-    log_d = math.log(lengths.arity)
-    l = lengths.as_array()
-
-    best = -math.inf
-    witness: np.ndarray | None = None
-
-    def consider(nu: np.ndarray):
-        nonlocal best, witness
-        nz = nu > 0.0
-        value = float(np.dot(nu, l) + np.sum(nu[nz] * np.log(nu[nz])) / log_d)
-        if value > best:
-            best = value
-            witness = nu
+    unit = np.eye(m)
+    # candidate extreme points in visiting order: vertices, edges, faces
+    points: list[np.ndarray] = []
 
     def pair_point(j: int, k: int, t: float) -> np.ndarray:
         nu = np.zeros(m)
@@ -289,9 +293,7 @@ def exact_avg_sup(
 
     for k in range(m):
         if p[k] > 0.0 and -math.log(p[k]) <= radius:
-            vertex = np.zeros(m)
-            vertex[k] = 1.0
-            consider(vertex)
+            points.append(unit[k])
 
     for j in range(m):
         for k in range(j + 1, m):
@@ -309,21 +311,17 @@ def exact_avg_sup(
             # crossing toward each endpoint, where the divergence rises
             # monotonically from the in-ball center
             if -math.log(p[j]) > radius:
-                consider(pair_point(j, k, _crossing(on_edge, t_center, 1.0, radius)))
+                points.append(pair_point(j, k, _crossing(on_edge, t_center, 1.0, radius)))
             if -math.log(p[k]) > radius:
-                consider(pair_point(j, k, _crossing(on_edge, t_center, 0.0, radius)))
+                points.append(pair_point(j, k, _crossing(on_edge, t_center, 0.0, radius)))
 
     for bits in range(1, 2**m):
         mask = np.array([(bits >> k) & 1 == 1 for k in range(m)])
         if mask.sum() < 3 or np.any(p[mask] == 0.0):
             continue
-        base = -math.log(float(p[mask].sum()))
-        if base > radius:
+        if -math.log(float(p[mask].sum())) > radius:
             continue  # the whole face lies outside the ball
-        face_log_r = np.where(mask, log_r, -np.inf)
-        top = np.max(face_log_r)
-        limit_mass = float(p[mask & (face_log_r >= top - ARGMAX_LOG_TOL)].sum())
-        if -math.log(limit_mass) <= radius:
+        if -math.log(_face_limit(p, log_r, mask)[1]) <= radius:
             # no rooted tilt on this face; its shell maxima live on subfaces,
             # except when the ratios tie across the face (ideal code) and the
             # shell is a level set that may sit strictly inside: cover that
@@ -332,28 +330,30 @@ def exact_avg_sup(
             if -math.log(p[k_min]) >= radius:
                 center = np.where(mask, p, 0.0)
                 center = center / center.sum()
-                vertex = np.zeros(m)
-                vertex[k_min] = 1.0
 
                 def blend(t: float) -> np.ndarray:
-                    return (1.0 - t) * center + t * vertex
+                    return (1.0 - t) * center + t * unit[k_min]
 
                 t = _crossing(lambda t: array_divergence(blend(t), p), 0.0, 1.0, radius)
-                consider(blend(t))
+                points.append(blend(t))
             continue
-
-        def on_face(beta: float):
-            nu = _face_point(p, log_r, mask, beta)
-            return array_divergence(nu, p), nu
-
         # None only when the radius is numerically at the face's limit, which
         # lies on a subface that the enumeration visits
-        point = _root_in_beta(on_face, radius, tol)
-        if point is not None:
-            consider(point)
+        root = _face_root(p, log_r, mask, radius, tol)
+        if root is not None:
+            points.append(root[2])
 
-    if witness is None:
+    if not points:
         raise DomainError("no feasible extreme point found")
+    log_d = math.log(lengths.arity)
+    l = lengths.as_array()
+
+    def redundancy(nu: np.ndarray) -> float:
+        nz = nu > 0.0
+        return float(np.dot(nu, l) + np.sum(nu[nz] * np.log(nu[nz])) / log_d)
+
+    # max keeps the first of tied values
+    best, witness = max(((redundancy(nu), nu) for nu in points), key=lambda pair: pair[0])
     return best, Distribution(tuple(witness))
 
 
@@ -372,15 +372,14 @@ def tilted_root(
     """
     if radius <= 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
-    limit = nu_infinity(mu, lengths)
-    if radius >= limit.divergence_from_center:
-        return None
     p = mu.as_array()
     log_r = _log_ratios(mu, lengths)
-
-    def on_simplex(beta: float):
-        return _tilt(p, log_r, beta)[0], beta
-
-    # the probes stay on arrays; only the root becomes a TiltedPoint
-    beta = _root_in_beta(on_simplex, radius, tol)
-    return None if beta is None else nu_circ(mu, lengths, beta)
+    support = p > 0.0
+    if radius >= -math.log(_face_limit(p, log_r, support)[1]):
+        return None
+    root = _face_root(p, log_r, support, radius, tol)
+    if root is None:
+        return None
+    beta, divergence, raw = root
+    return TiltedPoint(beta=float(beta), distribution=Distribution(tuple(raw.tolist())),
+                       divergence_from_center=divergence)

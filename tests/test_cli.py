@@ -266,6 +266,20 @@ def test_output_written_atomically(capsys, tmp_path):
     assert leftovers == []
 
 
+def test_output_to_directory_exits_2_and_removes_temp_file(capsys, tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    status, out, err = run(
+        capsys,
+        ["code", instance("dyadic3.json"), "--objective", "shannon-nominal",
+         "--radius", "0", "--output", str(target)],
+    )
+    assert status == 2
+    assert out == ""
+    assert "error" in err
+    assert sorted(os.listdir(tmp_path)) == ["out"]
+
+
 def test_csv_labels_parsed(capsys):
     status, out, _ = run(capsys, ["analyze", instance("mixed4.csv"), "--format", "json"])
     assert status == 0
@@ -366,9 +380,46 @@ def test_negative_radius_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["code", instance("mixed4.csv"), "--objective", "nml-tv", "--tv", "nan"],
     ["analyze", instance("mixed4.csv"), "--radius", "nan"],
+    ["verify", instance("skewed3.json"), "--objective", "gg", "--radius", "0.05",
+     "--tol", "nan", "--samples", "500"],
+    ["code", instance("mixed4.csv"), "--objective", "nml-only", "--radius", "0.1",
+     "--tol", "-1"],
 ])
 def test_nan_parameter_exits_2(capsys, argv):
     status, out, err = run(capsys, argv)
+    assert status == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_nml_tv_without_tv_exits_2(capsys):
+    status, out, err = run(capsys, ["code", instance("mixed4.csv"), "--objective", "nml-tv"])
+    assert status == 2
+    assert out == ""
+    assert "--tv" in err
+
+
+@pytest.mark.parametrize("lmax", ["0", "-3"])
+def test_verify_lmax_below_one_exits_2(capsys, lmax):
+    # exit 6 is kept for an --lmax beyond the exact range, above 10
+    status, out, err = run(
+        capsys,
+        ["verify", instance("skewed3.json"), "--objective", "avg-red", "--radius", "0.05",
+         "--samples", "500", "--lmax", lmax],
+    )
+    assert status == 2
+    assert out == ""
+    assert "lmax" in err
+
+
+def test_verify_result_not_an_object_exits_2(capsys, tmp_path):
+    result_path = tmp_path / "result.json"
+    result_path.write_text("[1, 2]")
+    status, out, err = run(
+        capsys,
+        ["verify", instance("skewed3.json"), "--objective", "avg-red", "--radius", "0.05",
+         "--samples", "500", "--result", str(result_path)],
+    )
     assert status == 2
     assert out == ""
     assert "error" in err

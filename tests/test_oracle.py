@@ -110,6 +110,13 @@ def test_brute_sup_zero_radius_is_center_value():
     assert value == pytest.approx(avg_redundancy(lengths, mu), abs=1e-15)
 
 
+@pytest.mark.parametrize("utility", ["pointwise", "linear_cost"])
+def test_brute_sup_rejects_other_utilities(utility):
+    mu = validate_distribution([0.6, 0.3, 0.1])
+    with pytest.raises(DomainError):
+        brute_sup_over_ball(CodeLengths((1, 2, 2)), DivergenceBall(mu, 0.05), utility, [mu])
+
+
 def test_brute_sup_includes_analytic_point():
     from klcodes.tilted import avg_redundancy, tilted_root
 

@@ -220,6 +220,8 @@ def test_tilted_root_hits_radius():
     point = tilted_root(SKEWED, L122, 0.05)
     assert point is not None
     assert point.divergence_from_center == pytest.approx(0.05, abs=1e-11)
+    # the root is the family member at its beta, bit for bit
+    assert point == nu_circ(SKEWED, L122, point.beta)
 
 
 def test_tilted_root_none_beyond_limit():
