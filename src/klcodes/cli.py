@@ -355,6 +355,8 @@ def _check_stored_report(path: str, fresh: dict, checks: _Checks) -> None:
 def run_verify(args) -> tuple[str, int]:
     if args.lmax is not None and args.lmax < 1:
         raise CodingError(f"lmax must be >= 1, got {args.lmax}")
+    if args.samples < 0:
+        raise CodingError(f"samples must be >= 0, got {args.samples}")
     mu = load_distribution(args.input, args.allow_zero)
     fresh, nml = run_code(args, mu)
     checks = _Checks()

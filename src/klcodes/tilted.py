@@ -267,12 +267,20 @@ def exact_avg_sup(
 
     The objective is convex in the distribution, so the maximum sits at an
     extreme point of the feasible set: a vertex inside the ball, or a point
-    of the boundary shell.  On a face of dimension two or more, the shell
-    maximum is either the face's rooted positive tilt (the only stationary
-    points of maximum type) or lies on a subface; the recursion bottoms out
-    at two-symbol faces, whose shell is at most two isolated points, both of
-    which must be evaluated directly.  Cost grows as 2^M; this is desk-scale
-    machinery for when the full-support tilt has no root.
+    of the boundary shell.  On a face of dimension two or more, the
+    stationary points of the redundancy on the shell are the face's tilts
+    nu(beta), beta != 0, and the maxima among them are the positive ones, so
+    the shell maximum is either the face's rooted positive tilt or lies on a
+    subface; the recursion bottoms out at two-symbol faces, whose shell is
+    at most two isolated points, both of which must be evaluated directly.
+    A face whose tilt has no root and whose log-ratios do not all tie has
+    its centre strictly inside the ball, so its shell is a regular level set
+    and its maxima lie on subfaces.  Only on a tied face (every ratio within
+    ARGMAX_LOG_TOL of the largest) is the redundancy constant on the shell,
+    a level set that may touch no subface; there alone one crossing toward
+    the face's lightest vertex stands for the whole shell.  Cost grows as
+    2^M; this is desk-scale machinery for when the full-support tilt has no
+    root.
     """
     if radius <= 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
@@ -283,17 +291,13 @@ def exact_avg_sup(
     log_r = _log_ratios(mu, lengths)
     unit = np.eye(m)
     # candidate extreme points in visiting order: vertices, edges, faces
-    points: list[np.ndarray] = []
+    points = [unit[k] for k in range(m) if p[k] > 0.0 and -math.log(p[k]) <= radius]
 
     def pair_point(j: int, k: int, t: float) -> np.ndarray:
         nu = np.zeros(m)
         nu[j] = t
         nu[k] = 1.0 - t
         return nu
-
-    for k in range(m):
-        if p[k] > 0.0 and -math.log(p[k]) <= radius:
-            points.append(unit[k])
 
     for j in range(m):
         for k in range(j + 1, m):
@@ -321,11 +325,20 @@ def exact_avg_sup(
             continue
         if -math.log(float(p[mask].sum())) > radius:
             continue  # the whole face lies outside the ball
-        if -math.log(_face_limit(p, log_r, mask)[1]) <= radius:
-            # no rooted tilt on this face; its shell maxima live on subfaces,
-            # except when the ratios tie across the face (ideal code) and the
-            # shell is a level set that may sit strictly inside: cover that
-            # with an explicit crossing toward the lightest vertex
+        members, mass = _face_limit(p, log_r, mask)
+        if -math.log(mass) > radius:
+            # None only when the radius is numerically at the face's limit,
+            # which lies on a subface that the enumeration visits
+            root = _face_root(p, log_r, mask, radius, tol)
+            if root is not None:
+                points.append(root[2])
+        elif np.array_equal(members, mask):
+            # no rooted tilt, and the ratios tie across the face (ideal
+            # code): the redundancy is constant on the shell, a level set
+            # that may touch no subface, so cross it toward the lightest
+            # vertex.  An untied face without a root needs nothing: its
+            # centre is strictly inside the ball (the argmax set is lighter
+            # than the face), and its shell maxima lie on subfaces
             k_min = min((k for k in range(m) if mask[k]), key=lambda k: p[k])
             if -math.log(p[k_min]) >= radius:
                 center = np.where(mask, p, 0.0)
@@ -336,12 +349,6 @@ def exact_avg_sup(
 
                 t = _crossing(lambda t: array_divergence(blend(t), p), 0.0, 1.0, radius)
                 points.append(blend(t))
-            continue
-        # None only when the radius is numerically at the face's limit, which
-        # lies on a subface that the enumeration visits
-        root = _face_root(p, log_r, mask, radius, tol)
-        if root is not None:
-            points.append(root[2])
 
     if not points:
         raise DomainError("no feasible extreme point found")

@@ -412,6 +412,24 @@ def test_verify_lmax_below_one_exits_2(capsys, lmax):
     assert "lmax" in err
 
 
+def test_verify_negative_samples_exits_2(capsys):
+    # a negative count is malformed; --samples 0 stays valid
+    status, out, err = run(
+        capsys,
+        ["verify", instance("mixed4.csv"), "--objective", "avg-red", "--radius", "0.05",
+         "--samples", "-1"],
+    )
+    assert status == 2
+    assert out == ""
+    assert "samples" in err
+    status, _, _ = run(
+        capsys,
+        ["verify", instance("mixed4.csv"), "--objective", "avg-red", "--radius", "0.05",
+         "--samples", "0"],
+    )
+    assert status == 0
+
+
 def test_verify_result_not_an_object_exits_2(capsys, tmp_path):
     result_path = tmp_path / "result.json"
     result_path.write_text("[1, 2]")

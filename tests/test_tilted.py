@@ -309,6 +309,94 @@ def test_exact_avg_sup_keeps_edge_centre_on_the_shell():
     assert kl_divergence(witness, SKEWED) <= r_max + 1e-12
 
 
+def test_exact_avg_sup_tied_proper_face_carries_the_supremum():
+    # the ratios tie on face {0, 1, 2, 3, 5} but not on the full support, and
+    # no tilt has a root: the supremum is the constant redundancy of that
+    # face's shell, reached only by the crossing toward its lightest vertex
+    from klcodes.tilted import exact_avg_sup
+
+    l = (3, 5, 5, 4, 2, 1)
+    weights = [2.0 ** -k for k in l]
+    weights[4] *= 0.42
+    mu = Distribution(tuple(w / sum(weights) for w in weights))
+    lengths = CodeLengths(l, arity=2)
+    radius = 0.16
+    assert tilted_root(mu, lengths, radius) is None
+    value, witness = exact_avg_sup(mu, lengths, radius)
+    assert value == pytest.approx(radius / math.log(2) + math.log2(mu.probs[0] * 2**3),
+                                  abs=1e-12)
+    assert witness.probs[4] == 0.0
+    assert kl_divergence(witness, mu) == pytest.approx(radius, abs=1e-12)
+
+
+def _skipped_face_crossings(mu, lengths, radius):
+    """Blend crossings toward the lightest vertex of every face that
+    exact_avg_sup does not cross: no root, ratios untied, lightest vertex at
+    or outside the radius.  Each point is the inside end of a plain
+    bisection, so it lies in the ball."""
+    from klcodes.tilted import ARGMAX_LOG_TOL
+
+    p = mu.as_array()
+    log_r = np.log(p) + lengths.as_array() * math.log(lengths.arity)
+    m = mu.m
+    for bits in range(1, 2**m):
+        face = [k for k in range(m) if (bits >> k) & 1]
+        if len(face) < 3 or -math.log(p[face].sum()) > radius:
+            continue
+        top = max(log_r[face])
+        members = [k for k in face if log_r[k] >= top - ARGMAX_LOG_TOL]
+        if -math.log(p[members].sum()) > radius or members == face:
+            continue  # a rooted face, or a tied one
+        k_min = min(face, key=lambda k: p[k])
+        if -math.log(p[k_min]) < radius:
+            continue
+        center = np.zeros(m)
+        center[face] = p[face] / p[face].sum()
+        vertex = np.eye(m)[k_min]
+        inside, outside = 0.0, 1.0
+        for _ in range(60):
+            t = 0.5 * (inside + outside)
+            nu = (1.0 - t) * center + t * vertex
+            nz = nu > 0.0
+            if float(np.sum(nu[nz] * np.log(nu[nz] / p[nz]))) < radius:
+                inside = t
+            else:
+                outside = t
+        yield (1.0 - inside) * center + inside * vertex
+
+
+def test_exact_avg_sup_dominates_skipped_face_crossings():
+    # faces without a root whose ratios do not tie get no blend crossing:
+    # their shell maxima lie on subfaces, so no such crossing may beat the
+    # supremum, on generic centres and on centres within 1e-8 of a tie
+    from klcodes.huffman import huffman
+    from klcodes.solver import existence_threshold
+    from klcodes.tilted import exact_avg_sup
+
+    rng = np.random.default_rng(41)
+    checked = 0
+    for trial in range(100):
+        m = int(rng.integers(3, 8))
+        if trial % 4 == 0:
+            ideal = huffman(rng.dirichlet(np.ones(m))).as_array()
+            noise = 10 ** rng.uniform(-13, -8) * rng.uniform(-1, 1, m)
+            w = 2.0 ** -ideal * (1.0 + noise)
+            mu = Distribution(tuple(w / w.sum()))
+        else:
+            mu = Distribution(tuple(rng.dirichlet(np.ones(m))))
+        r_max, _, limit_code = existence_threshold(mu)
+        # a centre whose limit ratios tie within ARGMAX_LOG_TOL has r_max 0 up
+        # to rounding; its radii scale with -log min mu instead
+        scale = r_max if r_max > 1e-12 else -math.log(min(mu.probs))
+        lengths = (limit_code, huffman(mu.probs), random_lengths(rng, m))[trial % 3]
+        radius = float(rng.uniform(0.3, 1.2)) * scale
+        value, _ = exact_avg_sup(mu, lengths, radius)
+        for nu in _skipped_face_crossings(mu, lengths, radius):
+            assert value >= avg_redundancy(lengths, Distribution(tuple(nu))) - 1e-12
+            checked += 1
+    assert checked >= 500
+
+
 def test_tilted_point_is_supremum_over_samples():
     # for any fixed code, the root-tilted point dominates every ball member
     from klcodes.core import DivergenceBall
