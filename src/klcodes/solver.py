@@ -109,8 +109,9 @@ def _candidate_sup(
 
     Returns (value, worst distribution, beta or None).  The tilted root gives
     the supremum when it exists.  Without a root the limit point is exact for
-    the linear GG objective, and the convex average objective is maximized by
-    face enumeration, which raises LimitExceededError beyond its symbol limit.
+    the linear GG objective, and the convex average objective is maximized
+    over the vertices, edge crossings and tie-class crossing of
+    exact_avg_sup, which raises LimitExceededError beyond its symbol limit.
     """
     point = tilted_root(mu, lengths, radius, tol=min(tol, 1e-12))
     if point is not None:
@@ -196,7 +197,7 @@ def _solve(
         # below the shortcut radius other gg codes can still have tilt roots
         # and beat the limit code, which comes first so that a code tying it
         # at its own limit point does not replace it; an avg-red candidate
-        # without a root costs a face enumeration, so avg-red scores the
+        # without a root costs an exact_avg_sup call, so avg-red scores the
         # limit code alone
         boundary = [limit_code]
         if objective == "gg" and radius < -math.log(min(mu.probs)):

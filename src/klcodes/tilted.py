@@ -11,12 +11,11 @@ nondecreasing in beta, which is what makes it usable as the worst case
 inside a relative-entropy ball: the beta whose divergence equals the radius
 pins the adversary exactly.
 
-Restricted to a face of the simplex (a support mask), the same family gives
-the shell maxima of the average redundancy when the full-support tilt has
-no root.  One kernel serves every face: _tilt (the point and its
-divergence), _face_limit (the beta -> infinity end) and _face_root (the
-tilt at the radius).  nu_circ, nu_infinity and tilted_root run it on the
-full support p > 0, exact_avg_sup on every face.
+One kernel serves the family on the support p > 0: _tilt (the point and
+its divergence), _face_limit (the beta -> infinity end) and _face_root
+(the tilt at the radius).  nu_circ, nu_infinity, tilted_root and
+exact_avg_sup all run it; off the support log p is -inf, so no mask is
+needed.
 
 All exponentials are evaluated in log-domain with max subtraction, since
 beta can be large (limit checks use beta = 1e3 and more).
@@ -77,21 +76,20 @@ def nu_circ(mu: Distribution, lengths: CodeLengths, beta: float) -> TiltedPoint:
     if not (beta > 0.0):
         raise DomainError(f"beta must be positive, got {beta}")
     p = mu.as_array()
-    divergence, raw = _tilt(p, _log_ratios(mu, lengths), p > 0.0, beta)
+    divergence, raw = _tilt(p, _log_ratios(mu, lengths), beta)
     return TiltedPoint(beta=float(beta), distribution=Distribution(tuple(raw.tolist())),
                        divergence_from_center=divergence)
 
 
-def _tilt(p: np.ndarray, log_r: np.ndarray, mask: np.ndarray,
-          beta: float) -> tuple[float, np.ndarray]:
-    """Divergence from p of the tilt of one face at beta, and its raw point.
+def _tilt(p: np.ndarray, log_r: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
+    """Divergence from p of the tilt at beta, and its raw point.
 
     The divergence is that of the point as Distribution would store it,
     renormalised by its fsum unless that is exactly 1.  The point lives on
-    the face, inside p's support, so kl_divergence's checks are moot.
+    p's support, so kl_divergence's checks are moot.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.where(mask, beta * log_r + np.log(p), -np.inf)
+        logw = beta * log_r + np.log(p)
         raw = np.exp(logw - log_sum_exp(logw))
     raw[~np.isfinite(raw)] = 0.0
     raw = raw / raw.sum()
@@ -118,11 +116,13 @@ def avg_redundancy(lengths: CodeLengths, nu: Distribution) -> float:
     """Expected length minus entropy, in base-D symbols."""
     if nu.m != lengths.m:
         raise DimensionMismatchError(f"dimension mismatch {nu.m} vs {lengths.m}")
-    p = nu.as_array()
-    l = lengths.as_array()
-    nz = p > 0.0
-    log_d = math.log(lengths.arity)
-    return float(np.dot(p, l) + np.sum(p[nz] * np.log(p[nz])) / log_d)
+    return _redundancy(nu.as_array(), lengths.as_array(), math.log(lengths.arity))
+
+
+def _redundancy(nu: np.ndarray, l: np.ndarray, log_d: float) -> float:
+    """avg_redundancy on arrays: <nu, l> - H(nu) / log D."""
+    nz = nu > 0.0
+    return float(np.dot(nu, l) + np.sum(nu[nz] * np.log(nu[nz])) / log_d)
 
 
 def gg_utility(lengths: CodeLengths, nu: Distribution, mu: Distribution) -> float:
@@ -171,7 +171,7 @@ def decomposition_terms(
 def nu_infinity(mu: Distribution, lengths: CodeLengths) -> LimitPoint:
     """Limit of the tilted family: mu restricted to argmax(mu_i/theta_i)."""
     p = mu.as_array()
-    members, mass = _face_limit(p, _log_ratios(mu, lengths), p > 0.0)
+    members, mass = _face_limit(p, _log_ratios(mu, lengths))
     return LimitPoint(
         distribution=Distribution(tuple(np.where(members, p / mass, 0.0))),
         # -log(1.0) is -0.0: a limit that keeps all the mass reports 0.0
@@ -180,23 +180,22 @@ def nu_infinity(mu: Distribution, lengths: CodeLengths) -> LimitPoint:
     )
 
 
-def _face_limit(p: np.ndarray, log_r: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float]:
-    """The beta -> infinity end of one face's tilt: its argmax mask and that set's mass.
+def _face_limit(p: np.ndarray, log_r: np.ndarray) -> tuple[np.ndarray, float]:
+    """The beta -> infinity end of the tilt: its argmax mask and that set's mass.
 
     Log-ratio ties within ARGMAX_LOG_TOL all join the argmax set, so exact
     ties split by float noise are not dropped.  The limit's divergence from
     p is -log(mass).
     """
-    face_log_r = np.where(mask, log_r, -np.inf)
-    members = face_log_r >= np.max(face_log_r) - ARGMAX_LOG_TOL
+    members = log_r >= np.max(log_r) - ARGMAX_LOG_TOL
     return members, float(p[members].sum())
 
 
-def _face_root(p: np.ndarray, log_r: np.ndarray, mask: np.ndarray, radius: float, tol: float):
-    """The probe of _root_in_beta on one face's tilt: (beta, divergence, raw point), or None."""
+def _face_root(p: np.ndarray, log_r: np.ndarray, radius: float, tol: float):
+    """The probe of _root_in_beta on the tilt: (beta, divergence, raw point), or None."""
 
     def evaluate(beta: float):
-        divergence, raw = _tilt(p, log_r, mask, beta)
+        divergence, raw = _tilt(p, log_r, beta)
         return divergence, (beta, divergence, raw)
 
     return _root_in_beta(evaluate, radius, tol)
@@ -265,22 +264,27 @@ def exact_avg_sup(
 ) -> tuple[float, Distribution]:
     """Exact supremum of average redundancy over the ball for a fixed code.
 
-    The objective is convex in the distribution, so the maximum sits at an
-    extreme point of the feasible set: a vertex inside the ball, or a point
-    of the boundary shell.  On a face of dimension two or more, the
-    stationary points of the redundancy on the shell are the face's tilts
-    nu(beta), beta != 0, and the maxima among them are the positive ones, so
-    the shell maximum is either the face's rooted positive tilt or lies on a
-    subface; the recursion bottoms out at two-symbol faces, whose shell is
-    at most two isolated points, both of which must be evaluated directly.
-    A face whose tilt has no root and whose log-ratios do not all tie has
-    its centre strictly inside the ball, so its shell is a regular level set
-    and its maxima lie on subfaces.  Only on a tied face (every ratio within
-    ARGMAX_LOG_TOL of the largest) is the redundancy constant on the shell,
-    a level set that may touch no subface; there alone one crossing toward
-    the face's lightest vertex stands for the whole shell.  Cost grows as
-    2^M; this is desk-scale machinery for when the full-support tilt has no
-    root.
+    With r = mu / theta the redundancy in nats is f(nu) = D(nu||mu) +
+    <nu, log r>, convex in nu, so its maximum lies at a vertex in the ball
+    or on the shell D(nu||mu) = R, and on the ball f <= R + <nu, log r>.
+    Each edge keeps both of its shell crossings, which are isolated points.
+    Of the larger faces only the support and its argmax tie class A can
+    carry the maximum:
+    - A root of the support's tilt maximises <nu, log r> over the ball and
+      lies on the shell, so it is the maximum.
+    - A positive tilt on a proper face F is a KKT point with multiplier
+      lambda = 1 + 1/beta > 1: moving eps of mass to a support symbol off F
+      lowers the divergence and f by order eps log(1/eps), and re-tilting F
+      to spend the freed divergence gains lambda times that, a net gain of
+      (lambda - 1) eps log(1/eps) > 0.  No proper-face root is a maximum.
+    - A negative tilt on a face of three or more symbols minimises
+      <nu, log r> on that face's shell, so it is no maximum either.
+    - A face tied below max log r gains by moving mass toward A, and on A's
+      shell f equals R + max log r, the bound itself; one crossing from A's
+      centre toward its lightest vertex stands for that shell.
+    The cost is O(M^2) scalar edge crossings plus one tilt root.  The
+    12-symbol limit stays: above it exactness rests on this argument alone,
+    and the edge loop (about 523k edges at M = 1024) is unmeasured.
     """
     if radius <= 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
@@ -290,7 +294,7 @@ def exact_avg_sup(
     p = mu.as_array()
     log_r = _log_ratios(mu, lengths)
     unit = np.eye(m)
-    # candidate extreme points in visiting order: vertices, edges, faces
+    # candidate extreme points in visiting order: vertices, edges, support
     points = [unit[k] for k in range(m) if p[k] > 0.0 and -math.log(p[k]) <= radius]
 
     def pair_point(j: int, k: int, t: float) -> np.ndarray:
@@ -319,29 +323,19 @@ def exact_avg_sup(
             if -math.log(p[k]) > radius:
                 points.append(pair_point(j, k, _crossing(on_edge, t_center, 0.0, radius)))
 
-    for bits in range(1, 2**m):
-        mask = np.array([(bits >> k) & 1 == 1 for k in range(m)])
-        if mask.sum() < 3 or np.any(p[mask] == 0.0):
-            continue
-        if -math.log(float(p[mask].sum())) > radius:
-            continue  # the whole face lies outside the ball
-        members, mass = _face_limit(p, log_r, mask)
+    if np.count_nonzero(p) >= 3:
+        members, mass = _face_limit(p, log_r)
         if -math.log(mass) > radius:
-            # None only when the radius is numerically at the face's limit,
-            # which lies on a subface that the enumeration visits
-            root = _face_root(p, log_r, mask, radius, tol)
+            # None only when the radius is numerically at the limit
+            root = _face_root(p, log_r, radius, tol)
             if root is not None:
                 points.append(root[2])
-        elif np.array_equal(members, mask):
-            # no rooted tilt, and the ratios tie across the face (ideal
-            # code): the redundancy is constant on the shell, a level set
-            # that may touch no subface, so cross it toward the lightest
-            # vertex.  An untied face without a root needs nothing: its
-            # centre is strictly inside the ball (the argmax set is lighter
-            # than the face), and its shell maxima lie on subfaces
-            k_min = min((k for k in range(m) if mask[k]), key=lambda k: p[k])
+        elif np.count_nonzero(members) >= 3:
+            # no root: the redundancy is constant on the tie class's shell,
+            # the bound R + max log r, so cross it toward the lightest vertex
+            k_min = min(np.flatnonzero(members), key=lambda k: p[k])
             if -math.log(p[k_min]) >= radius:
-                center = np.where(mask, p, 0.0)
+                center = np.where(members, p, 0.0)
                 center = center / center.sum()
 
                 def blend(t: float) -> np.ndarray:
@@ -352,15 +346,11 @@ def exact_avg_sup(
 
     if not points:
         raise DomainError("no feasible extreme point found")
-    log_d = math.log(lengths.arity)
     l = lengths.as_array()
-
-    def redundancy(nu: np.ndarray) -> float:
-        nz = nu > 0.0
-        return float(np.dot(nu, l) + np.sum(nu[nz] * np.log(nu[nz])) / log_d)
-
+    log_d = math.log(lengths.arity)
     # max keeps the first of tied values
-    best, witness = max(((redundancy(nu), nu) for nu in points), key=lambda pair: pair[0])
+    best, witness = max(((_redundancy(nu, l, log_d), nu) for nu in points),
+                         key=lambda pair: pair[0])
     return best, Distribution(tuple(witness))
 
 
@@ -381,10 +371,9 @@ def tilted_root(
         raise DomainError(f"radius must be positive, got {radius}")
     p = mu.as_array()
     log_r = _log_ratios(mu, lengths)
-    support = p > 0.0
-    if radius >= -math.log(_face_limit(p, log_r, support)[1]):
+    if radius >= -math.log(_face_limit(p, log_r)[1]):
         return None
-    root = _face_root(p, log_r, support, radius, tol)
+    root = _face_root(p, log_r, radius, tol)
     if root is None:
         return None
     beta, divergence, raw = root

@@ -160,7 +160,7 @@ def test_code_no_convergence_exits_4(capsys, monkeypatch):
 
 def test_code_beyond_exact_range_exits_6(capsys, tmp_path, monkeypatch):
     # p proportional to 1..13: some avg-red candidate has no tilt root, and
-    # face enumeration stops at 12 symbols
+    # exact_avg_sup stops at 12 symbols
     def sampled(*args, **kwargs):
         raise AssertionError("the solver must not sample the ball")
 

@@ -3,8 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from klcodes.core import CodeLengths, Distribution, kl_divergence, validate_distribution
+from klcodes.core import (
+    CodeLengths,
+    Distribution,
+    array_divergence,
+    kl_divergence,
+    log_sum_exp,
+    pair_divergence,
+    validate_distribution,
+)
 from klcodes.tilted import (
+    ARGMAX_LOG_TOL,
+    _crossing,
+    _log_ratios,
     _root_in_beta,
     avg_redundancy,
     decomposition_terms,
@@ -330,10 +341,10 @@ def test_exact_avg_sup_tied_proper_face_carries_the_supremum():
 
 
 def _skipped_face_crossings(mu, lengths, radius):
-    """Blend crossings toward the lightest vertex of every face that
-    exact_avg_sup does not cross: no root, ratios untied, lightest vertex at
-    or outside the radius.  Each point is the inside end of a plain
-    bisection, so it lies in the ball."""
+    """Blend crossings toward the lightest vertex of every face with no
+    root, untied ratios and its lightest vertex at or outside the radius.
+    Each point is the inside end of a plain bisection, so it lies in the
+    ball."""
     from klcodes.tilted import ARGMAX_LOG_TOL
 
     p = mu.as_array()
@@ -395,6 +406,176 @@ def test_exact_avg_sup_dominates_skipped_face_crossings():
             assert value >= avg_redundancy(lengths, Distribution(tuple(nu))) - 1e-12
             checked += 1
     assert checked >= 500
+
+
+def _masked_tilt(p, log_r, mask, beta):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = np.where(mask, beta * log_r + np.log(p), -np.inf)
+        raw = np.exp(logw - log_sum_exp(logw))
+    raw[~np.isfinite(raw)] = 0.0
+    raw = raw / raw.sum()
+    total = math.fsum(raw.tolist())
+    nu = raw if total == 1.0 else raw / total
+    return array_divergence(nu, p), raw
+
+
+def _masked_face_limit(p, log_r, mask):
+    face_log_r = np.where(mask, log_r, -np.inf)
+    members = face_log_r >= np.max(face_log_r) - ARGMAX_LOG_TOL
+    return members, float(p[members].sum())
+
+
+def _masked_face_root(p, log_r, mask, radius, tol):
+    def evaluate(beta):
+        divergence, raw = _masked_tilt(p, log_r, mask, beta)
+        return divergence, (beta, divergence, raw)
+
+    return _root_in_beta(evaluate, radius, tol)
+
+
+def _face_enumeration_sup(mu, lengths, radius, tol=1e-12):
+    """The reference: exact_avg_sup as it was over all 2^M support masks,
+    vertices, edges and then every face of three or more symbols."""
+    m = mu.m
+    p = mu.as_array()
+    log_r = _log_ratios(mu, lengths)
+    unit = np.eye(m)
+    points = [unit[k] for k in range(m) if p[k] > 0.0 and -math.log(p[k]) <= radius]
+
+    def pair_point(j, k, t):
+        nu = np.zeros(m)
+        nu[j] = t
+        nu[k] = 1.0 - t
+        return nu
+
+    for j in range(m):
+        for k in range(j + 1, m):
+            if p[j] == 0.0 or p[k] == 0.0:
+                continue
+
+            def on_edge(t):
+                return pair_divergence(t, p[j], p[k])
+
+            if -math.log(p[j] + p[k]) > radius:
+                continue
+            t_center = p[j] / (p[j] + p[k])
+            if -math.log(p[j]) > radius:
+                points.append(pair_point(j, k, _crossing(on_edge, t_center, 1.0, radius)))
+            if -math.log(p[k]) > radius:
+                points.append(pair_point(j, k, _crossing(on_edge, t_center, 0.0, radius)))
+
+    for bits in range(1, 2**m):
+        mask = np.array([(bits >> k) & 1 == 1 for k in range(m)])
+        if mask.sum() < 3 or np.any(p[mask] == 0.0):
+            continue
+        if -math.log(float(p[mask].sum())) > radius:
+            continue
+        members, mass = _masked_face_limit(p, log_r, mask)
+        if -math.log(mass) > radius:
+            root = _masked_face_root(p, log_r, mask, radius, tol)
+            if root is not None:
+                points.append(root[2])
+        elif np.array_equal(members, mask):
+            k_min = min((k for k in range(m) if mask[k]), key=lambda k: p[k])
+            if -math.log(p[k_min]) >= radius:
+                center = np.where(mask, p, 0.0)
+                center = center / center.sum()
+
+                def blend(t):
+                    return (1.0 - t) * center + t * unit[k_min]
+
+                t = _crossing(lambda t: array_divergence(blend(t), p), 0.0, 1.0, radius)
+                points.append(blend(t))
+
+    log_d = math.log(lengths.arity)
+    l = lengths.as_array()
+
+    def redundancy(nu):
+        nz = nu > 0.0
+        return float(np.dot(nu, l) + np.sum(nu[nz] * np.log(nu[nz])) / log_d)
+
+    best, witness = max(((redundancy(nu), nu) for nu in points), key=lambda pair: pair[0])
+    return best, Distribution(tuple(witness))
+
+
+def test_exact_avg_sup_agrees_with_face_enumeration():
+    # the support and its tie class stand for every face of three or more
+    # symbols: bit for bit where the support has no root, within the root
+    # tolerance inside the ball, and on the same shell for ideal codes
+    from klcodes.huffman import huffman
+    from klcodes.solver import existence_threshold
+    from klcodes.tilted import exact_avg_sup
+
+    rng = np.random.default_rng(23)
+    counts = {"rootless": 0, "dyadic": 0, "interior": 0}
+    for trial in range(36):
+        # the reference costs up to 2^M face roots, so M = 7 and 8 come last
+        # and once each per kind: generic, one zero entry, dyadic
+        m = 3 + trial % 4 if trial < 33 else (7, 8, 8)[trial - 33]
+        kind = trial % 3
+        w = rng.dirichlet(np.ones(m))
+        if kind == 2:
+            ideal = huffman(w)
+            mu = Distribution(tuple(2.0 ** -ideal.as_array()))
+            # below the first radius no edge reaches the shell, so only the
+            # crossing toward the lightest vertex does
+            top_two = sum(sorted(mu.probs)[-2:])
+            for radius in (0.5 * -math.log(top_two),
+                           float(rng.uniform(0.2, 0.95)) * -math.log(min(mu.probs))):
+                value, witness = exact_avg_sup(mu, ideal, radius)
+                reference = _face_enumeration_sup(mu, ideal, radius)[0]
+                assert value == pytest.approx(reference, abs=1e-12)
+                assert kl_divergence(witness, mu) == pytest.approx(radius, abs=1e-12)
+                counts["dyadic"] += 1
+            continue
+        if kind == 1:
+            w[int(rng.integers(m))] = 0.0
+        mu = Distribution(tuple(w / w.sum()))
+        codes = [huffman(mu.probs), random_lengths(rng, m)]
+        if kind == 0:
+            codes.append(existence_threshold(mu)[2])
+        for lengths in codes:
+            limit = nu_infinity(mu, lengths).divergence_from_center
+            for factor in (1.0, float(rng.uniform(1.0, 2.0))):
+                radius = factor * limit
+                got = exact_avg_sup(mu, lengths, radius)
+                assert repr(got) == repr(_face_enumeration_sup(mu, lengths, radius))
+                counts["rootless"] += 1
+        radius = float(rng.uniform(0.3, 0.7)) * limit
+        value, _ = exact_avg_sup(mu, lengths, radius)
+        assert value == pytest.approx(_face_enumeration_sup(mu, lengths, radius)[0], abs=1e-11)
+        counts["interior"] += 1
+    assert sum(counts.values()) >= 150 and min(counts.values()) >= 20
+
+
+def test_exact_avg_sup_near_tie_witness_stays_in_the_ball():
+    # symbol 0's log-ratio sits 2e-12 below the top one, outside
+    # ARGMAX_LOG_TOL: faces such as {0, 1, 5} have roots only near
+    # beta = 9e11, where the tilt is too noisy to hit the radius, and their
+    # points lie outside the ball; the supremum is the crossing of edge {3, 5}
+    from klcodes.tilted import exact_avg_sup
+
+    mu = Distribution((0.16666666666633959, 0.0833333333334404, 0.08333333333330842,
+                       0.1666666666666522, 0.16666666666688504, 0.33333333333337434))
+    lengths = CodeLengths((3, 3, 3, 3, 2, 2), arity=2)
+    radius = 0.90109133472786
+    assert tilted_root(mu, lengths, radius) is None
+    value, witness = exact_avg_sup(mu, lengths, radius)
+    assert kl_divergence(witness, mu) <= radius + 1e-12
+    assert value == pytest.approx(1.715037499278902, abs=1e-12)
+
+
+def test_exact_avg_sup_tiny_radius_keeps_the_centre_in_the_ball():
+    # the centre's numpy sum is 0.9999999999999999, so -log of it reads
+    # 1.1e-16, above the radius, though the centre itself is in the ball
+    from klcodes.tilted import exact_avg_sup
+
+    mu = Distribution((0.25000000000011724, 0.2500000000001056, 0.5000000000004321))
+    assert float(mu.as_array().sum()) == 0.9999999999999999
+    radius = 1.02e-16
+    value, witness = exact_avg_sup(mu, CodeLengths((2, 2, 1), arity=2), radius)
+    assert math.isfinite(value)
+    assert kl_divergence(witness, mu) <= radius + 1e-12
 
 
 def test_tilted_point_is_supremum_over_samples():
