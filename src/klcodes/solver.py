@@ -5,10 +5,11 @@ the existence threshold, the worst case inside the ball is the tilted
 point whose divergence equals R, and the matching code comes from
 exponential Huffman coding of the tilted weights; the tilt parameter is
 located by tilted._root_in_beta, the search tilted_root runs for a fixed
-code, with every probe recorded.  Because the inner problem is
-discrete, the divergence-vs-beta curve can jump where the optimal length
-multiset changes, so every probed candidate code is kept and the winner is
-chosen by its exact supremum over the ball, not by the root alone.
+code, with g_of_beta as its probe and every probe recorded.  Because the
+inner problem is discrete, the divergence-vs-beta curve can jump where the
+optimal length multiset changes, so every probed candidate code is kept and
+the winner is chosen by its exact supremum over the ball, not by the root
+alone.
 
 Outside that range the solvers degrade explicitly: R = 0 reduces to plain
 Huffman coding, and R at or beyond the threshold returns the minimax
@@ -28,7 +29,6 @@ from .huffman import canonical_codewords, exponential_huffman_log, huffman, max_
 from .tilted import (
     MAX_DOUBLINGS,
     LimitPoint,
-    TiltedPoint,
     _root_in_beta,
     avg_redundancy,
     exact_avg_sup,
@@ -43,9 +43,9 @@ Regime = Literal["interior", "boundary", "zero_radius", "reduced"]
 
 @dataclass(frozen=True)
 class BetaSolveTrace:
-    """Diagnostics from the tilt root search: every probe, in order."""
+    """Diagnostics from the tilt root search: every g_of_beta probe, in order."""
 
-    probes: tuple[tuple[float, float, float], ...]  # (beta, divergence, utility)
+    probes: tuple[tuple[float, float], ...]  # (beta, divergence)
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,7 @@ def existence_threshold(mu: Distribution, arity: int = 2) -> tuple[float, LimitP
 
 
 def g_of_beta(mu: Distribution, arity: int, beta: float) -> tuple[float, CodeLengths]:
-    """Divergence of the tilted worst case induced by the optimal code at this tilt."""
-    point, lengths = _tilt_probe(mu, arity, beta)
-    return point.divergence_from_center, lengths
-
-
-def _tilt_probe(mu: Distribution, arity: int, beta: float) -> tuple[TiltedPoint, CodeLengths]:
-    """The optimal code at this tilt and the tilted worst case it induces.
+    """Divergence of the tilted worst case induced by the optimal code at this tilt.
 
     The tilted weights xi_k ~ mu_k^(beta+1) are handed to the coder in
     log-domain and unnormalized (the coder is scale invariant); a linear
@@ -89,7 +83,7 @@ def _tilt_probe(mu: Distribution, arity: int, beta: float) -> tuple[TiltedPoint,
     """
     log_xi = [(beta + 1.0) * math.log(p) for p in mu.probs]
     lengths = exponential_huffman_log(log_xi, beta, arity)
-    return nu_circ(mu, lengths, beta), lengths
+    return nu_circ(mu, lengths, beta).divergence_from_center, lengths
 
 
 def _eval_utility(objective: str, lengths: CodeLengths, nu: Distribution, mu: Distribution) -> float:
@@ -207,15 +201,14 @@ def _solve(
     # interior: the tilt root search of tilted_root, keeping every candidate
     # code a probe meets (an ordered set) after the hedged codes and the
     # limit code
-    probes: list[tuple[float, float, float]] = []
+    probes: list[tuple[float, float]] = []
     candidates = dict.fromkeys((*_hedged_codes(mu, arity), limit_code))
 
     def probe(beta: float) -> tuple[float, float]:
-        point, lengths = _tilt_probe(mu, arity, beta)
+        divergence, lengths = g_of_beta(mu, arity, beta)
         candidates.setdefault(lengths)
-        utility = _eval_utility(objective, lengths, point.distribution, mu)
-        probes.append((beta, point.divergence_from_center, utility))
-        return point.divergence_from_center, beta
+        probes.append((beta, divergence))
+        return divergence, beta
 
     if _root_in_beta(probe, radius, tol) is None:
         raise NoConvergenceError(

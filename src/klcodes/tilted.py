@@ -12,10 +12,11 @@ inside a relative-entropy ball: the beta whose divergence equals the radius
 pins the adversary exactly.
 
 One kernel serves the family on the support p > 0: _tilt (the point and
-its divergence), _face_limit (the beta -> infinity end) and _face_root
-(the tilt at the radius).  nu_circ, nu_infinity, tilted_root and
-exact_avg_sup all run it; off the support log p is -inf, so no mask is
-needed.
+its divergence) and _face_limit (the beta -> infinity end).  nu_circ and
+nu_infinity run one each, and tilted_root feeds _tilt to the bracket
+search _root_in_beta, which the solver shares with g_of_beta as its
+probe.  exact_avg_sup asks tilted_root first; off the support log p is
+-inf, so no mask is needed.
 
 All exponentials are evaluated in log-domain with max subtraction, since
 beta can be large (limit checks use beta = 1e3 and more).
@@ -191,16 +192,6 @@ def _face_limit(p: np.ndarray, log_r: np.ndarray) -> tuple[np.ndarray, float]:
     return members, float(p[members].sum())
 
 
-def _face_root(p: np.ndarray, log_r: np.ndarray, radius: float, tol: float):
-    """The probe of _root_in_beta on the tilt: (beta, divergence, raw point), or None."""
-
-    def evaluate(beta: float):
-        divergence, raw = _tilt(p, log_r, beta)
-        return divergence, (beta, divergence, raw)
-
-    return _root_in_beta(evaluate, radius, tol)
-
-
 def _root_in_beta(evaluate, radius: float, tol: float):
     """Tilt whose divergence equals the radius, for a divergence nondecreasing in beta.
 
@@ -267,11 +258,11 @@ def exact_avg_sup(
     With r = mu / theta the redundancy in nats is f(nu) = D(nu||mu) +
     <nu, log r>, convex in nu, so its maximum lies at a vertex in the ball
     or on the shell D(nu||mu) = R, and on the ball f <= R + <nu, log r>.
-    Each edge keeps both of its shell crossings, which are isolated points.
-    Of the larger faces only the support and its argmax tie class A can
-    carry the maximum:
-    - A root of the support's tilt maximises <nu, log r> over the ball and
-      lies on the shell, so it is the maximum.
+    A root of the support's tilt (tilted_root) maximises <nu, log r> over
+    the ball and lies on the shell, so it is the maximum, and it is
+    returned when it exists.  Without one, each edge keeps both of its
+    shell crossings, which are isolated points, and of the larger faces
+    only the argmax tie class A can carry the maximum:
     - A positive tilt on a proper face F is a KKT point with multiplier
       lambda = 1 + 1/beta > 1: moving eps of mass to a support symbol off F
       lowers the divergence and f by order eps log(1/eps), and re-tilting F
@@ -282,19 +273,20 @@ def exact_avg_sup(
     - A face tied below max log r gains by moving mass toward A, and on A's
       shell f equals R + max log r, the bound itself; one crossing from A's
       centre toward its lightest vertex stands for that shell.
-    The cost is O(M^2) scalar edge crossings plus one tilt root.  The
-    12-symbol limit stays: above it exactness rests on this argument alone,
-    and the edge loop (about 523k edges at M = 1024) is unmeasured.
+    A rootless code costs O(M^2) scalar edge crossings.  It is limited to
+    12 symbols: above that exactness rests on this argument alone, and the
+    edge loop (about 523k edges at M = 1024) is unmeasured.
     """
-    if radius <= 0.0:
-        raise DomainError(f"radius must be positive, got {radius}")
+    point = tilted_root(mu, lengths, radius, tol)
+    if point is not None:
+        return avg_redundancy(lengths, point.distribution), point.distribution
     m = mu.m
     if m > 12:
         raise LimitExceededError(f"exact supremum enumeration is limited to 12 symbols, got {m}")
     p = mu.as_array()
     log_r = _log_ratios(mu, lengths)
     unit = np.eye(m)
-    # candidate extreme points in visiting order: vertices, edges, support
+    # candidate extreme points in visiting order: vertices, edges, tie class
     points = [unit[k] for k in range(m) if p[k] > 0.0 and -math.log(p[k]) <= radius]
 
     def pair_point(j: int, k: int, t: float) -> np.ndarray:
@@ -323,26 +315,20 @@ def exact_avg_sup(
             if -math.log(p[k]) > radius:
                 points.append(pair_point(j, k, _crossing(on_edge, t_center, 0.0, radius)))
 
-    if np.count_nonzero(p) >= 3:
-        members, mass = _face_limit(p, log_r)
-        if -math.log(mass) > radius:
-            # None only when the radius is numerically at the limit
-            root = _face_root(p, log_r, radius, tol)
-            if root is not None:
-                points.append(root[2])
-        elif np.count_nonzero(members) >= 3:
-            # no root: the redundancy is constant on the tie class's shell,
-            # the bound R + max log r, so cross it toward the lightest vertex
-            k_min = min(np.flatnonzero(members), key=lambda k: p[k])
-            if -math.log(p[k_min]) >= radius:
-                center = np.where(members, p, 0.0)
-                center = center / center.sum()
+    members = _face_limit(p, log_r)[0]
+    if np.count_nonzero(members) >= 3:
+        # no root: the redundancy is constant on the tie class's shell,
+        # the bound R + max log r, so cross it toward the lightest vertex
+        k_min = min(np.flatnonzero(members), key=lambda k: p[k])
+        if -math.log(p[k_min]) >= radius:
+            center = np.where(members, p, 0.0)
+            center = center / center.sum()
 
-                def blend(t: float) -> np.ndarray:
-                    return (1.0 - t) * center + t * unit[k_min]
+            def blend(t: float) -> np.ndarray:
+                return (1.0 - t) * center + t * unit[k_min]
 
-                t = _crossing(lambda t: array_divergence(blend(t), p), 0.0, 1.0, radius)
-                points.append(blend(t))
+            t = _crossing(lambda t: array_divergence(blend(t), p), 0.0, 1.0, radius)
+            points.append(blend(t))
 
     if not points:
         raise DomainError("no feasible extreme point found")
@@ -373,7 +359,12 @@ def tilted_root(
     log_r = _log_ratios(mu, lengths)
     if radius >= -math.log(_face_limit(p, log_r)[1]):
         return None
-    root = _face_root(p, log_r, radius, tol)
+
+    def evaluate(beta: float):
+        divergence, raw = _tilt(p, log_r, beta)
+        return divergence, (beta, divergence, raw)
+
+    root = _root_in_beta(evaluate, radius, tol)
     if root is None:
         return None
     beta, divergence, raw = root

@@ -99,7 +99,7 @@ def test_solve_avg_interior_instance():
     assert result.achieved_utility == pytest.approx(report.optimum_value, abs=5e-3)
     # the trace records probes on both sides of the radius
     assert result.trace is not None
-    divergences = [divergence for _, divergence, _ in result.trace.probes]
+    divergences = [divergence for _, divergence in result.trace.probes]
     assert min(divergences) < 0.05 <= max(divergences)
 
 
@@ -273,9 +273,9 @@ def test_trace_bracket_straddles_radius():
     # from at or above the radius, and evaluates no tilt twice
     result = solve_avg_redundancy(DivergenceBall(SKEWED, 0.05))
     probes = result.trace.probes
-    assert any(divergence < 0.05 for _, divergence, _ in probes)
-    assert any(divergence >= 0.05 for _, divergence, _ in probes)
-    betas = [beta for beta, _, _ in probes]
+    assert any(divergence < 0.05 for _, divergence in probes)
+    assert any(divergence >= 0.05 for _, divergence in probes)
+    betas = [beta for beta, _ in probes]
     assert len(set(betas)) == len(betas)
 
 
@@ -367,3 +367,54 @@ def test_import_leaves_oracle_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_every_probe_is_a_g_of_beta_call(monkeypatch):
+    # the interior search probes through the public g_of_beta, once per
+    # recorded probe
+    from klcodes import solver
+
+    calls = []
+    original = solver.g_of_beta
+
+    def counted(mu, arity, beta):
+        calls.append(beta)
+        return original(mu, arity, beta)
+
+    monkeypatch.setattr(solver, "g_of_beta", counted)
+    for objective in (solve_avg_redundancy, solve_gg):
+        calls.clear()
+        result = objective(DivergenceBall(SKEWED, 0.05))
+        assert result.regime == "interior"
+        assert calls == [beta for beta, _ in result.trace.probes]
+
+
+def test_every_scored_candidate_asks_the_solvers_tilted_root(monkeypatch):
+    # each candidate code is scored once, through the tilted_root bound in
+    # the solver module, including those whose supremum needs exact_avg_sup
+    from klcodes import solver
+
+    seen, exact = [], []
+    original_root, original_sup = solver.tilted_root, solver.exact_avg_sup
+
+    def counted_root(mu, lengths, radius, tol=1e-12):
+        seen.append(lengths)
+        return original_root(mu, lengths, radius, tol=tol)
+
+    def counted_sup(mu, lengths, radius, tol=1e-12):
+        exact.append(lengths)
+        return original_sup(mu, lengths, radius, tol=tol)
+
+    monkeypatch.setattr(solver, "tilted_root", counted_root)
+    monkeypatch.setattr(solver, "exact_avg_sup", counted_sup)
+    mu = validate_distribution([0.5, 0.2, 0.15, 0.1, 0.05])
+    r_max, _, limit_code = existence_threshold(mu)
+    for solve, radius in ((solve_avg_redundancy, 0.5 * r_max), (solve_gg, 0.5 * r_max),
+                          (solve_avg_redundancy, r_max), (solve_gg, r_max)):
+        seen.clear()
+        result = solve(DivergenceBall(mu, radius))
+        assert len(seen) == len(set(seen))
+        assert limit_code in seen and result.lengths in seen
+        if result.regime == "interior":
+            assert set(solver._hedged_codes(mu, 2)) <= set(seen)
+    assert len(exact) == 3  # two rootless interior candidates and the limit code

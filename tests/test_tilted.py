@@ -565,6 +565,22 @@ def test_exact_avg_sup_near_tie_witness_stays_in_the_ball():
     assert value == pytest.approx(1.715037499278902, abs=1e-12)
 
 
+def test_exact_avg_sup_returns_the_tilt_root_above_twelve_symbols():
+    # a code whose support tilt has a root needs no enumeration, so the
+    # 12-symbol limit of the rootless case does not apply
+    from klcodes.huffman import huffman
+    from klcodes.tilted import exact_avg_sup
+
+    mu = validate_distribution([k / 91.0 for k in range(1, 14)])
+    lengths = huffman(mu.probs)
+    radius = 0.05
+    point = tilted_root(mu, lengths, radius)
+    assert point is not None
+    value, witness = exact_avg_sup(mu, lengths, radius)
+    assert witness == point.distribution
+    assert value == avg_redundancy(lengths, point.distribution)
+
+
 def test_exact_avg_sup_tiny_radius_keeps_the_centre_in_the_ball():
     # the centre's numpy sum is 0.9999999999999999, so -log of it reads
     # 1.1e-16, above the radius, though the centre itself is in the ball
