@@ -77,20 +77,24 @@ def nu_circ(mu: Distribution, lengths: CodeLengths, beta: float) -> TiltedPoint:
     if not (beta > 0.0):
         raise DomainError(f"beta must be positive, got {beta}")
     p = mu.as_array()
-    divergence, raw = _tilt(p, _log_ratios(mu, lengths), beta)
+    log_r = _log_ratios(mu, lengths)
+    divergence, raw = _tilt(p, log_r - np.max(log_r), beta)
     return TiltedPoint(beta=float(beta), distribution=Distribution(tuple(raw.tolist())),
                        divergence_from_center=divergence)
 
 
-def _tilt(p: np.ndarray, log_r: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
+def _tilt(p: np.ndarray, centred: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
     """Divergence from p of the tilt at beta, and its raw point.
 
-    The divergence is that of the point as Distribution would store it,
-    renormalised by its fsum unless that is exactly 1.  The point lives on
-    p's support, so kl_divergence's checks are moot.
+    centred is log r minus its maximum, so beta * centred stays at or below
+    0: uncentred, beta * log r is near 1e12 at beta near 1e12, and its
+    rounding alone moves the divergence by about 1e-5.  The divergence is
+    that of the point as Distribution would store it, renormalised by its
+    fsum unless that is exactly 1.  The point lives on p's support, so
+    kl_divergence's checks are moot.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = beta * log_r + np.log(p)
+        logw = beta * centred + np.log(p)
         raw = np.exp(logw - log_sum_exp(logw))
     raw[~np.isfinite(raw)] = 0.0
     raw = raw / raw.sum()
@@ -359,9 +363,10 @@ def tilted_root(
     log_r = _log_ratios(mu, lengths)
     if radius >= -math.log(_face_limit(p, log_r)[1]):
         return None
+    centred = log_r - np.max(log_r)
 
     def evaluate(beta: float):
-        divergence, raw = _tilt(p, log_r, beta)
+        divergence, raw = _tilt(p, centred, beta)
         return divergence, (beta, divergence, raw)
 
     root = _root_in_beta(evaluate, radius, tol)

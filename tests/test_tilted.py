@@ -581,6 +581,23 @@ def test_exact_avg_sup_returns_the_tilt_root_above_twelve_symbols():
     assert value == avg_redundancy(lengths, point.distribution)
 
 
+def test_tilted_root_hits_the_shell_near_a_tie():
+    # the log-ratios tie to within 1e-12, so the root lies near
+    # beta = 1.6e12; the tilt's exponent must be centred on its maximum, or
+    # its rounding alone moves the divergence by about 1e-5
+    from klcodes.tilted import exact_avg_sup
+
+    mu = Distribution((0.2500000000000424, 0.2499999999998008,
+                       0.24999999999972777, 0.250000000000429))
+    lengths = CodeLengths((3, 3, 3, 3), arity=2)
+    radius = 0.9704060527827222
+    point = tilted_root(mu, lengths, radius)
+    assert point.beta > 1e12
+    assert abs(kl_divergence(point.distribution, mu) - radius) <= 1e-9
+    value, witness = exact_avg_sup(mu, lengths, radius)
+    assert kl_divergence(witness, mu) <= radius + 1e-12
+
+
 def test_exact_avg_sup_tiny_radius_keeps_the_centre_in_the_ball():
     # the centre's numpy sum is 0.9999999999999999, so -log of it reads
     # 1.1e-16, above the radius, though the centre itself is in the ball
