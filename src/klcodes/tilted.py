@@ -93,10 +93,9 @@ def _tilt(p: np.ndarray, centred: np.ndarray, beta: float) -> tuple[float, np.nd
     fsum unless that is exactly 1.  The point lives on p's support, so
     kl_divergence's checks are moot.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         logw = beta * centred + np.log(p)
-        raw = np.exp(logw - log_sum_exp(logw))
-    raw[~np.isfinite(raw)] = 0.0
+    raw = np.exp(logw - log_sum_exp(logw))
     raw = raw / raw.sum()
     total = math.fsum(raw.tolist())
     nu = raw if total == 1.0 else raw / total
@@ -110,10 +109,7 @@ def xi(mu: Distribution, beta: float) -> Distribution:
     p = mu.as_array()
     with np.errstate(divide="ignore"):
         logw = (beta + 1.0) * np.log(p)
-    norm = log_sum_exp(logw)
-    with np.errstate(invalid="ignore"):
-        w = np.exp(logw - norm)
-    w[~np.isfinite(w)] = 0.0
+    w = np.exp(logw - log_sum_exp(logw))
     return Distribution(tuple(w / w.sum()))
 
 
@@ -164,9 +160,8 @@ def decomposition_terms(
         raise DomainError(f"beta must be positive, got {beta}")
     point = nu_circ(mu, lengths, beta)
     p = mu.as_array()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         logw = beta * _log_ratios(mu, lengths) + np.log(p)
-    logw[p == 0.0] = -np.inf
     term1 = (beta + 1.0) / beta * kl_divergence(nu, mu)
     term2 = -kl_divergence(nu, point.distribution) / beta
     term3 = log_sum_exp(logw) / beta
