@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="klcodes",
         description="Robust prefix codes over relative-entropy uncertainty balls",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, help="what to run")
 
     def common(p, with_radius=True):
         p.add_argument("input", help="distribution file (JSON or CSV)")
@@ -391,32 +391,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-zero", action="store_true",
                        help="drop zero-probability symbols instead of rejecting")
 
+    def solve_options(p):
+        p.add_argument("--objective", choices=OBJECTIVES, required=True,
+                       help="what to optimise or report")
+        p.add_argument("--tv", type=float, default=None, help="total variation for nml-tv")
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="tilt search tolerance (avg-red, gg) or Newton tolerance (nml-only)")
+        p.add_argument("--strict-boundary", action="store_true",
+                       help="error out instead of returning the boundary-regime code")
+        p.add_argument("--output", default=None, help="write the output to this file")
+
     analyze = sub.add_parser("analyze", help="report thresholds and diagnostics")
     common(analyze)
-    analyze.add_argument("--format", choices=("json", "table"), default="table")
+    analyze.add_argument("--format", choices=("json", "table"), default="table",
+                         help="report layout")
 
     code = sub.add_parser("code", help="solve an objective and emit the code")
     common(code)
-    code.add_argument("--objective", choices=OBJECTIVES, required=True)
-    code.add_argument("--tv", type=float, default=None, help="total variation for nml-tv")
-    code.add_argument("--tol", type=float, default=1e-9)
-    code.add_argument("--strict-boundary", action="store_true",
-                      help="error out instead of returning the boundary-regime code")
-    code.add_argument("--format", choices=("json", "table"), default="json")
-    code.add_argument("--output", default=None, help="write the report to this file")
+    solve_options(code)
+    code.add_argument("--format", choices=("json", "table"), default="json", help="report layout")
 
     verify = sub.add_parser("verify", help="run oracle cross-checks")
     common(verify)
-    verify.add_argument("--objective", choices=OBJECTIVES, required=True)
-    verify.add_argument("--tv", type=float, default=None)
-    verify.add_argument("--tol", type=float, default=1e-9)
-    verify.add_argument("--lmax", type=int, default=None)
-    verify.add_argument("--samples", type=int, default=20000)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--strict-boundary", action="store_true")
+    solve_options(verify)
+    verify.add_argument("--lmax", type=int, default=None,
+                        help="longest codeword the oracle enumerates (1 to 10)")
+    verify.add_argument("--samples", type=int, default=20000,
+                        help="interior points of the oracle's ball sample")
+    verify.add_argument("--seed", type=int, default=0, help="seed of the ball sample")
     verify.add_argument("--result", default=None,
                         help="previously emitted JSON report to re-verify")
-    verify.add_argument("--output", default=None)
     return parser
 
 

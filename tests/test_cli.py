@@ -519,6 +519,18 @@ def test_verify_result_detects_tampered_worst_case(capsys, tmp_path):
     assert "PASS diagnostics_roundtrip" in out
 
 
+def test_every_option_has_help():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{name} {action.dest}"
+        for name, command in (("klcodes", parser), *sub.choices.items())
+        for action in command._actions
+        if action.option_strings != ["-h", "--help"] and not action.help
+    ]
+    assert missing == []
+
+
 def test_readme_synopsis_lists_every_option():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as handle:
