@@ -12,14 +12,15 @@ inside a relative-entropy ball: the beta whose divergence equals the radius
 pins the adversary exactly.
 
 One kernel serves the family on the support p > 0: _tilt (the point and
-its divergence) and _face_limit (the beta -> infinity end).  nu_circ and
-nu_infinity run one each, and tilted_root feeds _tilt to the bracket
-search _root_in_beta, which the solver shares with g_of_beta as its
-probe.  exact_avg_sup asks tilted_root first; off the support log p is
+its divergence) and _face_limit (the beta -> infinity end).  nu_circ runs
+_tilt, nu_infinity runs _face_limit, and tilted_root feeds _tilt to the
+bracket search _root_in_beta, which the solver runs with g_of_beta as its
+probe.  exact_avg_sup asks tilted_root first.  Off the support log p is
 -inf, so no mask is needed.
 
-All exponentials are evaluated in log-domain with max subtraction, since
-beta can be large (limit checks use beta = 1e3 and more).
+All exponentials are evaluated in log-domain with max subtraction, and
+the tilt's exponent is centred on the largest log-ratio, since beta can
+be large (limit checks use beta = 1e3, and roots reach beta = 1e12).
 """
 
 from __future__ import annotations

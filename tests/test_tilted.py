@@ -594,7 +594,7 @@ def test_tilted_root_hits_the_shell_near_a_tie():
     point = tilted_root(mu, lengths, radius)
     assert point.beta > 1e12
     assert abs(kl_divergence(point.distribution, mu) - radius) <= 1e-9
-    value, witness = exact_avg_sup(mu, lengths, radius)
+    _, witness = exact_avg_sup(mu, lengths, radius)
     assert kl_divergence(witness, mu) <= radius + 1e-12
 
 
