@@ -4,12 +4,12 @@ Two objectives share one engine.  For radius R strictly between zero and
 the existence threshold, the worst case inside the ball is the tilted
 point whose divergence equals R, and the matching code comes from
 exponential Huffman coding of the tilted weights; the tilt parameter is
-located by tilted._root_in_beta, the search tilted_root runs for a fixed
-code, with g_of_beta as its probe and every probe recorded.  Because the
-inner problem is discrete, the divergence-vs-beta curve can jump where the
-optimal length multiset changes, so every probed candidate code is kept and
-the winner is chosen by its exact supremum over the ball, not by the root
-alone.
+located by tilted._root_in_beta, the bracket doubling and Illinois regula
+falsi that tilted_root runs for a fixed code, with g_of_beta as its probe
+and every probe recorded.  Because the inner problem is discrete, the
+divergence-vs-beta curve can jump where the optimal length multiset
+changes, so every probed candidate code is kept and the winner is chosen by
+its exact supremum over the ball, not by the root alone.
 
 Outside that range the solvers degrade explicitly: R = 0 reduces to plain
 Huffman coding, and R at or beyond the threshold returns the minimax

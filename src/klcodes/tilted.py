@@ -14,9 +14,9 @@ pins the adversary exactly.
 One kernel serves the family on the support p > 0: _tilt (the point and
 its divergence) and _face_limit (the beta -> infinity end).  nu_circ runs
 _tilt, nu_infinity runs _face_limit, and tilted_root feeds _tilt to the
-bracket search _root_in_beta, which the solver runs with g_of_beta as its
-probe.  exact_avg_sup asks tilted_root first.  Off the support log p is
--inf, so no mask is needed.
+bracket search _root_in_beta (doubling, then Illinois regula falsi), which
+the solver runs with g_of_beta as its probe.  exact_avg_sup asks
+tilted_root first.  Off the support log p is -inf, so no mask is needed.
 
 All exponentials are evaluated in log-domain with max subtraction, and
 the tilt's exponent is centred on the largest log-ratio, since beta can
@@ -196,38 +196,55 @@ def _root_in_beta(evaluate, radius: float, tol: float):
     """Tilt whose divergence equals the radius, for a divergence nondecreasing in beta.
 
     evaluate(beta) returns (divergence, point), and no beta is evaluated
-    twice.  The bracket doubles from beta = 1; bisection then starts from
-    [hi / 2, hi] after a doubling, else from [0, 1], and keeps the probe
-    closest to the radius (the last doubling below it included).  Returns
-    that probe's point, or None when sixty doublings do not reach the radius
+    twice.  The bracket doubles from beta = 1; Illinois regula falsi
+    (Dowell and Jarratt, BIT 11, 1971) then refines [hi / 2, hi] after a
+    doubling, else [0, 1], where the divergence at 0 is that of mu itself,
+    0, and needs no evaluation.  Each step is the secant through the
+    bracket's ends, or the midpoint when rounding puts the secant outside
+    the open bracket; an end that survives two steps in a row has its
+    distance to the radius halved, so the bracket shrinks from both sides
+    even where the divergence jumps.  The search keeps the probe closest to
+    the radius (the last doubling below it included).  Returns that probe's
+    point, or None when sixty doublings do not reach the radius
     (numerically indistinguishable from the limit).
     """
     lo, hi = 0.0, 1.0
     best = evaluate(hi)
+    f_lo = -radius
     for _ in range(MAX_DOUBLINGS):
         if best[0] >= radius:
             break
-        lo, below = hi, best
+        lo, below, f_lo = hi, best, best[0] - radius
         hi *= 2.0
         best = evaluate(hi)
     if best[0] < radius:
         return None
+    f_hi = best[0] - radius
     # the last doubling below the radius stands in for the midpoint hi / 2
-    # that bisection from [0, hi] would probe first
+    # that a search from [0, hi] would probe first
     gap = abs(best[0] - radius)
     if lo and tol < gap and abs(below[0] - radius) < gap:
         best = below
+    moved = 0  # the end the last step moved: -1 for lo, +1 for hi
     for _ in range(200):
         if abs(best[0] - radius) <= tol:
             break
-        mid = 0.5 * (lo + hi)
-        probe = evaluate(mid)
+        step = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        probe = evaluate(step)
         if abs(probe[0] - radius) < abs(best[0] - radius):
             best = probe
         if probe[0] < radius:
-            lo = mid
+            lo, f_lo = step, probe[0] - radius
+            if moved < 0:
+                f_hi *= 0.5
+            moved = -1
         else:
-            hi = mid
+            hi, f_hi = step, probe[0] - radius
+            if moved > 0:
+                f_lo *= 0.5
+            moved = 1
         if hi - lo <= 1e-15 * max(1.0, hi):
             break
     return best[1]
@@ -350,8 +367,9 @@ def tilted_root(
 
     Returns None when no such beta exists, i.e. when the radius is at or
     beyond the limit divergence of the family for these lengths.  The
-    divergence is nondecreasing in beta, so bisection after bracket doubling
-    is sufficient.
+    divergence is nondecreasing in beta, so Illinois regula falsi after
+    bracket doubling (_root_in_beta) is sufficient; the end beta = 0 is mu
+    itself, at divergence 0, and costs no tilt.
     """
     if radius <= 0.0:
         raise DomainError(f"radius must be positive, got {radius}")

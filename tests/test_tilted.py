@@ -12,6 +12,7 @@ from klcodes.core import (
     pair_divergence,
     validate_distribution,
 )
+from klcodes import tilted
 from klcodes.tilted import (
     ARGMAX_LOG_TOL,
     _crossing,
@@ -267,6 +268,71 @@ def test_root_in_beta_keeps_last_doubling_within_tol():
     seen = []
     assert _root_in_beta(_recording_divergence(seen), radius, 1e-12) == 2.0
     assert seen == [1.0, 2.0, 4.0]
+
+
+def test_root_in_beta_brackets_a_jump():
+    # the radius falls inside a jump at beta = e, as the solver's g(beta)
+    # jumps where the optimal code changes: no probe meets tol, so the search
+    # must stop on the bracket width, stepping only inside the bracket
+    radius = 0.5
+
+    def g(beta):
+        return 0.01 * beta + (1.0 if beta >= math.e else 0.0)
+
+    seen = []
+
+    def evaluate(beta):
+        seen.append(beta)
+        return g(beta), beta
+
+    beta = _root_in_beta(evaluate, radius, 1e-12)
+    assert seen[:3] == [1.0, 2.0, 4.0]
+    assert len(set(seen)) == len(seen)
+    lo, hi = 2.0, 4.0
+    for b in seen[3:]:
+        assert lo < b < hi
+        if g(b) < radius:
+            lo = b
+        else:
+            hi = b
+    assert lo < math.e <= hi
+    assert hi - lo <= 1e-15 * max(1.0, hi)
+    gaps = [abs(g(b) - radius) for b in seen]
+    assert beta == seen[gaps.index(min(gaps))]
+
+
+def test_tilted_root_takes_few_tilts():
+    # the codes a solver scores (its hedged Huffman codes) at interior radii;
+    # secant steps reach the radius in a handful of tilts after the doublings,
+    # where bisection from the bracket took about 35
+    from klcodes.solver import _hedged_codes, existence_threshold
+
+    rng = np.random.default_rng(0)
+    counts = []
+    real_tilt = tilted._tilt
+
+    def counting_tilt(p, centred, beta):
+        counts[-1] += 1
+        return real_tilt(p, centred, beta)
+
+    tilted._tilt = counting_tilt
+    try:
+        for m in (4, 16, 64):
+            raw = np.maximum(rng.dirichlet(np.ones(m)), 1e-6)
+            mu = Distribution(tuple(raw / raw.sum()))
+            r_max = existence_threshold(mu)[0]
+            for lengths in dict.fromkeys(_hedged_codes(mu, 2)):
+                for fraction in (0.1, 0.25, 0.5):
+                    counts.append(0)
+                    point = tilted_root(mu, lengths, fraction * r_max)
+                    if point is None:
+                        counts.pop()
+                        continue
+                    assert abs(point.divergence_from_center - fraction * r_max) <= 1e-12
+    finally:
+        tilted._tilt = real_tilt
+    assert len(counts) >= 50
+    assert max(counts) <= 15
 
 
 def test_exact_avg_sup_dominates_sampling():
