@@ -159,13 +159,17 @@ def decomposition_terms(
     """
     if not (beta > 0.0):
         raise DomainError(f"beta must be positive, got {beta}")
-    point = nu_circ(mu, lengths, beta)
     p = mu.as_array()
     with np.errstate(divide="ignore"):
         logw = beta * _log_ratios(mu, lengths) + np.log(p)
-    term1 = (beta + 1.0) / beta * kl_divergence(nu, mu)
-    term2 = -kl_divergence(nu, point.distribution) / beta
-    term3 = log_sum_exp(logw) / beta
+    log_partition = log_sum_exp(logw)
+    term1 = (beta + 1.0) / beta * kl_divergence(nu, mu)  # absolute-continuity check
+    # D(nu||nu(beta)) from log nu(beta) = logw - log_partition: at large beta
+    # nu(beta) itself underflows to zeros on the support
+    q = nu.as_array()
+    nz = q > 0.0
+    term2 = -float(np.sum(q[nz] * (np.log(q[nz]) - logw[nz] + log_partition))) / beta
+    term3 = log_partition / beta
     return term1, term2, term3
 
 

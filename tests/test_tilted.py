@@ -183,6 +183,16 @@ def test_decomposition_identity_randomized():
         )
 
 
+@pytest.mark.parametrize("beta", [512.0, 1024.0, 1e6])
+def test_decomposition_identity_at_large_beta(beta):
+    # nu(beta) underflows to exact zeros on the support here; the identity
+    # still holds, since D(nu||nu(beta)) is taken in the log domain
+    mu = validate_distribution([0.5, 0.3, 0.2])
+    lengths = CodeLengths((2, 2, 1), arity=2)
+    t1, t2, t3 = decomposition_terms(lengths, mu, mu, beta)
+    assert (t1 + t2 + t3) / math.log(2) == pytest.approx(avg_redundancy(lengths, mu), abs=1e-12)
+
+
 def test_nu_infinity_all_ratios_equal():
     mu = validate_distribution([0.5, 0.25, 0.25])
     limit = nu_infinity(mu, L122)
