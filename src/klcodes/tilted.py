@@ -237,15 +237,16 @@ def _root_in_beta(evaluate, radius: float, tol: float):
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
         probe = evaluate(step)
-        if abs(probe[0] - radius) < abs(best[0] - radius):
+        f = probe[0] - radius
+        if abs(f) < abs(best[0] - radius):
             best = probe
-        if probe[0] < radius:
-            lo, f_lo = step, probe[0] - radius
+        if f < 0.0:
+            lo, f_lo = step, f
             if moved < 0:
                 f_hi *= 0.5
             moved = -1
         else:
-            hi, f_hi = step, probe[0] - radius
+            hi, f_hi = step, f
             if moved > 0:
                 f_lo *= 0.5
             moved = 1
