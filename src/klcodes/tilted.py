@@ -206,7 +206,7 @@ def _root_in_beta(evaluate, radius: float, tol: float):
     0, and needs no evaluation.  Each step is the secant through the
     bracket's ends, or the midpoint when rounding puts the secant outside
     the open bracket; an end that survives two steps in a row has its
-    distance to the radius halved, so the bracket shrinks from both sides
+    divergence's offset from the radius halved, so the bracket shrinks from both sides
     even where the divergence jumps.  The search keeps the probe closest to
     the radius (the last doubling below it included).  Returns that probe's
     point, or None when sixty doublings do not reach the radius
@@ -224,10 +224,8 @@ def _root_in_beta(evaluate, radius: float, tol: float):
     if best[0] < radius:
         return None
     f_hi = best[0] - radius
-    # the last doubling below the radius stands in for the midpoint hi / 2
-    # that a search from [0, hi] would probe first
-    gap = abs(best[0] - radius)
-    if lo and tol < gap and abs(below[0] - radius) < gap:
+    # the last doubling below the radius is a probe too, and may be the closest
+    if lo and tol < f_hi and -f_lo < f_hi:
         best = below
     moved = 0  # the end the last step moved: -1 for lo, +1 for hi
     for _ in range(200):

@@ -311,7 +311,7 @@ def test_root_in_beta_brackets_a_jump():
     assert beta == seen[gaps.index(min(gaps))]
 
 
-def test_tilted_root_takes_few_tilts():
+def test_tilted_root_takes_few_tilts(monkeypatch):
     # the codes a solver scores (its hedged Huffman codes) at interior radii;
     # secant steps reach the radius in a handful of tilts after the doublings,
     # where bisection from the bracket took about 35
@@ -325,22 +325,19 @@ def test_tilted_root_takes_few_tilts():
         counts[-1] += 1
         return real_tilt(p, centred, beta)
 
-    tilted._tilt = counting_tilt
-    try:
-        for m in (4, 16, 64):
-            raw = np.maximum(rng.dirichlet(np.ones(m)), 1e-6)
-            mu = Distribution(tuple(raw / raw.sum()))
-            r_max = existence_threshold(mu)[0]
-            for lengths in dict.fromkeys(_hedged_codes(mu, 2)):
-                for fraction in (0.1, 0.25, 0.5):
-                    counts.append(0)
-                    point = tilted_root(mu, lengths, fraction * r_max)
-                    if point is None:
-                        counts.pop()
-                        continue
-                    assert abs(point.divergence_from_center - fraction * r_max) <= 1e-12
-    finally:
-        tilted._tilt = real_tilt
+    monkeypatch.setattr(tilted, "_tilt", counting_tilt)
+    for m in (4, 16, 64):
+        raw = np.maximum(rng.dirichlet(np.ones(m)), 1e-6)
+        mu = Distribution(tuple(raw / raw.sum()))
+        r_max = existence_threshold(mu)[0]
+        for lengths in dict.fromkeys(_hedged_codes(mu, 2)):
+            for fraction in (0.1, 0.25, 0.5):
+                counts.append(0)
+                point = tilted_root(mu, lengths, fraction * r_max)
+                if point is None:
+                    counts.pop()
+                    continue
+                assert abs(point.divergence_from_center - fraction * r_max) <= 1e-12
     assert len(counts) >= 50
     assert max(counts) <= 15
 
