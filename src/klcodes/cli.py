@@ -29,10 +29,10 @@ from .core import (
     validate_distribution,
 )
 from .errors import BoundaryRegimeError, CodingError, LimitExceededError, NoConvergenceError
-from .huffman import canonical_codewords, shannon_lengths
+from .huffman import shannon_lengths
 from .nml import NmlResult, nml_distribution, nml_tv, pointwise_code, pointwise_utility
-from .solver import RobustCodeResult, existence_threshold, solve_avg_redundancy, solve_gg
-from .tilted import avg_redundancy, gg_utility
+from .solver import RobustCodeResult, _eval_utility, existence_threshold, solve_avg_redundancy, solve_gg
+from .tilted import avg_redundancy
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -40,6 +40,11 @@ EXIT_BOUNDARY = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_VERIFY = 5
 EXIT_LIMIT = 6
+
+# an error exits with the code of the first of its classes (in MRO order) listed here
+_EXIT_CODES = {BoundaryRegimeError: EXIT_BOUNDARY, NoConvergenceError: EXIT_NO_CONVERGENCE,
+               LimitExceededError: EXIT_LIMIT,
+               **dict.fromkeys((CodingError, OSError, ValueError, KeyError), EXIT_INPUT)}
 
 OBJECTIVES = ("avg-red", "gg", "pointwise", "shannon-nominal", "nml-only", "nml-tv")
 
@@ -77,8 +82,8 @@ def _radius(args) -> float:
     radius = args.radius
     if radius is None:
         raise CodingError("--radius is required for this objective")
-    if not (radius >= 0.0):
-        raise CodingError(f"radius must be >= 0, got {radius}")
+    if not (0.0 <= radius < math.inf):
+        raise CodingError(f"radius must be finite and >= 0, got {radius}")
     return radius * math.log(2.0) if args.bits else radius
 
 
@@ -205,7 +210,6 @@ def run_code(args, mu: Distribution) -> tuple[dict, NmlResult | None]:
         lengths = shannon_lengths(mu, arity)
         result = RobustCodeResult(
             lengths=lengths,
-            codewords=canonical_codewords(lengths),
             beta=None,
             worst_case=mu,
             achieved_utility=avg_redundancy(lengths, mu),
@@ -258,7 +262,8 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
     checks.add("kraft", kraft_sum(lengths) <= 1.0 + 1e-12,
                f"kraft_sum={_fmt(kraft_sum(lengths))}")
     worst = Distribution(tuple(payload["worst_case"]))
-    recomputed = _recompute_utility(args.objective, lengths, worst, mu)
+    recomputed = (pointwise_utility(lengths, worst) if args.objective == "pointwise"
+                  else _eval_utility(args.objective, lengths, worst, mu))
     checks.add("utility_recompute", abs(recomputed - payload["achieved_utility"]) <= 1e-9,
                f"residual={_fmt(abs(recomputed - payload['achieved_utility']))}")
 
@@ -318,16 +323,6 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
         checks.add("shannon_lengths", tuple(payload["lengths"]) == expected)
 
 
-def _recompute_utility(objective, lengths, worst, mu) -> float:
-    if objective == "avg-red":
-        return avg_redundancy(lengths, worst)
-    if objective == "gg":
-        return gg_utility(lengths, worst, mu)
-    if objective == "pointwise":
-        return pointwise_utility(lengths, worst)
-    return avg_redundancy(lengths, worst)
-
-
 def _check_stored_report(path: str, fresh: dict, checks: _Checks) -> None:
     """Compare a stored report with the fresh one, field by field."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -382,12 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, help="what to run")
 
-    def common(p, with_radius=True):
+    def common(p):
         p.add_argument("input", help="distribution file (JSON or CSV)")
         p.add_argument("--arity", type=int, default=2, help="code alphabet size D")
-        if with_radius:
-            p.add_argument("--radius", type=float, default=None, help="ball radius (nats)")
-            p.add_argument("--bits", action="store_true", help="radius is given in bits")
+        p.add_argument("--radius", type=float, default=None, help="ball radius (nats)")
+        p.add_argument("--bits", action="store_true", help="radius is given in bits")
         p.add_argument("--allow-zero", action="store_true",
                        help="drop zero-probability symbols instead of rejecting")
 
@@ -437,18 +431,9 @@ def main(argv=None) -> int:
             _write_atomic(text, args.output)
             return status
         return EXIT_OK
-    except BoundaryRegimeError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
-    except NoConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except LimitExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except (CodingError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from .errors import (
     ArityTooSmallError,
     DomainError,
     KraftViolationError,
+    LimitExceededError,
     NonFiniteWeightError,
     TooFewSymbolsError,
     ZeroProbabilityError,
@@ -185,14 +186,15 @@ def canonical_codewords(lengths: CodeLengths) -> PrefixCode:
     """Canonical prefix code for integer lengths with Kraft sum <= 1.
 
     Symbols are processed by (length, input position) and codewords assigned
-    in counting order; the result is returned in input order.
+    in counting order; the result is returned in input order.  Digits are
+    single characters, so an arity above 10 raises LimitExceededError.
     """
     if not lengths.is_integer:
         raise DomainError("canonical codewords need integer lengths")
     ls = [int(l) for l in lengths.lengths]
     arity = lengths.arity
     if arity > 10:
-        raise DomainError("codeword digits are single characters; arity must be <= 10")
+        raise LimitExceededError("codeword digits are single characters; arity must be <= 10")
     if not kraft_integer_ok(ls, arity):
         raise KraftViolationError(f"Kraft sum exceeds 1 for {ls}")
 

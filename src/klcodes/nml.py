@@ -34,7 +34,7 @@ from .errors import (
     SaturatedInputError,
     ZeroProbabilityError,
 )
-from .huffman import canonical_codewords, max_huffman, shannon_lengths
+from .huffman import max_huffman, shannon_lengths
 from .solver import RobustCodeResult
 
 
@@ -160,8 +160,8 @@ def nml_distribution(ball: DivergenceBall, tol: float = 1e-13) -> NmlResult:
 
 def nml_tv(mu: Distribution, tv: float) -> NmlResult:
     """Coordinatewise suprema over a total-variation ball: min(1, mu_k + T/2)."""
-    if not (tv >= 0.0):
-        raise DomainError(f"total variation must be >= 0, got {tv}")
+    if not (0.0 <= tv < math.inf):
+        raise DomainError(f"total variation must be finite and >= 0, got {tv}")
     raw = tuple(min(1.0, p + tv / 2.0) for p in mu.probs)
     total = math.fsum(raw)
     return NmlResult(
@@ -194,7 +194,6 @@ def pointwise_code(ball: DivergenceBall, suprema: NmlResult, arity: int) -> Robu
     lengths = max_huffman(suprema.normalized.probs, arity)
     return RobustCodeResult(
         lengths=lengths,
-        codewords=canonical_codewords(lengths),
         beta=None,
         worst_case=suprema.normalized,
         achieved_utility=pointwise_utility(lengths, suprema.normalized),

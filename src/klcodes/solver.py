@@ -53,12 +53,16 @@ class RobustCodeResult:
     """A solved instance: the code, the adversary, and the value achieved."""
 
     lengths: CodeLengths
-    codewords: PrefixCode
     beta: Optional[float]
     worst_case: Distribution
     achieved_utility: float
     regime: Regime
     trace: Optional[BetaSolveTrace] = None
+
+    @property
+    def codewords(self) -> PrefixCode:
+        """The canonical spelling of the lengths, built on each read."""
+        return canonical_codewords(self.lengths)
 
 
 def existence_threshold(mu: Distribution, arity: int = 2) -> tuple[float, LimitPoint, CodeLengths]:
@@ -87,9 +91,10 @@ def g_of_beta(mu: Distribution, arity: int, beta: float) -> tuple[float, CodeLen
 
 
 def _eval_utility(objective: str, lengths: CodeLengths, nu: Distribution, mu: Distribution) -> float:
-    if objective == "avg":
-        return avg_redundancy(lengths, nu)
-    return gg_utility(lengths, nu, mu)
+    """gg utility for "gg"; average redundancy for any other objective."""
+    if objective == "gg":
+        return gg_utility(lengths, nu, mu)
+    return avg_redundancy(lengths, nu)
 
 
 def _candidate_sup(
@@ -147,7 +152,6 @@ def _best_candidate(
     value, beta, _, lengths, worst = min(scored, key=lambda item: item[:3])
     return RobustCodeResult(
         lengths=lengths,
-        codewords=canonical_codewords(lengths),
         beta=None if beta == math.inf else beta,
         worst_case=worst,
         achieved_utility=value,
@@ -172,7 +176,6 @@ def _solve(
         lengths = huffman(mu.probs, arity)
         return RobustCodeResult(
             lengths=lengths,
-            codewords=canonical_codewords(lengths),
             beta=None,
             worst_case=mu,
             achieved_utility=_eval_utility(objective, lengths, mu, mu),
@@ -225,7 +228,7 @@ def solve_avg_redundancy(
     strict_boundary: bool = False,
 ) -> RobustCodeResult:
     """Best prefix code for the worst average redundancy inside the ball."""
-    return _solve(ball, arity, tol, "avg", strict_boundary)
+    return _solve(ball, arity, tol, "avg-red", strict_boundary)
 
 
 def solve_gg(

@@ -158,6 +158,41 @@ def test_code_no_convergence_exits_4(capsys, monkeypatch):
     assert "stuck" in err
 
 
+@pytest.mark.parametrize("tol", ["1e-300", "0"])
+def test_nml_only_unreachable_tol_exits_4(capsys, tol):
+    # the Newton roots stop about 1e-16 from the radius; no monkeypatch
+    status, out, err = run(
+        capsys,
+        ["code", instance("mixed4.csv"), "--objective", "nml-only", "--radius", "0.1",
+         "--tol", tol],
+    )
+    assert status == 4
+    assert out == ""
+    assert "stalled" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", instance("mixed4.csv"), "--objective", "avg-red", "--radius", "0.1"],
+    ["code", instance("mixed4.csv"), "--objective", "gg", "--radius", "0.1"],
+    ["code", instance("mixed4.csv"), "--objective", "pointwise", "--radius", "0.1"],
+    ["code", instance("mixed4.csv"), "--objective", "shannon-nominal", "--radius", "0"],
+    ["verify", instance("mixed4.csv"), "--objective", "gg", "--radius", "0.1"],
+])
+def test_arity_above_ten_exits_6(capsys, argv):
+    # a well-formed input whose code needs digits beyond 0-9
+    status, out, err = run(capsys, [*argv, "--arity", "11"])
+    assert status == 6
+    assert out == ""
+    assert "arity" in err
+
+
+def test_analyze_arity_above_ten_exits_0(capsys):
+    status, out, _ = run(capsys, ["analyze", instance("mixed4.csv"), "--arity", "11",
+                                  "--format", "json"])
+    assert status == 0
+    assert json.loads(out)["arity"] == 11
+
+
 def test_code_beyond_exact_range_exits_6(capsys, tmp_path, monkeypatch):
     # p proportional to 1..13: some avg-red candidate has no tilt root, and
     # exact_avg_sup stops at 12 symbols
@@ -251,6 +286,20 @@ def test_verify_corrupted_result_exits_5(capsys, tmp_path):
     )
     assert status == 5
     assert "FAIL" in out
+
+
+def test_verify_result_with_string_utility_exits_5(capsys, tmp_path):
+    result_path = tmp_path / "result.json"
+    argv = [instance("skewed3.json"), "--objective", "avg-red", "--radius", "0.05"]
+    status, _, _ = run(capsys, ["code", *argv, "--output", str(result_path)])
+    assert status == 0
+    payload = json.loads(result_path.read_text())
+    payload["achieved_utility"] = str(payload["achieved_utility"])
+    result_path.write_text(json.dumps(payload))
+    status, out, _ = run(capsys, ["verify", *argv, "--result", str(result_path),
+                                  "--samples", "1000"])
+    assert status == 5
+    assert "FAIL result_integrity" in out
 
 
 def test_output_written_atomically(capsys, tmp_path):
@@ -384,6 +433,10 @@ def test_negative_radius_exits_2(capsys):
      "--tol", "nan", "--samples", "500"],
     ["code", instance("mixed4.csv"), "--objective", "nml-only", "--radius", "0.1",
      "--tol", "-1"],
+    # an infinite radius or total variation would print Infinity, which is not JSON
+    ["analyze", instance("mixed4.csv"), "--radius", "inf"],
+    ["code", instance("mixed4.csv"), "--objective", "nml-only", "--radius", "inf"],
+    ["code", instance("mixed4.csv"), "--objective", "nml-tv", "--tv", "inf"],
 ])
 def test_nan_parameter_exits_2(capsys, argv):
     status, out, err = run(capsys, argv)

@@ -11,6 +11,8 @@ the output, and say so.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -34,3 +36,13 @@ def test_code_output_is_pinned(capsys, case):
     status = cli.main(argv)
     assert status == case["status"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+def test_python_m_klcodes_prints_the_pinned_output():
+    # the package entry point, in a fresh interpreter
+    case = CASES[0]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-m", "klcodes", *case["argv"]], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == case["status"]
+    assert out.stdout == case["stdout"]

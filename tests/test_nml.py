@@ -149,6 +149,11 @@ def test_nml_tv_rejects_nan():
         nml_tv(validate_distribution([0.5, 0.3, 0.2]), math.nan)
 
 
+def test_nml_tv_rejects_infinity():
+    with pytest.raises(DomainError):
+        nml_tv(validate_distribution([0.5, 0.3, 0.2]), math.inf)
+
+
 def test_robust_shannon_pointwise():
     dyadicish = validate_distribution([0.5, 0.25, 0.25])
     assert robust_shannon_pointwise(DivergenceBall(dyadicish, 0.0)).lengths == (1, 2, 2)

@@ -8,7 +8,7 @@ import pytest
 
 import klcodes
 from klcodes.core import DivergenceBall, kl_divergence, validate_distribution
-from klcodes.errors import BoundaryRegimeError, NoConvergenceError
+from klcodes.errors import BoundaryRegimeError, LimitExceededError, NoConvergenceError
 from klcodes.huffman import expected_cost, huffman
 from klcodes.oracle import ball_sample, brute_min_over_codes
 from klcodes.solver import existence_threshold, g_of_beta, solve_avg_redundancy, solve_gg
@@ -418,3 +418,11 @@ def test_every_scored_candidate_asks_the_solvers_tilted_root(monkeypatch):
         if result.regime == "interior":
             assert set(solver._hedged_codes(mu, 2)) <= set(seen)
     assert len(exact) == 3  # two rootless interior candidates and the limit code
+
+
+def test_arity_above_ten_solves_but_cannot_spell_codewords():
+    # the codewords are spelled on reading them, in single-character digits
+    result = solve_gg(DivergenceBall(SKEWED, 0.05), arity=11)
+    assert result.lengths.lengths == (1, 1, 1)
+    with pytest.raises(LimitExceededError):
+        result.codewords

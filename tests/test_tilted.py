@@ -311,6 +311,38 @@ def test_root_in_beta_brackets_a_jump():
     assert beta == seen[gaps.index(min(gaps))]
 
 
+def test_root_in_beta_takes_the_midpoint_where_the_secant_rounds_onto_hi():
+    # the divergence jumps just below beta = 2 to 1e-300 above a tiny radius;
+    # after the first secant step lands below the jump, the next one moves
+    # hi by about 1e-20 and rounds onto hi, so the midpoint is taken instead
+    radius = 1e-290
+
+    def g(beta):
+        return radius + 1e-300 if beta >= 2.0 - 1e-11 else 0.0
+
+    seen = []
+
+    def evaluate(beta):
+        seen.append(beta)
+        return g(beta), beta
+
+    assert _root_in_beta(evaluate, radius, 0.0) == 2.0
+    assert seen[:2] == [1.0, 2.0]
+    assert len(set(seen)) == len(seen)
+    lo, hi = 1.0, 2.0
+    midpoints = 0
+    for b in seen[2:]:
+        assert lo < b < hi
+        midpoints += b == 0.5 * (lo + hi)
+        if g(b) < radius:
+            lo = b
+        else:
+            hi = b
+    assert seen[3] == 0.5 * (seen[2] + 2.0)
+    assert midpoints == len(seen) - 3
+    assert hi - lo <= 1e-15 * max(1.0, hi)
+
+
 def test_tilted_root_takes_few_tilts(monkeypatch):
     # the codes a solver scores (its hedged Huffman codes) at interior radii;
     # secant steps reach the radius in a handful of tilts after the doublings,
