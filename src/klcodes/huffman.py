@@ -1,6 +1,6 @@
 """Code-construction kernels.
 
-Three greedy tree builders share one heap loop and differ only in how a
+Three greedy tree builders run one merge loop and differ only in how a
 merged node's weight is formed from its children:
 
   huffman             new = a_1 + ... + a_D          (minimizes sum w_k * l_k)
@@ -9,27 +9,30 @@ merged node's weight is formed from its children:
   max_huffman         new = D * max(a_1, ..., a_D)
                                           (minimizes max_k  w_k * D^l_k)
 
-Weights live in log-domain throughout: D^(beta*l) overflows for moderate
-beta, and the limit checks push beta to 1e3.  Zero weights map to -inf and
-behave correctly under both combining rules.
+Plain Huffman merges its linear weights: sums of nonnegative finite
+weights cannot leave the float range except by overflowing to inf, which
+still orders correctly.  The exponential and max rules work on
+log-weights: D^(beta*l) overflows for moderate beta, and the limit checks
+push beta to 1e3.  Zero log-weights are -inf and behave correctly under
+both of their combining rules.
 
 Ties are broken by (weight, creation order), original items before merged
 nodes, so outputs are deterministic across runs and platforms.  For D > 2
 the weight list is padded with zero-weight dummies until (M'-1) mod (D-1)
 = 0; dummy leaves are dropped from the returned vector.
 
-The heap holds (log-weight, node id) tuples and the tree is a parent
-array, so a build makes no node objects.  The sum and exponential merges
-run on Python floats, rounded exactly as core.log_sum_exp rounds, so the
-depths match those of its array form bit for bit.  A sort-once two-queue
-merge would save the heap, but a merged log-weight, once rounded, need not
-come out nondecreasing, and near-ties could then merge in another order.
+The leaves are sorted once; only merged nodes go on a heap, because a
+rounded exponential merge need not come out above the merges before it,
+so merged weights do not form a sorted queue.  The tree is a parent
+array, so a build makes no node objects.  The exponential merge runs on
+Python floats, rounded exactly as core.log_sum_exp rounds, so its depths
+match those of the array form bit for bit.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -52,29 +55,53 @@ def _dummy_count(m: int, arity: int) -> int:
     return (-(m - 1)) % (arity - 1)
 
 
-def _build_tree(log_weights, arity, combine) -> list[int]:
+def _build_tree(weights, arity, combine) -> list[int]:
     """Run the greedy merge loop; returns the depth of every leaf, dummies last.
 
-    Heap entries are (log_weight, node_id) tuples, node_id being creation
-    order.  combine gets the children's log-weights in pop order, so
-    ascending with the largest last.
+    Missing dummies are padded as -inf, the log-domain zero; a caller on
+    linear weights passes its 0.0 dummies already padded.  The leaves are
+    sorted once by (weight, id) and merged nodes go on a heap of
+    (weight, node_id) tuples, node_id being creation order.  Each pop
+    takes the smaller of the front leaf and the heap top; a leaf wins a
+    tie, its id being the smaller, so the pop order is that of one heap
+    holding every node.  combine gets the children's weights in pop
+    order, so ascending with the largest last.
     """
-    m = len(log_weights)
+    m = len(weights)
     leaves = m + _dummy_count(m, arity)
-    heap = [(lw, i) for i, lw in enumerate(log_weights)]
-    heap.extend((-math.inf, i) for i in range(m, leaves))
-    heapq.heapify(heap)
+    weights = list(weights) + [-math.inf] * (leaves - m)
+    order = sorted(range(leaves), key=weights.__getitem__)
     nodes = leaves + (leaves - 1) // (arity - 1)
+    # sentinels: nan is never <= a merged weight, and no leaf weighs above inf
+    queue = [weights[leaf] for leaf in order] + [math.nan]
+    merged = [(math.inf, nodes)]
     parent = [0] * nodes
+    front = 0
+    pops = range(arity)
     for node in range(leaves, nodes):
-        children = [heapq.heappop(heap) for _ in range(arity)]
-        heapq.heappush(heap, (combine([lw for lw, _ in children]), node))
-        for _, child in children:
-            parent[child] = node
+        children = []
+        for _ in pops:
+            weight = queue[front]
+            if weight <= merged[0][0]:
+                parent[order[front]] = node
+                front += 1
+            else:
+                weight, child = heappop(merged)
+                parent[child] = node
+            children.append(weight)
+        heappush(merged, (combine(children), node))
     depths = [0] * nodes
     for node in range(nodes - 2, -1, -1):
         depths[node] = depths[parent[node]] + 1
     return depths[:leaves]
+
+
+def _sum_ascending(values: list[float]) -> float:
+    """Left-to-right float sum; the built-in sum compensates from Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _log_sum_exp_ascending(values: list[float]) -> float:
@@ -110,13 +137,14 @@ def _check_weights(weights, arity) -> np.ndarray:
 
 def _log_weights(w: np.ndarray) -> list[float]:
     with np.errstate(divide="ignore"):
-        return [float(x) for x in np.log(w)]
+        return np.log(w).tolist()
 
 
 def huffman(weights, arity: int = 2) -> CodeLengths:
     """Optimal integer lengths for expected length sum w_k * l_k."""
     w = _check_weights(weights, arity)
-    depths = _build_tree(_log_weights(w), arity, _log_sum_exp_ascending)
+    padded = w.tolist() + [0.0] * _dummy_count(w.size, arity)
+    depths = _build_tree(padded, arity, _sum_ascending)
     return CodeLengths(tuple(depths[: w.size]), arity=arity)
 
 

@@ -242,28 +242,31 @@ def test_scalar_log_sum_exp_rounds_like_array_form():
 
 @dataclass
 class WeightedItem:
-    """Node of the reference tree builder, ordered by (log_weight, creation_order)."""
+    """Node of the reference tree builder, ordered by (weight, creation_order)."""
 
-    log_weight: float
+    weight: float
     origin_index: int
     creation_order: int
     children: list["WeightedItem"] = field(default_factory=list)
 
     def __lt__(self, other: "WeightedItem") -> bool:
-        return (self.log_weight, self.creation_order) < (other.log_weight, other.creation_order)
+        return (self.weight, self.creation_order) < (other.weight, other.creation_order)
 
 
-def _reference_depths(log_weights, arity, combine) -> list[int]:
-    """The greedy merge loop on a heap of node objects, written out literally."""
-    m = len(log_weights)
+def _reference_depths(weights, arity, combine, dummy=-math.inf) -> list[int]:
+    """The greedy merge loop on a heap of node objects, written out literally.
+
+    Dummy leaves weigh `dummy`: -inf for log-weights, 0.0 for linear ones.
+    """
+    m = len(weights)
     pad = _dummy_count(m, arity)
-    heap = [WeightedItem(lw, i, i) for i, lw in enumerate(log_weights)]
-    heap.extend(WeightedItem(-math.inf, -1, m + j) for j in range(pad))
+    heap = [WeightedItem(w, i, i) for i, w in enumerate(weights)]
+    heap.extend(WeightedItem(dummy, -1, m + j) for j in range(pad))
     order = m + pad
     heapq.heapify(heap)
     while len(heap) > 1:
         children = [heapq.heappop(heap) for _ in range(arity)]
-        merged = WeightedItem(combine([c.log_weight for c in children]), -1, order, children)
+        merged = WeightedItem(combine([c.weight for c in children]), -1, order, children)
         order += 1
         heapq.heappush(heap, merged)
     depths = [0] * (m + pad)
@@ -278,6 +281,13 @@ def _reference_depths(log_weights, arity, combine) -> list[int]:
     return depths[:m]
 
 
+def _left_to_right_sum(values):
+    total = values[0]
+    for value in values[1:]:
+        total += value
+    return total
+
+
 def _reference_weights(rng, m: int, kind: str) -> np.ndarray:
     if kind == "ties":
         # small integers: equal leaves, and merged nodes equal to leaves
@@ -290,11 +300,12 @@ def _reference_weights(rng, m: int, kind: str) -> np.ndarray:
 
 
 def test_tree_builders_match_reference_heap():
-    # every combine rule, arities 2-4 (with -inf dummies at 3 and 4), exact
-    # ties, zero weights and tilts over nine decades must give the depths of
-    # the node-object heap, bit for bit
+    # every combine rule, arities 2-4 (with dummies at 3 and 4), exact ties,
+    # zero weights and tilts over nine decades must give the depths of the
+    # node-object heap, bit for bit: plain Huffman on linear weights with 0.0
+    # dummies, the other rules on log-weights with -inf dummies
     rng = np.random.default_rng(61)
-    sizes = list(range(2, 41)) + list(range(41, 301, 13)) + [255, 256, 257, 300]
+    sizes = list(range(2, 41)) + list(range(41, 301, 13)) + [255, 256, 257, 300, 1024]
     kinds = ("random", "ties", "zeros")
     for index, m in enumerate(sizes):
         for arity in (2, 3, 4):
@@ -302,7 +313,8 @@ def test_tree_builders_match_reference_heap():
             with np.errstate(divide="ignore"):
                 logw = [float(x) for x in np.log(w)]
             bump = math.log(arity)
-            assert list(huffman(w, arity).lengths) == _reference_depths(logw, arity, log_sum_exp)
+            assert list(huffman(w, arity).lengths) == _reference_depths(
+                w.tolist(), arity, _left_to_right_sum, dummy=0.0)
             assert list(max_huffman(w, arity).lengths) == _reference_depths(
                 logw, arity, lambda c: bump + max(c))
             if index % 5 == 0:
@@ -314,3 +326,23 @@ def test_tree_builders_match_reference_heap():
             expected = _reference_depths(
                 log_xi, arity, lambda c: tilt_bump + log_sum_exp(np.asarray(c)))
             assert list(exponential_huffman_log(log_xi, beta, arity).lengths) == expected
+
+
+def test_huffman_ties_cost_matches_log_domain_reference():
+    # on tied integer weights the linear and log-domain sums can round ties
+    # apart and so pick different trees, but never trees of different cost
+    rng = np.random.default_rng(71)
+    for m in list(range(2, 41)) + [64, 255, 256, 257, 1024]:
+        for arity in (2, 3, 4):
+            w = _reference_weights(rng, m, "ties")
+            logw = [float(x) for x in np.log(w)]
+            reference = _reference_depths(logw, arity, log_sum_exp)
+            assert expected_cost(huffman(w, arity), w) == pytest.approx(
+                float(np.dot(w, reference)), rel=1e-12, abs=0.0)
+
+
+def test_huffman_edge_weights_pinned():
+    # partial sums that overflow to inf or stay in the subnormal range
+    assert huffman([1e308] * 5).lengths == (3, 3, 2, 2, 2)
+    assert huffman([1e308, 1e308, 1e307, 1e306, 5e307, 1.7e308]).lengths == (3, 2, 5, 5, 4, 1)
+    assert huffman([5e-324, 5e-324, 1e-323, 0.0]).lengths == (3, 2, 1, 3)
