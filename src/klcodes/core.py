@@ -102,9 +102,13 @@ class CodeLengths:
         if not lengths:
             raise DomainError("empty length vector")
         if self.is_integer:
-            if any(l != int(l) or l < 1 for l in lengths):
+            try:
+                integers = tuple(map(int, lengths))
+            except (ValueError, OverflowError):  # NaN, inf
+                raise DomainError(f"integer lengths must be finite integers, got {lengths}") from None
+            if integers != lengths or min(integers) < 1:
                 raise DomainError(f"integer lengths must be positive, got {lengths}")
-            lengths = tuple(int(l) for l in lengths)
+            lengths = integers
             if not kraft_integer_ok(lengths, self.arity):
                 raise KraftViolationError(f"Kraft sum exceeds 1 for {lengths}")
         else:

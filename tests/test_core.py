@@ -172,6 +172,15 @@ def test_code_lengths_reject_nonpositive():
         CodeLengths((0, 2, 2), arity=2)
 
 
+def test_code_lengths_reject_nonfinite():
+    # int() of these raises OverflowError or ValueError, which no caller maps
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            CodeLengths((bad, 1), arity=2)
+        with pytest.raises(DomainError):
+            CodeLengths((1, 2, bad), arity=3)
+
+
 def test_prefix_code_rejects_prefix_clash():
     lengths = CodeLengths((1, 2, 2), arity=2)
     with pytest.raises(DomainError):
