@@ -9,12 +9,12 @@ merged node's weight is formed from its children:
   max_huffman         new = D * max(a_1, ..., a_D)
                                           (minimizes max_k  w_k * D^l_k)
 
-Plain Huffman merges its linear weights: sums of nonnegative finite
-weights cannot leave the float range except by overflowing to inf, which
-still orders correctly.  The exponential and max rules work on
-log-weights: D^(beta*l) overflows for moderate beta, and the limit checks
-push beta to 1e3.  Zero log-weights are -inf and behave correctly under
-both of their combining rules.
+Plain Huffman merges its linear weights: nonnegative weights need no log
+domain, and a sum that overflows to inf merges last, its ties broken by
+creation order.  The exponential and max rules work on log-weights:
+D^(beta*l) overflows for moderate beta, and the limit checks push beta
+to 1e3.  Zero log-weights are -inf and behave correctly under both of
+their combining rules.
 
 Ties are broken by (weight, creation order), original items before merged
 nodes, so outputs are deterministic across runs and platforms.  For D > 2
