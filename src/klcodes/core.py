@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -251,9 +252,13 @@ def _kraft_sum_raw(lengths: Iterable[float], arity: int) -> float:
 
 
 def kraft_integer_ok(lengths: Sequence[int], arity: int) -> bool:
-    """Exact Kraft check for integer lengths: sum D^(L-l_i) <= D^L."""
-    lmax = max(lengths)
-    return sum(arity ** (lmax - l) for l in lengths) <= arity ** lmax
+    """Exact Kraft check for integer lengths: sum D^(L-l_i) <= D^L.
+
+    Summed over the distinct depths, each power once times its count.
+    """
+    counts = Counter(lengths)
+    lmax = max(counts)
+    return sum(n * arity ** (lmax - l) for l, n in counts.items()) <= arity ** lmax
 
 
 def pinsker_upper(m: float, radius: float) -> float:
