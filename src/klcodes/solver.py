@@ -8,8 +8,13 @@ located by tilted._root_in_beta, the bracket doubling and Illinois regula
 falsi that tilted_root runs for a fixed code, with g_of_beta as its probe
 and every probe recorded.  Because the inner problem is discrete, the
 divergence-vs-beta curve can jump where the optimal length multiset
-changes, so every probed candidate code is kept and the winner is chosen by
-its exact supremum over the ball, not by the root alone.
+changes, so every probed candidate code is kept (with the hedged codes and
+the limit code) and the winner is chosen by its exact supremum over the
+ball, not by the root alone.  Scoring is exact but lazy: the code of the
+closest probe is scored first, and a later candidate is scored only when
+no value it provably reaches inside the ball (at the incumbent's worst
+case, or at one of its own closed-form tilts) already exceeds the
+incumbent's supremum; a candidate so ruled out cannot win.
 
 Outside that range the solvers degrade explicitly: R = 0 reduces to plain
 Huffman coding, and R at or beyond the threshold returns the minimax
@@ -23,22 +28,34 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
+import numpy as np
+
 from .core import CodeLengths, Distribution, DivergenceBall, PrefixCode
 from .errors import BoundaryRegimeError, NoConvergenceError, ZeroProbabilityError
 from .huffman import canonical_codewords, exponential_huffman_log, huffman, max_huffman
 from .tilted import (
     MAX_DOUBLINGS,
     LimitPoint,
+    _log_ratios,
     _root_in_beta,
+    _tilt,
+    _tilt_moments,
     avg_redundancy,
     exact_avg_sup,
     gg_utility,
-    nu_circ,
     nu_infinity,
     tilted_root,
 )
 
 Regime = Literal["interior", "boundary", "zero_radius", "reduced"]
+
+# a candidate is skipped when a value it reaches in the ball exceeds the
+# incumbent's by more than this times max(1, |value|) (tilted._tilt_moments
+# argues why that is enough); _reaches_above looks for such a value with at
+# most _BOUND_TILTS closed-form tilts
+_SKIP_MARGIN = 1e-7
+_BOUND_TILTS = 8
+_LOG_2, _LOG_4 = math.log(2.0), math.log(4.0)
 
 
 @dataclass(frozen=True)
@@ -87,7 +104,8 @@ def g_of_beta(mu: Distribution, arity: int, beta: float) -> tuple[float, CodeLen
     """
     log_xi = [(beta + 1.0) * math.log(p) for p in mu.probs]
     lengths = exponential_huffman_log(log_xi, beta, arity)
-    return nu_circ(mu, lengths, beta).divergence_from_center, lengths
+    log_r = _log_ratios(mu, lengths)
+    return _tilt(mu.as_array(), log_r - np.max(log_r), beta)[0], lengths
 
 
 def _eval_utility(objective: str, lengths: CodeLengths, nu: Distribution, mu: Distribution) -> float:
@@ -130,8 +148,54 @@ def _hedged_codes(mu: Distribution, arity: int) -> list[CodeLengths]:
     optimum sits on this family rather than on the tilt path, whose codes
     only steepen with beta.
     """
-    return [huffman([(1.0 - t) * p + t / mu.m for p in mu.probs], arity)
+    m = mu.m
+    return [huffman([(1.0 - t) * p + t / m for p in mu.probs], arity)
             for t in (i / 20.0 for i in range(21))]
+
+
+def _reaches_above(
+    objective: str,
+    p: np.ndarray,
+    log_p: np.ndarray,
+    radius: float,
+    lengths: CodeLengths,
+    incumbent: tuple[np.ndarray, float, float],
+    limit: float,
+) -> bool:
+    """Whether the code provably reaches a value above limit inside the ball.
+
+    incumbent is (worst, rest, beta): the incumbent's worst case, the part
+    of a value there that no length touches (sum nu log nu / log D for
+    avg-red, <nu, log mu> / log D for gg) and the incumbent's beta (1
+    without one).  The first value tried is the code's at that worst case.
+    Then come at most _BOUND_TILTS closed-form tilts of the code
+    (tilted._tilt_moments) from that beta.  Along the tilt the divergence
+    and the value both grow with beta, so the best bound is the in-ball tilt
+    nearest the root.  Each next beta is a Newton step on log D against
+    log beta, kept between halving and quadrupling beta.  Where log D is
+    concave in log beta, as near mu (D about beta^2 Var / 2) and toward the
+    limit (D levels off), that step lands inside the ball from either side.
+    """
+    worst, rest, beta = incumbent
+    l = lengths.as_array()
+    log_d = math.log(lengths.arity)
+    if float(worst @ l) + rest > limit:
+        return True
+    log_r = log_p + l * log_d
+    top = float(np.max(log_r))
+    centred = log_r - top
+    for _ in range(_BOUND_TILTS):
+        divergence, mean, var = _tilt_moments(p, centred, beta)
+        if divergence <= radius:
+            nats = mean + top if objective == "gg" else divergence + mean + top
+            if nats / log_d > limit:
+                return True
+        # d log D / d log beta, with dD / dbeta = beta Var_nu(centred)
+        slope = beta * beta * var / divergence if divergence > 0.0 else 0.0
+        if not slope > 0.0:
+            return False
+        beta *= math.exp(min(_LOG_4, max(-_LOG_2, math.log(radius / divergence) / slope)))
+    return False
 
 
 def _best_candidate(
@@ -142,14 +206,40 @@ def _best_candidate(
     tol: float,
     regime: Regime,
     trace: Optional[BetaSolveTrace],
+    first: Optional[CodeLengths] = None,
 ) -> RobustCodeResult:
     """The candidate with the least exact supremum; ties go to the smaller
-    tilt, then to the earlier candidate."""
-    scored = []
-    for position, lengths in enumerate(candidates):
+    tilt, then to the earlier candidate.
+
+    Exact but lazy.  first (the code of the solver's closest probe; else the
+    first candidate) is scored first.  A later candidate is scored by
+    _candidate_sup only when _reaches_above finds no value it reaches in the
+    ball above the incumbent's value plus the rounding margin _SKIP_MARGIN.
+    A skipped candidate's supremum is strictly above the incumbent's, so the
+    winner, its beta, its worst case and the tie order (value, beta,
+    position) are those of scoring every candidate; a rootless avg-red
+    candidate that is skipped never needs exact_avg_sup.
+    """
+    candidates = list(candidates)
+    start = 0 if first is None else candidates.index(first)
+    p = mu.as_array()
+    log_p = np.log(p)
+    best = incumbent = None
+    for position in (start, *(k for k in range(len(candidates)) if k != start)):
+        lengths = candidates[position]
+        if best is not None:
+            limit = best[0] + _SKIP_MARGIN * max(1.0, abs(best[0]))
+            if _reaches_above(objective, p, log_p, radius, lengths, incumbent, limit):
+                continue
         value, worst, beta = _candidate_sup(objective, mu, radius, lengths, tol)
-        scored.append((value, beta if beta is not None else math.inf, position, lengths, worst))
-    value, beta, _, lengths, worst = min(scored, key=lambda item: item[:3])
+        item = (value, beta if beta is not None else math.inf, position, lengths, worst)
+        if best is None or item[:3] < best[:3]:
+            best = item
+            nu = worst.as_array()
+            nz = nu > 0.0
+            rest = float(nu[nz] @ (log_p[nz] if objective == "gg" else np.log(nu[nz])))
+            incumbent = (nu, rest / math.log(lengths.arity), 1.0 if beta is None else beta)
+    value, beta, _, lengths, worst = best
     return RobustCodeResult(
         lengths=lengths,
         beta=None if beta == math.inf else beta,
@@ -203,22 +293,23 @@ def _solve(
 
     # interior: the tilt root search of tilted_root, keeping every candidate
     # code a probe meets (an ordered set) after the hedged codes and the
-    # limit code
+    # limit code; the closest probe's code is scored first
     probes: list[tuple[float, float]] = []
     candidates = dict.fromkeys((*_hedged_codes(mu, arity), limit_code))
 
-    def probe(beta: float) -> tuple[float, float]:
+    def probe(beta: float) -> tuple[float, CodeLengths]:
         divergence, lengths = g_of_beta(mu, arity, beta)
         candidates.setdefault(lengths)
         probes.append((beta, divergence))
-        return divergence, beta
+        return divergence, lengths
 
-    if _root_in_beta(probe, radius, tol) is None:
+    closest = _root_in_beta(probe, radius, tol)
+    if closest is None:
         raise NoConvergenceError(
             f"no tilt bracket within {MAX_DOUBLINGS} doublings for radius {radius}"
         )
     trace = BetaSolveTrace(probes=tuple(probes))
-    return _best_candidate(objective, mu, radius, candidates, tol, "interior", trace)
+    return _best_candidate(objective, mu, radius, candidates, tol, "interior", trace, closest)
 
 
 def solve_avg_redundancy(

@@ -103,6 +103,38 @@ def _tilt(p: np.ndarray, centred: np.ndarray, beta: float) -> tuple[float, np.nd
     return array_divergence(nu, p), raw
 
 
+def _tilt_moments(p: np.ndarray, centred: np.ndarray, beta: float) -> tuple[float, float, float]:
+    """Divergence from p of the tilt nu at beta, and the mean and variance of centred under nu.
+
+    With c = centred, Z = sum p e^(beta c) and <nu, c> = sum p c e^(beta c) / Z,
+    the divergence is D = beta <nu, c> - log Z, the identity behind
+    decomposition_terms, and dD/dbeta = beta Var_nu(c): one exp and three
+    dot products, no Distribution.  p must be positive.
+    It is not bit-matched to _tilt; solver._best_candidate uses it only for
+    lower bounds, and skips a candidate only when such a value exceeds the
+    incumbent's by more than 1e-7 max(1, |value|).  That margin is enough:
+    - c <= 0 with a 0 entry, so Z lies in [min p, 1], and D >= 0 forces
+      0 <= -beta <nu, c> <= -log Z <= -log min p.  D is a difference of two
+      such terms, each off by a few M ulps of -log min p, at most about
+      1e-11 (M = 1024, p down to 1e-300); so is the value, D + <nu, log r>
+      for avg-red and <nu, log r> for gg, in nats.
+    - A tilt whose computed D is at most R lies in the ball up to that
+      rounding, and a candidate's scored root lies within the root tolerance
+      (1e-12) of the shell, as does an incumbent's worst case.  A radius
+      offset t moves a supremum by about (1 + 1/beta) t for avg-red and by
+      t / beta for gg, beta being the candidate's root; below the margin
+      whenever beta > 2e-5.  Near mu, D is about beta^2 Var_mu(c) / 2, so
+      such a beta needs a radius of about 1e-8 nats or less, where the root
+      tolerance alone already moves a value by that much.
+    """
+    e = np.exp(beta * centred)
+    total = float(p @ e)
+    ec = e * centred
+    mean = float(p @ ec) / total
+    var = float(p @ (ec * centred)) / total - mean * mean
+    return beta * mean - math.log(total), mean, var
+
+
 def xi(mu: Distribution, beta: float) -> Distribution:
     """Tilted weight distribution xi_k ∝ mu_k^(beta+1)."""
     if not (beta > 0.0):

@@ -208,6 +208,26 @@ def test_code_beyond_exact_range_exits_6(capsys, tmp_path, monkeypatch):
     assert "12 symbols" in err
 
 
+def test_exit_6_only_for_a_rootless_candidate_not_ruled_out(capsys, tmp_path):
+    # 16 symbols: at 0.5 r_max the rootless avg-red candidate is ruled out by
+    # a value it reaches in the ball; at 0.8 r_max one is not
+    from klcodes import existence_threshold, validate_distribution
+
+    weights = (0.014516, 0.057579, 0.222358, 0.138804, 0.014951, 0.033002, 0.120653,
+               0.019007, 0.029692, 0.044114, 0.032162, 0.018431, 0.143972, 0.031825,
+               0.071458, 0.007477)
+    probs = [w / sum(weights) for w in weights]
+    r_max = existence_threshold(validate_distribution(probs))[0]
+    path = tmp_path / "sixteen.json"
+    path.write_text(json.dumps({"probs": probs}))
+    argv = ["code", str(path), "--objective", "avg-red", "--radius"]
+    status, out, _ = run(capsys, [*argv, repr(0.5 * r_max)])
+    assert status == 0
+    assert json.loads(out)["lengths"] == [6, 4, 2, 3, 6, 5, 3, 5, 5, 5, 5, 6, 3, 5, 4, 6]
+    status, out, err = run(capsys, [*argv, repr(0.8 * r_max)])
+    assert status == 6 and out == "" and "12 symbols" in err
+
+
 def test_code_nml_tv(capsys, tmp_path):
     path = tmp_path / "two.json"
     path.write_text(json.dumps({"probs": [0.6, 0.4]}))

@@ -390,12 +390,15 @@ def test_every_probe_is_a_g_of_beta_call(monkeypatch):
 
 
 def test_every_scored_candidate_asks_the_solvers_tilted_root(monkeypatch):
-    # each candidate code is scored once, through the tilted_root bound in
-    # the solver module, including those whose supremum needs exact_avg_sup
+    # every candidate is either scored once, through the tilted_root bound in
+    # the solver module (exact_avg_sup only ever for a scored one), or
+    # rejected; a rejected candidate's full supremum is strictly above the
+    # winner's
     from klcodes import solver
 
-    seen, exact = [], []
+    seen, exact, offered = [], [], []
     original_root, original_sup = solver.tilted_root, solver.exact_avg_sup
+    original_best = solver._best_candidate
 
     def counted_root(mu, lengths, radius, tol=1e-12):
         seen.append(lengths)
@@ -405,19 +408,36 @@ def test_every_scored_candidate_asks_the_solvers_tilted_root(monkeypatch):
         exact.append(lengths)
         return original_sup(mu, lengths, radius, tol=tol)
 
+    def recorded_best(objective, mu, radius, candidates, *args):
+        offered[:] = candidates
+        return original_best(objective, mu, radius, candidates, *args)
+
     monkeypatch.setattr(solver, "tilted_root", counted_root)
     monkeypatch.setattr(solver, "exact_avg_sup", counted_sup)
+    monkeypatch.setattr(solver, "_best_candidate", recorded_best)
     mu = validate_distribution([0.5, 0.2, 0.15, 0.1, 0.05])
     r_max, _, limit_code = existence_threshold(mu)
-    for solve, radius in ((solve_avg_redundancy, 0.5 * r_max), (solve_gg, 0.5 * r_max),
-                          (solve_avg_redundancy, r_max), (solve_gg, r_max)):
+    rejected = 0
+    for solve, objective, radius in ((solve_avg_redundancy, "avg-red", 0.5 * r_max),
+                                     (solve_gg, "gg", 0.5 * r_max),
+                                     (solve_avg_redundancy, "avg-red", r_max),
+                                     (solve_gg, "gg", r_max)):
         seen.clear()
+        exact.clear()
         result = solve(DivergenceBall(mu, radius))
-        assert len(seen) == len(set(seen))
-        assert limit_code in seen and result.lengths in seen
+        scored = list(seen)
+        assert len(scored) == len(set(scored)) and set(scored) <= set(offered)
+        assert set(exact) <= set(scored)
+        assert limit_code in offered and result.lengths in scored
         if result.regime == "interior":
-            assert set(solver._hedged_codes(mu, 2)) <= set(seen)
-    assert len(exact) == 3  # two rootless interior candidates and the limit code
+            assert set(solver._hedged_codes(mu, 2)) <= set(offered)
+        else:
+            assert scored[0] == limit_code
+        for lengths in set(offered) - set(scored):
+            value = solver._candidate_sup(objective, mu, radius, lengths, 1e-9)[0]
+            assert value > result.achieved_utility
+            rejected += 1
+    assert rejected > 0
 
 
 def test_arity_above_ten_solves_but_cannot_spell_codewords():
@@ -426,3 +446,76 @@ def test_arity_above_ten_solves_but_cannot_spell_codewords():
     assert result.lengths.lengths == (1, 1, 1)
     with pytest.raises(LimitExceededError):
         result.codewords
+
+
+def _score_every_candidate(objective, mu, radius, candidates, tol, regime, trace, first=None):
+    # reference: the exact supremum of every candidate, least by (value,
+    # beta, position), with nothing skipped
+    from klcodes import solver
+
+    scored = []
+    for position, lengths in enumerate(candidates):
+        value, worst, beta = solver._candidate_sup(objective, mu, radius, lengths, tol)
+        scored.append((value, beta if beta is not None else math.inf, position, lengths, worst))
+    value, beta, _, lengths, worst = min(scored, key=lambda item: item[:3])
+    return solver.RobustCodeResult(lengths=lengths, beta=None if beta == math.inf else beta,
+                                   worst_case=worst, achieved_utility=value, regime=regime,
+                                   trace=trace)
+
+
+def _outcome(solve, ball):
+    try:
+        result = solve(ball)
+    except LimitExceededError:
+        return "LimitExceededError"
+    return repr((result.lengths, result.beta, result.worst_case, result.achieved_utility,
+                 result.regime))
+
+
+def test_skipping_candidates_matches_scoring_every_one(monkeypatch):
+    # the skipped candidates are provably worse, so every result is
+    # repr-identical to scoring them all; the only outcome that may move is
+    # LimitExceededError from a rootless avg-red candidate that is skipped
+    from klcodes import solver
+
+    rng = np.random.default_rng(3)
+    compared = moved = 0
+    for m in (4, 5, 7, 9, 12, 16, 24, 40, 64):
+        p = np.maximum(rng.dirichlet(np.ones(m)), 1e-6)
+        mu = validate_distribution((p / p.sum()).tolist())
+        r_max = existence_threshold(mu)[0]
+        cases = [(solve, fraction * r_max) for fraction in (0.05, 0.3, 0.6, 0.95)
+                 for solve in (solve_avg_redundancy, solve_gg)]
+        # boundary gg, where hedged codes can still beat the limit code
+        cases.append((solve_gg, 0.5 * (r_max - math.log(min(mu.probs)))))
+        for solve, radius in cases:
+            ball = DivergenceBall(mu, radius)
+            lazy = _outcome(solve, ball)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_best_candidate", _score_every_candidate)
+                full = _outcome(solve, ball)
+            if full == "LimitExceededError" and lazy != full:
+                moved += 1
+            else:
+                assert lazy == full, (m, radius, solve.__name__)
+                compared += 1
+    assert compared >= 75 and moved >= 1
+
+
+PINNED_16 = (0.014516, 0.057579, 0.222358, 0.138804, 0.014951, 0.033002, 0.120653, 0.019007,
+             0.029692, 0.044114, 0.032162, 0.018431, 0.143972, 0.031825, 0.071458, 0.007477)
+
+
+def test_provably_worse_rootless_candidate_needs_no_exact_sup():
+    # at 0.5 r_max the only candidate that needs exact_avg_sup (rootless, 16
+    # symbols) reaches more in the ball than the winner, so it is skipped;
+    # at 0.8 and 0.95 r_max a rootless candidate cannot be ruled out
+    mu = validate_distribution([w / sum(PINNED_16) for w in PINNED_16])
+    r_max = existence_threshold(mu)[0]
+    result = solve_avg_redundancy(DivergenceBall(mu, 0.5 * r_max))
+    assert result.regime == "interior"
+    assert result.lengths.lengths == (6, 4, 2, 3, 6, 5, 3, 5, 5, 5, 5, 6, 3, 5, 4, 6)
+    assert result.achieved_utility == pytest.approx(2.62760, abs=5e-6)
+    for fraction in (0.8, 0.95):
+        with pytest.raises(LimitExceededError):
+            solve_avg_redundancy(DivergenceBall(mu, fraction * r_max))
