@@ -17,6 +17,8 @@ _tilt, nu_infinity runs _face_limit, and tilted_root feeds _tilt to the
 bracket search _root_in_beta (doubling, then Illinois regula falsi), which
 the solver runs with g_of_beta as its probe.  exact_avg_sup asks
 tilted_root first.  Off the support log p is -inf, so no mask is needed.
+_tilt_moments is the closed-form tilt that the solver uses only to rule
+candidates out (lower bounds), never to report a point.
 
 All exponentials are evaluated in log-domain with max subtraction, and
 the tilt's exponent is centred on the largest log-ratio, since beta can
