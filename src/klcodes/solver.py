@@ -4,17 +4,23 @@ Two objectives share one engine.  For radius R strictly between zero and
 the existence threshold, the worst case inside the ball is the tilted
 point whose divergence equals R, and the matching code comes from
 exponential Huffman coding of the tilted weights; the tilt parameter is
-located by tilted._root_in_beta, the bracket doubling and Illinois regula
-falsi that tilted_root runs for a fixed code, with g_of_beta as its probe
-and every probe recorded.  Because the inner problem is discrete, the
-divergence-vs-beta curve can jump where the optimal length multiset
-changes, so every probed candidate code is kept (with the hedged codes and
-the limit code) and the winner is chosen by its exact supremum over the
-ball, not by the root alone.  Scoring is exact but lazy: the code of the
-closest probe is scored first, and a later candidate is scored only when
-no value it provably reaches inside the ball (at the incumbent's worst
-case, or at one of its own closed-form tilts) already exceeds the
-incumbent's supremum; a candidate so ruled out cannot win.
+located by tilted._root_in_beta, the bracket search that tilted_root runs
+for a fixed code, with g_of_beta as its probe and every probe recorded.
+Each probe also suggests the own root of the code it built
+(tilted._own_root: closed-form tilts, no build), and the search probes
+there when that lies inside its bracket; a probe whose code is unchanged
+there lands within tol and ends the search.  Doubling and Illinois steps
+remain for suggestions that fall outside the bracket.  Because the inner
+problem is discrete, the divergence-vs-beta curve can jump where the
+optimal length multiset changes (and so cross R more than once; the search
+stops at one crossing), so every probed candidate code is kept (with the
+hedged codes and the limit code) and the winner is chosen by its exact
+supremum over the ball, not by the root alone.  Scoring is exact but
+lazy: the code of the closest probe is scored first, and a later
+candidate is scored only when no value it provably reaches inside the
+ball (at the incumbent's worst case, or at one of its own closed-form
+tilts) already exceeds the incumbent's supremum; a candidate so ruled out
+cannot win.
 
 Outside that range the solvers degrade explicitly: R = 0 reduces to plain
 Huffman coding, and R at or beyond the threshold returns the minimax
@@ -37,9 +43,11 @@ from .tilted import (
     MAX_DOUBLINGS,
     LimitPoint,
     _log_ratios,
+    _own_root,
     _root_in_beta,
     _tilt,
     _tilt_moments,
+    _tilt_step,
     avg_redundancy,
     exact_avg_sup,
     gg_utility,
@@ -55,7 +63,6 @@ Regime = Literal["interior", "boundary", "zero_radius", "reduced"]
 # most _BOUND_TILTS closed-form tilts
 _SKIP_MARGIN = 1e-7
 _BOUND_TILTS = 8
-_LOG_2, _LOG_4 = math.log(2.0), math.log(4.0)
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,8 @@ def g_of_beta(mu: Distribution, arity: int, beta: float) -> tuple[float, CodeLen
     log-domain and unnormalized (the coder is scale invariant); a linear
     round trip would underflow them at large beta.
     """
+    if 0.0 in mu.probs:
+        raise ZeroProbabilityError("tilted weights need strictly positive probabilities")
     log_xi = [(beta + 1.0) * math.log(p) for p in mu.probs]
     lengths = exponential_huffman_log(log_xi, beta, arity)
     log_r = _log_ratios(mu, lengths)
@@ -171,8 +180,9 @@ def _reaches_above(
     Then come at most _BOUND_TILTS closed-form tilts of the code
     (tilted._tilt_moments) from that beta.  Along the tilt the divergence
     and the value both grow with beta, so the best bound is the in-ball tilt
-    nearest the root.  Each next beta is a Newton step on log D against
-    log beta, kept between halving and quadrupling beta.  Where log D is
+    nearest the root.  Each next beta is tilted._tilt_step toward the
+    radius: a Newton step on log D against log beta, kept between halving
+    and quadrupling beta.  Where log D is
     concave in log beta, as near mu (D about beta^2 Var / 2) and toward the
     limit (D levels off), that step lands inside the ball from either side.
     """
@@ -190,11 +200,9 @@ def _reaches_above(
             nats = mean + top if objective == "gg" else divergence + mean + top
             if nats / log_d > limit:
                 return True
-        # d log D / d log beta, with dD / dbeta = beta Var_nu(centred)
-        slope = beta * beta * var / divergence if divergence > 0.0 else 0.0
-        if not slope > 0.0:
+        beta = _tilt_step(beta, divergence, var, radius)
+        if beta is None:
             return False
-        beta *= math.exp(min(_LOG_4, max(-_LOG_2, math.log(radius / divergence) / slope)))
     return False
 
 
@@ -296,12 +304,13 @@ def _solve(
     # limit code; the closest probe's code is scored first
     probes: list[tuple[float, float]] = []
     candidates = dict.fromkeys((*_hedged_codes(mu, arity), limit_code))
+    p = mu.as_array()
 
-    def probe(beta: float) -> tuple[float, CodeLengths]:
+    def probe(beta: float) -> tuple[float, CodeLengths, Optional[float]]:
         divergence, lengths = g_of_beta(mu, arity, beta)
         candidates.setdefault(lengths)
         probes.append((beta, divergence))
-        return divergence, lengths
+        return divergence, lengths, _own_root(p, _log_ratios(mu, lengths), beta, radius, tol)
 
     closest = _root_in_beta(probe, radius, tol)
     if closest is None:

@@ -8,7 +8,12 @@ import pytest
 
 import klcodes
 from klcodes.core import DivergenceBall, kl_divergence, validate_distribution
-from klcodes.errors import BoundaryRegimeError, LimitExceededError, NoConvergenceError
+from klcodes.errors import (
+    BoundaryRegimeError,
+    LimitExceededError,
+    NoConvergenceError,
+    ZeroProbabilityError,
+)
 from klcodes.huffman import expected_cost, huffman
 from klcodes.oracle import ball_sample, brute_min_over_codes
 from klcodes.solver import existence_threshold, g_of_beta, solve_avg_redundancy, solve_gg
@@ -519,3 +524,123 @@ def test_provably_worse_rootless_candidate_needs_no_exact_sup():
     for fraction in (0.8, 0.95):
         with pytest.raises(LimitExceededError):
             solve_avg_redundancy(DivergenceBall(mu, fraction * r_max))
+
+
+def _reference_root_in_beta(evaluate, radius, tol):
+    # the bracket search before own-root suggestions: doubling from beta = 1,
+    # then Illinois regula falsi, stopping on the closest probe within tol
+    from klcodes import tilted
+
+    lo, hi = 0.0, 1.0
+    best = evaluate(hi)
+    f_lo = -radius
+    for _ in range(tilted.MAX_DOUBLINGS):
+        if best[0] >= radius:
+            break
+        lo, below, f_lo = hi, best, best[0] - radius
+        hi *= 2.0
+        best = evaluate(hi)
+    if best[0] < radius:
+        return None
+    f_hi = best[0] - radius
+    if lo and tol < f_hi and -f_lo < f_hi:
+        best = below
+    moved = 0
+    for _ in range(200):
+        if abs(best[0] - radius) <= tol:
+            break
+        step = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        probe = evaluate(step)
+        f = probe[0] - radius
+        if abs(f) < abs(best[0] - radius):
+            best = probe
+        if f < 0.0:
+            lo, f_lo = step, f
+            if moved < 0:
+                f_hi *= 0.5
+            moved = -1
+        else:
+            hi, f_hi = step, f
+            if moved > 0:
+                f_lo *= 0.5
+            moved = 1
+        if hi - lo <= 1e-15 * max(1.0, hi):
+            break
+    return best[1]
+
+
+def _reference_interior(objective, ball, arity, tol=1e-9):
+    # the interior solve with the reference search driving g_of_beta; every
+    # probe code is kept, after the hedged codes and the limit code
+    from klcodes import solver
+
+    mu, radius = ball.center, ball.radius
+    limit_code = existence_threshold(mu, arity)[2]
+    candidates = dict.fromkeys((*solver._hedged_codes(mu, arity), limit_code))
+    probes = []
+
+    def probe(beta):
+        divergence, lengths = solver.g_of_beta(mu, arity, beta)
+        candidates.setdefault(lengths)
+        probes.append((beta, divergence))
+        return divergence, lengths
+
+    closest = _reference_root_in_beta(probe, radius, tol)
+    trace = solver.BetaSolveTrace(probes=tuple(probes))
+    return solver._best_candidate(objective, mu, radius, candidates, tol, "interior", trace,
+                                  closest)
+
+
+def test_own_root_search_matches_the_reference_bracket_search(monkeypatch):
+    # jumping to a met code's own root returns what the reference search
+    # returns, with no more probes
+    from klcodes import solver
+
+    counted = []
+    original = solver.g_of_beta
+
+    def counting(mu, arity, beta):
+        counted.append(beta)
+        return original(mu, arity, beta)
+
+    monkeypatch.setattr(solver, "g_of_beta", counting)
+    rng = np.random.default_rng(3)
+    solved = fewer = 0
+    for m in (4, 8, 16, 32, 64, 128):
+        for arity in (2, 3):
+            p = np.maximum(rng.dirichlet(np.ones(m)), 1e-6)
+            mu = validate_distribution((p / p.sum()).tolist())
+            r_max = existence_threshold(mu, arity)[0]
+            for fraction in (0.05, 0.35, 0.7, 0.99):
+                ball = DivergenceBall(mu, fraction * r_max)
+                for solve, objective in ((solve_avg_redundancy, "avg-red"), (solve_gg, "gg")):
+                    counted.clear()
+                    outcome = _outcome(lambda b: solve(b, arity), ball)
+                    probes = len(counted)
+                    counted.clear()
+                    reference = _outcome(lambda b: _reference_interior(objective, b, arity), ball)
+                    assert outcome == reference, (m, arity, fraction, objective)
+                    assert probes <= len(counted), (m, arity, fraction, objective)
+                    solved += 1
+                    fewer += probes < len(counted)
+    assert solved >= 80 and fewer >= 0.75 * solved
+
+
+def test_one_code_search_takes_two_probes():
+    # every probe meets (1, 2, 2): the probe at beta = 1 suggests that code's
+    # own root, and the probe there lands within tol at or above the radius
+    radius, tol = 0.05, 1e-9
+    result = solve_avg_redundancy(DivergenceBall(SKEWED, radius), tol=tol)
+    probes = result.trace.probes
+    assert len(probes) == 2
+    assert probes[0][0] == 1.0 and probes[0][1] < radius
+    assert radius <= probes[1][1] <= radius + tol
+    assert {g_of_beta(SKEWED, 2, beta)[1] for beta, _ in probes} == {result.lengths}
+
+
+def test_g_of_beta_rejects_a_zero_probability():
+    mu = validate_distribution([0.5, 0.5, 0.0], allow_zero=True)
+    with pytest.raises(ZeroProbabilityError):
+        g_of_beta(mu, 2, 1.0)
