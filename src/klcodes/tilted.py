@@ -162,7 +162,8 @@ def _own_root(
     """A beta where this code's tilt has a closed-form divergence in [radius, radius + tol / 2].
 
     log_r is the code's log-ratios.  Newton steps (_tilt_step) from beta
-    aim at radius + tol / 4, at most MAX_DOUBLINGS of them.  The window
+    aim at radius + tol / 4, at most MAX_DOUBLINGS of them (quadrupling
+    beta, that many pass any root the bracket can reach).  The window
     leaves tol / 4 on either side for the rounding by which _tilt differs
     (see _tilt_moments), so the code's tilt evaluated at that beta lies at
     or above the radius and within tol of it.  None when the code has no
