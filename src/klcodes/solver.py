@@ -6,21 +6,21 @@ point whose divergence equals R, and the matching code comes from
 exponential Huffman coding of the tilted weights; the tilt parameter is
 located by tilted._root_in_beta, the bracket search that tilted_root runs
 for a fixed code, with g_of_beta as its probe and every probe recorded.
-Each probe also suggests the own root of the code it built
-(tilted._own_root: closed-form tilts, no build), and the search probes
-there when that lies inside its bracket; a probe whose code is unchanged
-there lands within tol and ends the search.  Doubling and Illinois steps
-remain for suggestions that fall outside the bracket.  Because the inner
-problem is discrete, the divergence-vs-beta curve can jump where the
-optimal length multiset changes (and so cross R more than once; the search
-stops at one crossing), so every probed candidate code is kept (with the
-hedged codes and the limit code) and the winner is chosen by its exact
-supremum over the ball, not by the root alone.  Scoring is exact but
-lazy: the code of the closest probe is scored first, and a later
-candidate is scored only when no value it provably reaches inside the
-ball (at the incumbent's worst case, or at one of its own closed-form
-tilts) already exceeds the incumbent's supremum; a candidate so ruled out
-cannot win.
+The search doubles beta from 1 as tilted_root does, so it meets every
+code that those doublings meet.  It then refines the bracket at the own
+root of the last probe's code (tilted._own_root: closed-form tilts, no
+build) when that lies inside the bracket; a probe whose code is unchanged
+there lands within tol and ends the search.  Illinois steps remain for
+roots that fall outside the bracket.  Because the inner problem is
+discrete, the divergence-vs-beta curve can jump where the optimal length
+multiset changes (and so cross R more than once; the search stops at one
+crossing), so every probed candidate code is kept (with the hedged codes
+and the limit code) and the winner is chosen by its exact supremum over
+the ball, not by the root alone.  Scoring is exact but lazy: the code of
+the closest probe is scored first, and a later candidate is scored only
+when no value it provably reaches inside the ball (at the incumbent's
+worst case, or at one of its own closed-form tilts) already exceeds the
+incumbent's supremum; a candidate so ruled out cannot win.
 
 Outside that range the solvers degrade explicitly: R = 0 reduces to plain
 Huffman coding, and R at or beyond the threshold returns the minimax
@@ -306,19 +306,23 @@ def _solve(
     candidates = dict.fromkeys((*_hedged_codes(mu, arity), limit_code))
     p = mu.as_array()
 
-    def probe(beta: float) -> tuple[float, CodeLengths, Optional[float]]:
+    def probe(beta: float) -> tuple[float, tuple[CodeLengths, float, float]]:
         divergence, lengths = g_of_beta(mu, arity, beta)
         candidates.setdefault(lengths)
         probes.append((beta, divergence))
-        return divergence, lengths, _own_root(p, _log_ratios(mu, lengths), beta, radius, tol)
+        return divergence, (lengths, beta, divergence)
 
-    closest = _root_in_beta(probe, radius, tol)
+    def own_root(point: tuple[CodeLengths, float, float]) -> Optional[float]:
+        lengths, beta, divergence = point
+        return _own_root(p, _log_ratios(mu, lengths), beta, divergence, radius, tol)
+
+    closest = _root_in_beta(probe, radius, tol, own_root)
     if closest is None:
         raise NoConvergenceError(
             f"no tilt bracket within {MAX_DOUBLINGS} doublings for radius {radius}"
         )
     trace = BetaSolveTrace(probes=tuple(probes))
-    return _best_candidate(objective, mu, radius, candidates, tol, "interior", trace, closest)
+    return _best_candidate(objective, mu, radius, candidates, tol, "interior", trace, closest[0])
 
 
 def solve_avg_redundancy(

@@ -14,13 +14,14 @@ pins the adversary exactly.
 One kernel serves the family on the support p > 0: _tilt (the point and
 its divergence) and _face_limit (the beta -> infinity end).  nu_circ runs
 _tilt, nu_infinity runs _face_limit, and tilted_root feeds _tilt to the
-bracket search _root_in_beta (doubling, then Illinois regula falsi), which
-the solver runs with g_of_beta as its probe; there each probe suggests its
-code's own root (_own_root) as the next beta.  exact_avg_sup asks
-tilted_root first.  Off the support log p is -inf, so no mask is needed.
-_tilt_moments is the closed-form tilt that the solver uses only to rule
-candidates out (lower bounds) and to choose where to probe, never to
-report a point; _tilt_step is the Newton step both take along it.
+bracket search _root_in_beta (doubling, then Illinois regula falsi),
+which the solver runs with g_of_beta as its probe; there the bracket is
+refined at the last probe's own root (_own_root) where that lies inside
+it.  exact_avg_sup asks tilted_root first.  Off the support log p is
+-inf, so no mask is needed.  _tilt_moments is the closed-form tilt that
+the solver uses only to rule candidates out (lower bounds) and to choose
+where to probe, never to report a point; _tilt_step is the Newton step
+both take along it.
 
 All exponentials are evaluated in log-domain with max subtraction, and
 the tilt's exponent is centred on the largest log-ratio, since beta can
@@ -157,20 +158,20 @@ def _tilt_step(beta: float, divergence: float, var: float, target: float) -> flo
 
 
 def _own_root(
-    p: np.ndarray, log_r: np.ndarray, beta: float, radius: float, tol: float
+    p: np.ndarray, log_r: np.ndarray, beta: float, divergence: float, radius: float, tol: float
 ) -> float | None:
     """A beta where this code's tilt has a closed-form divergence in [radius, radius + tol / 2].
 
-    log_r is the code's log-ratios.  Newton steps (_tilt_step) from beta
-    aim at radius + tol / 4, at most MAX_DOUBLINGS of them (quadrupling
-    beta, that many pass any root the bracket can reach).  The window
-    leaves tol / 4 on either side for the rounding by which _tilt differs
-    (see _tilt_moments), so the code's tilt evaluated at that beta lies at
-    or above the radius and within tol of it.  None when the code has no
-    root (its limit divergence is at most the radius) or the steps do not
-    land in the window.  p must be positive.
+    log_r is the code's log-ratios and divergence its tilt's at beta.
+    Newton steps (_tilt_step) from beta aim at radius + tol / 4, at most
+    MAX_DOUBLINGS of them.  The window leaves tol / 4 on either side for
+    the rounding by which _tilt differs (see _tilt_moments), so the code's
+    tilt evaluated at that beta lies at or above the radius and within tol
+    of it.  None when the code has no root (below the radius at beta, its
+    limit divergence is at most the radius) or the steps do not land in
+    the window.  p must be positive.
     """
-    if radius >= -math.log(_face_limit(p, log_r)[1]):
+    if divergence < radius and radius >= -math.log(_face_limit(p, log_r)[1]):
         return None
     centred = log_r - np.max(log_r)
     target = radius + 0.25 * tol
@@ -277,59 +278,52 @@ def _face_limit(p: np.ndarray, log_r: np.ndarray) -> tuple[np.ndarray, float]:
     return members, float(p[members].sum())
 
 
-def _root_in_beta(evaluate, radius: float, tol: float):
+def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
     """Tilt whose divergence equals the radius, for a divergence nondecreasing in beta.
 
-    evaluate(beta) returns (divergence, point), or (divergence, point,
-    suggested) where suggested is a beta worth probing next or None, and no
-    beta is evaluated twice.  The bracket starts at [0, 1], where the
-    divergence at 0 is that of mu itself, 0, and needs no evaluation.  Each probe goes to the last
-    probe's suggestion when that lies strictly inside the bracket and not
-    above 2^MAX_DOUBLINGS.  Otherwise, until some probe reaches the radius,
-    beta doubles from the bracket's lower end; after that, Illinois regula
-    falsi (Dowell and Jarratt, BIT 11, 1971) takes the secant through the
-    bracket's ends, or the midpoint when rounding puts the secant outside
-    the open bracket, and an end that survives two steps in a row has its
-    divergence's offset from the radius halved, so the bracket shrinks from
-    both sides even where the divergence jumps.  At most 200 probes are
-    suggested or Illinois steps.  Once a probe has reached the radius, the
-    search stops on the probe closest to it (the last probe below the
-    radius before that included) when that lies within tol, or when the
-    bracket collapses.  Returns that probe's point, or None when the
-    bracket reaches 2^MAX_DOUBLINGS below the radius (numerically
-    indistinguishable from the limit).  Without suggestions, as for
-    tilted_root, the probes are beta = 1, 2, 4, ... and then the Illinois
-    steps.
+    evaluate(beta) returns (divergence, point), and no beta is evaluated
+    twice.  The bracket doubles from beta = 1; the search then refines
+    [hi / 2, hi] after a doubling, else [0, 1], where the divergence at 0
+    is that of mu itself, 0, and needs no evaluation.  Each refining step
+    probes suggest(point) of the last probe, a beta worth probing next or
+    None, when given and strictly inside the open bracket.  Otherwise it
+    is an Illinois regula falsi step (Dowell and Jarratt, BIT 11, 1971):
+    the secant through the bracket's ends, or the midpoint when rounding
+    puts the secant outside the open bracket; an end that survives two
+    steps in a row has its divergence's offset from the radius halved, so
+    the bracket shrinks from both sides even where the divergence jumps.
+    The search keeps the probe closest to the radius (the last doubling
+    below it included) and stops when that lies within tol or the bracket
+    collapses.  Returns that probe's point, or None when MAX_DOUBLINGS
+    doublings do not reach the radius (numerically indistinguishable from
+    the limit).
     """
-    limit = 2.0 ** MAX_DOUBLINGS
     lo, hi = 0.0, 1.0
     best = evaluate(hi)
     f_lo = -radius
-    steps = 0  # suggested and Illinois probes
-    while best[0] < radius:
-        if hi >= limit:
-            return None
+    for _ in range(MAX_DOUBLINGS):
+        if best[0] >= radius:
+            break
         lo, below, f_lo = hi, best, best[0] - radius
-        suggested = best[2] if len(best) > 2 else None
-        if steps < 200 and suggested is not None and lo < suggested <= limit:
-            hi, steps = suggested, steps + 1
-        else:
-            hi = min(2.0 * lo, limit)
+        hi *= 2.0
         best = evaluate(hi)
+    if best[0] < radius:
+        return None
     last = best
     f_hi = best[0] - radius
-    # the last probe below the radius may be the closest
+    # the last doubling below the radius is a probe too, and may be the closest
     if lo and tol < f_hi and -f_lo < f_hi:
         best = below
     moved = 0  # the end the last step moved: -1 for lo, +1 for hi
-    while steps < 200 and not abs(best[0] - radius) <= tol:
-        step = last[2] if len(last) > 2 else None
+    for _ in range(200):
+        if abs(best[0] - radius) <= tol:
+            break
+        step = suggest(last[1]) if suggest is not None else None
         if step is None or not lo < step < hi:
             step = hi - f_hi * (hi - lo) / (f_hi - f_lo)
             if not lo < step < hi:
                 step = 0.5 * (lo + hi)
         last = evaluate(step)
-        steps += 1
         f = last[0] - radius
         if abs(f) < abs(best[0] - radius):
             best = last

@@ -527,7 +527,7 @@ def test_provably_worse_rootless_candidate_needs_no_exact_sup():
 
 
 def _reference_root_in_beta(evaluate, radius, tol):
-    # the bracket search before own-root suggestions: doubling from beta = 1,
+    # the bracket search without own-root suggestions: doubling from beta = 1,
     # then Illinois regula falsi, stopping on the closest probe within tol
     from klcodes import tilted
 
@@ -593,9 +593,7 @@ def _reference_interior(objective, ball, arity, tol=1e-9):
                                   closest)
 
 
-def test_own_root_search_matches_the_reference_bracket_search(monkeypatch):
-    # jumping to a met code's own root returns what the reference search
-    # returns, with no more probes
+def _counting_g_of_beta(monkeypatch):
     from klcodes import solver
 
     counted = []
@@ -606,6 +604,24 @@ def test_own_root_search_matches_the_reference_bracket_search(monkeypatch):
         return original(mu, arity, beta)
 
     monkeypatch.setattr(solver, "g_of_beta", counting)
+    return counted
+
+
+def _compare_with_reference(counted, objective, ball, arity):
+    # the outcome and the probe counts of the solver and of the reference
+    solve = solve_gg if objective == "gg" else solve_avg_redundancy
+    counted.clear()
+    outcome = _outcome(lambda b: solve(b, arity), ball)
+    probes = len(counted)
+    counted.clear()
+    reference = _outcome(lambda b: _reference_interior(objective, b, arity), ball)
+    return outcome, reference, probes, len(counted)
+
+
+def test_own_root_search_matches_the_reference_bracket_search(monkeypatch):
+    # refining the doubling bracket at a met code's own root returns what the
+    # reference search returns, with no more probes
+    counted = _counting_g_of_beta(monkeypatch)
     rng = np.random.default_rng(3)
     solved = fewer = 0
     for m in (4, 8, 16, 32, 64, 128):
@@ -615,27 +631,76 @@ def test_own_root_search_matches_the_reference_bracket_search(monkeypatch):
             r_max = existence_threshold(mu, arity)[0]
             for fraction in (0.05, 0.35, 0.7, 0.99):
                 ball = DivergenceBall(mu, fraction * r_max)
-                for solve, objective in ((solve_avg_redundancy, "avg-red"), (solve_gg, "gg")):
-                    counted.clear()
-                    outcome = _outcome(lambda b: solve(b, arity), ball)
-                    probes = len(counted)
-                    counted.clear()
-                    reference = _outcome(lambda b: _reference_interior(objective, b, arity), ball)
+                for objective in ("avg-red", "gg"):
+                    outcome, reference, probes, reference_probes = _compare_with_reference(
+                        counted, objective, ball, arity)
                     assert outcome == reference, (m, arity, fraction, objective)
-                    assert probes <= len(counted), (m, arity, fraction, objective)
+                    assert probes <= reference_probes, (m, arity, fraction, objective)
                     solved += 1
-                    fewer += probes < len(counted)
+                    fewer += probes < reference_probes
     assert solved >= 80 and fewer >= 0.75 * solved
 
 
+def _sweep_centre(seed, m, arity):
+    # the centre drawn for (m, arity) by a sweep that draws one
+    # Dirichlet(1) centre, floored at 1e-6, per m in (3, 4, 5, 6, 8, 10, 12,
+    # 16, 24, 32, 48, 64, 100) and per arity 2 and 3, in that order
+    rng = np.random.default_rng(seed)
+    for size in (3, 4, 5, 6, 8, 10, 12, 16, 24, 32, 48, 64, 100):
+        for k in (2, 3):
+            p = np.maximum(rng.dirichlet(np.ones(size)), 1e-6)
+            if (size, k) == (m, arity):
+                return validate_distribution((p / p.sum()).tolist())
+    raise AssertionError((m, arity))
+
+
+@pytest.mark.parametrize(
+    "seed, m, fraction, objective",
+    [
+        (17, 12, 0.05, "avg-red"),
+        (17, 12, 0.05, "gg"),
+        (3, 100, 0.7, "avg-red"),
+        (3, 100, 0.7, "gg"),
+        (31, 48, 0.99, "avg-red"),
+    ],
+)
+def test_own_root_search_keeps_every_doubling_code(monkeypatch, seed, m, fraction, objective):
+    # the divergence crosses the radius more than once in these solves; a
+    # search that jumped from beta = 1 to its code's own root stopped at an
+    # earlier crossing than the doublings reach, missed the better code a
+    # doubling meets, and returned a larger supremum
+    counted = _counting_g_of_beta(monkeypatch)
+    mu = _sweep_centre(seed, m, 2)
+    ball = DivergenceBall(mu, fraction * existence_threshold(mu, 2)[0])
+    outcome, reference, probes, reference_probes = _compare_with_reference(
+        counted, objective, ball, 2)
+    assert outcome == reference
+    assert probes < reference_probes
+
+
+def test_own_root_search_keeps_the_better_later_crossing():
+    # M = 12: the code met at beta = 1 reaches the radius at its own root
+    # 1.4486, but the doubling to beta = 2 meets a better code whose root is
+    # 1.7446, and that code wins
+    mu = _sweep_centre(17, 12, 2)
+    ball = DivergenceBall(mu, 0.05 * existence_threshold(mu, 2)[0])
+    avg, gg = solve_avg_redundancy(ball), solve_gg(ball)
+    for result, value in ((avg, 0.340772), (gg, 0.216692)):
+        assert result.lengths.lengths == (3, 5, 3, 2, 8, 4, 3, 7, 3, 3, 8, 6)
+        assert result.beta == pytest.approx(1.7446, abs=1e-4)
+        assert result.achieved_utility == pytest.approx(value, abs=1e-6)
+    assert any(beta == 2.0 for beta, _ in avg.trace.probes)
+
+
 def test_one_code_search_takes_two_probes():
-    # every probe meets (1, 2, 2): the probe at beta = 1 suggests that code's
-    # own root, and the probe there lands within tol at or above the radius
-    radius, tol = 0.05, 1e-9
+    # every probe meets (1, 2, 2) and beta = 1 reaches the radius: that
+    # probe suggests its code's own root in [0, 1], and the probe there lands
+    # within tol at or above the radius
+    radius, tol = 0.01, 1e-9
     result = solve_avg_redundancy(DivergenceBall(SKEWED, radius), tol=tol)
     probes = result.trace.probes
     assert len(probes) == 2
-    assert probes[0][0] == 1.0 and probes[0][1] < radius
+    assert probes[0][0] == 1.0 and probes[0][1] > radius + tol
     assert radius <= probes[1][1] <= radius + tol
     assert {g_of_beta(SKEWED, 2, beta)[1] for beta, _ in probes} == {result.lengths}
 
