@@ -289,6 +289,12 @@ def ceil_log_inv(p: float, arity: int) -> int:
     return guess
 
 
+def _check_beta(beta: float) -> None:
+    """Require a tilt parameter 0 < beta < inf (NaN fails too)."""
+    if not (0.0 < beta < math.inf):
+        raise DomainError(f"beta must be positive and finite, got {beta}")
+
+
 def log_sum_exp(values: np.ndarray) -> float:
     """log(sum(exp(values))) with max subtraction; tolerates -inf entries."""
     values = np.asarray(values, dtype=float)

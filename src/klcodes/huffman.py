@@ -36,7 +36,15 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .core import CodeLengths, Distribution, PrefixCode, ceil_log_inv, kraft_integer_ok, log_sum_exp
+from .core import (
+    CodeLengths,
+    Distribution,
+    PrefixCode,
+    _check_beta,
+    ceil_log_inv,
+    kraft_integer_ok,
+    log_sum_exp,
+)
 from .errors import (
     AllZeroWeightsError,
     ArityTooSmallError,
@@ -167,8 +175,7 @@ def exponential_huffman_log(log_weights, beta: float, arity: int = 2) -> CodeLen
     exact zeros long before beta reaches the limit-test range, and the
     merge order then collapses onto tie-breaking noise.
     """
-    if not (beta > 0.0):
-        raise DomainError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     if arity < 2:
         raise ArityTooSmallError(f"arity must be >= 2, got {arity}")
     log_weights = [float(x) for x in log_weights]

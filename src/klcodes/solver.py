@@ -6,21 +6,21 @@ point whose divergence equals R, and the matching code comes from
 exponential Huffman coding of the tilted weights; the tilt parameter is
 located by tilted._root_in_beta, the bracket search that tilted_root runs
 for a fixed code, with g_of_beta as its probe and every probe recorded.
-The search doubles beta from 1 as tilted_root does, so it meets every
-code that those doublings meet.  It then refines the bracket at the own
-root of the last probe's code (tilted._own_root: closed-form tilts, no
-build) when that lies inside the bracket; a probe whose code is unchanged
-there lands within tol and ends the search.  Illinois steps remain for
-roots that fall outside the bracket.  Because the inner problem is
-discrete, the divergence-vs-beta curve can jump where the optimal length
-multiset changes (and so cross R more than once; the search stops at one
-crossing), so every probed candidate code is kept (with the hedged codes
-and the limit code) and the winner is chosen by its exact supremum over
-the ball, not by the root alone.  Scoring is exact but lazy: the code of
-the closest probe is scored first, and a later candidate is scored only
-when no value it provably reaches inside the ball (at the incumbent's
-worst case, or at one of its own closed-form tilts) already exceeds the
-incumbent's supremum; a candidate so ruled out cannot win.
+The search doubles beta from 1 as tilted_root does, so it meets every code
+that those doublings meet.  It then refines the bracket at the own root of
+the last probe's code (tilted._own_root, on the closed-form walk
+tilted._tilt_walk: no build) when that lies inside the bracket; a probe
+whose code is unchanged there lands within tol and ends the search.
+Illinois steps remain for roots that fall outside the bracket.  Because
+the inner problem is discrete, the divergence-vs-beta curve can jump where
+the optimal length multiset changes (and so cross R more than once; the
+search stops at one crossing), so every probed candidate code is kept
+(with the hedged codes and the limit code) and the winner is chosen by its
+exact supremum over the ball, not by the root alone.  Scoring is exact but
+lazy: the code of the closest probe is scored first, and a later candidate
+is scored only when no value it provably reaches inside the ball (at the
+incumbent's worst case, or at a tilt of its own closed-form walk) already
+exceeds the incumbent's supremum; a candidate so ruled out cannot win.
 
 Outside that range the solvers degrade explicitly: R = 0 reduces to plain
 Huffman coding, and R at or beyond the threshold returns the minimax
@@ -37,7 +37,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .core import CodeLengths, Distribution, DivergenceBall, PrefixCode
-from .errors import BoundaryRegimeError, NoConvergenceError, ZeroProbabilityError
+from .errors import BoundaryRegimeError, DomainError, NoConvergenceError, ZeroProbabilityError
 from .huffman import canonical_codewords, exponential_huffman_log, huffman, max_huffman
 from .tilted import (
     MAX_DOUBLINGS,
@@ -46,8 +46,7 @@ from .tilted import (
     _own_root,
     _root_in_beta,
     _tilt,
-    _tilt_moments,
-    _tilt_step,
+    _tilt_walk,
     avg_redundancy,
     exact_avg_sup,
     gg_utility,
@@ -58,11 +57,10 @@ from .tilted import (
 Regime = Literal["interior", "boundary", "zero_radius", "reduced"]
 
 # a candidate is skipped when a value it reaches in the ball exceeds the
-# incumbent's by more than this times max(1, |value|) (tilted._tilt_moments
-# argues why that is enough); _reaches_above looks for such a value with at
-# most _BOUND_TILTS closed-form tilts
+# incumbent's by more than this times max(1, |value|) (tilted._tilt_walk
+# argues why that is enough); _reaches_above looks for such a value along
+# at most MAX_DOUBLINGS closed-form tilts of that walk
 _SKIP_MARGIN = 1e-7
-_BOUND_TILTS = 8
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,7 @@ def g_of_beta(mu: Distribution, arity: int, beta: float) -> tuple[float, CodeLen
         raise ZeroProbabilityError("tilted weights need strictly positive probabilities")
     log_xi = [(beta + 1.0) * math.log(p) for p in mu.probs]
     lengths = exponential_huffman_log(log_xi, beta, arity)
-    log_r = _log_ratios(mu, lengths)
-    return _tilt(mu.as_array(), log_r - np.max(log_r), beta)[0], lengths
+    return _tilt(mu.as_array(), _log_ratios(mu, lengths), beta)[0], lengths
 
 
 def _eval_utility(objective: str, lengths: CodeLengths, nu: Distribution, mu: Distribution) -> float:
@@ -177,14 +174,13 @@ def _reaches_above(
     of a value there that no length touches (sum nu log nu / log D for
     avg-red, <nu, log mu> / log D for gg) and the incumbent's beta (1
     without one).  The first value tried is the code's at that worst case.
-    Then come at most _BOUND_TILTS closed-form tilts of the code
-    (tilted._tilt_moments) from that beta.  Along the tilt the divergence
-    and the value both grow with beta, so the best bound is the in-ball tilt
-    nearest the root.  Each next beta is tilted._tilt_step toward the
-    radius: a Newton step on log D against log beta, kept between halving
-    and quadrupling beta.  Where log D is
+    Then come the in-ball tilts of tilted._tilt_walk, the code's closed-form
+    tilts from that beta toward the radius, at most MAX_DOUBLINGS of them.
+    Along the tilt the divergence and the value both grow with beta, so the
+    best bound is the in-ball tilt nearest the root.  Where log D is
     concave in log beta, as near mu (D about beta^2 Var / 2) and toward the
-    limit (D levels off), that step lands inside the ball from either side.
+    limit (D levels off), the walk's Newton step lands inside the ball from
+    either side.
     """
     worst, rest, beta = incumbent
     l = lengths.as_array()
@@ -193,16 +189,11 @@ def _reaches_above(
         return True
     log_r = log_p + l * log_d
     top = float(np.max(log_r))
-    centred = log_r - top
-    for _ in range(_BOUND_TILTS):
-        divergence, mean, var = _tilt_moments(p, centred, beta)
+    for _, divergence, mean in _tilt_walk(p, log_r, beta, radius, MAX_DOUBLINGS):
         if divergence <= radius:
             nats = mean + top if objective == "gg" else divergence + mean + top
             if nats / log_d > limit:
                 return True
-        beta = _tilt_step(beta, divergence, var, radius)
-        if beta is None:
-            return False
     return False
 
 
@@ -265,6 +256,8 @@ def _solve(
     objective: str,
     strict_boundary: bool,
 ) -> RobustCodeResult:
+    if not (tol >= 0.0):
+        raise DomainError(f"tol must be >= 0, got {tol}")
     mu = ball.center
     radius = ball.radius
     if any(p == 0.0 for p in mu.probs):

@@ -11,21 +11,22 @@ nondecreasing in beta, which is what makes it usable as the worst case
 inside a relative-entropy ball: the beta whose divergence equals the radius
 pins the adversary exactly.
 
-One kernel serves the family on the support p > 0: _tilt (the point and
-its divergence) and _face_limit (the beta -> infinity end).  nu_circ runs
-_tilt, nu_infinity runs _face_limit, and tilted_root feeds _tilt to the
-bracket search _root_in_beta (doubling, then Illinois regula falsi),
-which the solver runs with g_of_beta as its probe; there the bracket is
-refined at the last probe's own root (_own_root) where that lies inside
-it.  exact_avg_sup asks tilted_root first.  Off the support log p is
--inf, so no mask is needed.  _tilt_moments is the closed-form tilt that
-the solver uses only to rule candidates out (lower bounds) and to choose
-where to probe, never to report a point; _tilt_step is the Newton step
-both take along it.
+Two kernels serve the family on the support p > 0, both taking raw
+log-ratios: _tilt, the exact point and its divergence, and _tilt_walk,
+the closed form D(beta) = beta <nu, c> - log Z walked by Newton steps
+toward a target divergence.  _face_limit is the beta -> infinity end.
+nu_circ runs _tilt, nu_infinity runs _face_limit, and tilted_root feeds
+_tilt to the bracket search _root_in_beta (doubling, then Illinois
+regula falsi), which the solver runs with g_of_beta as its probe; there
+the bracket is refined at the last probe's own root (_own_root, a reader
+of the walk) where that lies inside it.  exact_avg_sup asks tilted_root
+first.  Off the support log p is -inf, so no mask is needed.  The walk
+never reports a point: its other reader is solver._reaches_above, which
+takes lower bounds from it to rule candidates out.
 
 All exponentials are evaluated in log-domain with max subtraction, and
-the tilt's exponent is centred on the largest log-ratio, since beta can
-be large (limit checks use beta = 1e3, and roots reach beta = 1e12).
+each kernel centres the log-ratios on their maximum, since beta can be
+large (limit checks use beta = 1e3, and roots reach beta = 1e12).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 from .core import (
     CodeLengths,
     Distribution,
+    _check_beta,
     array_divergence,
     kl_divergence,
     log_sum_exp,
@@ -81,27 +83,24 @@ def _log_ratios(mu: Distribution, lengths: CodeLengths) -> np.ndarray:
 
 def nu_circ(mu: Distribution, lengths: CodeLengths, beta: float) -> TiltedPoint:
     """Tilted distribution nu(beta)_i ∝ (mu_i/theta_i)^beta * mu_i."""
-    if not (beta > 0.0):
-        raise DomainError(f"beta must be positive, got {beta}")
-    p = mu.as_array()
-    log_r = _log_ratios(mu, lengths)
-    divergence, raw = _tilt(p, log_r - np.max(log_r), beta)
+    _check_beta(beta)
+    divergence, raw = _tilt(mu.as_array(), _log_ratios(mu, lengths), beta)
     return TiltedPoint(beta=float(beta), distribution=Distribution(tuple(raw.tolist())),
                        divergence_from_center=divergence)
 
 
-def _tilt(p: np.ndarray, centred: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
+def _tilt(p: np.ndarray, log_r: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
     """Divergence from p of the tilt at beta, and its raw point.
 
-    centred is log r minus its maximum, so beta * centred stays at or below
-    0: uncentred, beta * log r is near 1e12 at beta near 1e12, and its
-    rounding alone moves the divergence by about 1e-5.  The divergence is
-    that of the point as Distribution would store it, renormalised by its
-    fsum unless that is exactly 1.  The point lives on p's support, so
+    log r is centred on its maximum first, so beta * centred stays at or
+    below 0: uncentred, beta * log r is near 1e12 at beta near 1e12, and
+    its rounding alone moves the divergence by about 1e-5.  The divergence
+    is that of the point as Distribution would store it, renormalised by
+    its fsum unless that is exactly 1.  The point lives on p's support, so
     kl_divergence's checks are moot.
     """
     with np.errstate(divide="ignore"):
-        logw = beta * centred + np.log(p)
+        logw = beta * (log_r - np.max(log_r)) + np.log(p)
     raw = np.exp(logw - log_sum_exp(logw))
     raw = raw / raw.sum()
     total = math.fsum(raw.tolist())
@@ -109,13 +108,17 @@ def _tilt(p: np.ndarray, centred: np.ndarray, beta: float) -> tuple[float, np.nd
     return array_divergence(nu, p), raw
 
 
-def _tilt_moments(p: np.ndarray, centred: np.ndarray, beta: float) -> tuple[float, float, float]:
-    """Divergence from p of the tilt nu at beta, and the mean and variance of centred under nu.
+def _tilt_walk(p: np.ndarray, log_r: np.ndarray, beta: float, target: float, steps: int):
+    """Closed-form tilts from beta toward the target divergence: (beta, divergence, mean).
 
-    With c = centred, Z = sum p e^(beta c) and <nu, c> = sum p c e^(beta c) / Z,
-    the divergence is D = beta <nu, c> - log Z, the identity behind
-    decomposition_terms, and dD/dbeta = beta Var_nu(c): one exp and three
-    dot products, no Distribution.  p must be positive.
+    With c = log r minus its maximum, Z = sum p e^(beta c) and <nu, c> =
+    sum p c e^(beta c) / Z, the divergence is D = beta <nu, c> - log Z,
+    the identity behind decomposition_terms, and dD/dbeta = beta Var_nu(c):
+    one exp and three dot products per tilt, no Distribution.  mean is
+    <nu, c>.  After each tilt comes a Newton step on log D against log beta
+    toward the target, kept between halving and quadrupling beta.  The walk
+    stops after steps tilts, or where that slope is not positive (D is 0 or
+    flat).  p must be positive.
     It is not bit-matched to _tilt.  _own_root uses it only to pick a beta
     that a probe then evaluates with _tilt.  solver._best_candidate uses it
     only for lower bounds, and skips a candidate only when such a value
@@ -135,26 +138,20 @@ def _tilt_moments(p: np.ndarray, centred: np.ndarray, beta: float) -> tuple[floa
       such a beta needs a radius of about 1e-8 nats or less, where the root
       tolerance alone already moves a value by that much.
     """
-    e = np.exp(beta * centred)
-    total = float(p @ e)
-    ec = e * centred
-    mean = float(p @ ec) / total
-    var = float(p @ (ec * centred)) / total - mean * mean
-    return beta * mean - math.log(total), mean, var
-
-
-def _tilt_step(beta: float, divergence: float, var: float, target: float) -> float | None:
-    """Next beta of a Newton step on log D against log beta toward the target divergence.
-
-    divergence and var are _tilt_moments' at beta.  The step is kept
-    between halving and quadrupling beta; None where the slope is not
-    positive (D is 0 or flat).
-    """
-    # d log D / d log beta, with dD / dbeta = beta Var_nu(centred)
-    slope = beta * beta * var / divergence if divergence > 0.0 else 0.0
-    if not slope > 0.0:
-        return None
-    return beta * math.exp(min(_LOG_4, max(-_LOG_2, math.log(target / divergence) / slope)))
+    centred = log_r - np.max(log_r)
+    for _ in range(steps):
+        e = np.exp(beta * centred)
+        total = float(p @ e)
+        ec = e * centred
+        mean = float(p @ ec) / total
+        var = float(p @ (ec * centred)) / total - mean * mean
+        divergence = beta * mean - math.log(total)
+        yield beta, divergence, mean
+        # d log D / d log beta, with dD / dbeta = beta Var_nu(centred)
+        slope = beta * beta * var / divergence if divergence > 0.0 else 0.0
+        if not slope > 0.0:
+            return
+        beta = beta * math.exp(min(_LOG_4, max(-_LOG_2, math.log(target / divergence) / slope)))
 
 
 def _own_root(
@@ -162,33 +159,26 @@ def _own_root(
 ) -> float | None:
     """A beta where this code's tilt has a closed-form divergence in [radius, radius + tol / 2].
 
-    log_r is the code's log-ratios and divergence its tilt's at beta.
-    Newton steps (_tilt_step) from beta aim at radius + tol / 4, at most
-    MAX_DOUBLINGS of them.  The window leaves tol / 4 on either side for
-    the rounding by which _tilt differs (see _tilt_moments), so the code's
-    tilt evaluated at that beta lies at or above the radius and within tol
-    of it.  None when the code has no root (below the radius at beta, its
-    limit divergence is at most the radius) or the steps do not land in
-    the window.  p must be positive.
+    log_r is the code's log-ratios and divergence its tilt's at beta.  The
+    first of at most MAX_DOUBLINGS tilts of _tilt_walk from beta, aimed at
+    radius + tol / 4, whose divergence lies in that window.  The window
+    leaves tol / 4 on either side for the rounding by which _tilt differs
+    (see _tilt_walk), so the code's tilt evaluated at that beta lies at or
+    above the radius and within tol of it.  None when the code has no root
+    (below the radius at beta, its limit divergence is at most the radius)
+    or the walk does not land in the window.  p must be positive.
     """
     if divergence < radius and radius >= -math.log(_face_limit(p, log_r)[1]):
         return None
-    centred = log_r - np.max(log_r)
-    target = radius + 0.25 * tol
-    for _ in range(MAX_DOUBLINGS):
-        divergence, _, var = _tilt_moments(p, centred, beta)
+    for beta, divergence, _ in _tilt_walk(p, log_r, beta, radius + 0.25 * tol, MAX_DOUBLINGS):
         if radius <= divergence <= radius + 0.5 * tol:
             return beta
-        beta = _tilt_step(beta, divergence, var, target)
-        if beta is None:
-            return None
     return None
 
 
 def xi(mu: Distribution, beta: float) -> Distribution:
     """Tilted weight distribution xi_k ∝ mu_k^(beta+1)."""
-    if not (beta > 0.0):
-        raise DomainError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     p = mu.as_array()
     with np.errstate(divide="ignore"):
         logw = (beta + 1.0) * np.log(p)
@@ -239,8 +229,7 @@ def decomposition_terms(
     (1/beta) * log sum_k (mu_k/theta_k)^beta mu_k); the sum divided by log D
     reproduces avg_redundancy(lengths, nu).
     """
-    if not (beta > 0.0):
-        raise DomainError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     p = mu.as_array()
     with np.errstate(divide="ignore"):
         logw = beta * _log_ratios(mu, lengths) + np.log(p)
@@ -384,8 +373,11 @@ def exact_avg_sup(
       centre toward its lightest vertex stands for that shell.
     A rootless code costs O(M^2) scalar edge crossings.  It is limited to
     12 symbols: above that exactness rests on this argument alone, and the
-    edge loop (about 523k edges at M = 1024) is unmeasured.
+    edge loop (about 523k edges at M = 1024) is unmeasured.  At radius 0
+    the ball is mu alone.
     """
+    if radius == 0.0:
+        return avg_redundancy(lengths, mu), mu
     point = tilted_root(mu, lengths, radius, tol)
     if point is not None:
         return avg_redundancy(lengths, point.distribution), point.distribution
@@ -469,10 +461,9 @@ def tilted_root(
     log_r = _log_ratios(mu, lengths)
     if radius >= -math.log(_face_limit(p, log_r)[1]):
         return None
-    centred = log_r - np.max(log_r)
 
     def evaluate(beta: float):
-        divergence, raw = _tilt(p, centred, beta)
+        divergence, raw = _tilt(p, log_r, beta)
         return divergence, (beta, divergence, raw)
 
     root = _root_in_beta(evaluate, radius, tol)

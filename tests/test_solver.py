@@ -10,6 +10,7 @@ import klcodes
 from klcodes.core import DivergenceBall, kl_divergence, validate_distribution
 from klcodes.errors import (
     BoundaryRegimeError,
+    DomainError,
     LimitExceededError,
     NoConvergenceError,
     ZeroProbabilityError,
@@ -709,3 +710,12 @@ def test_g_of_beta_rejects_a_zero_probability():
     mu = validate_distribution([0.5, 0.5, 0.0], allow_zero=True)
     with pytest.raises(ZeroProbabilityError):
         g_of_beta(mu, 2, 1.0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
+@pytest.mark.parametrize("solve", [solve_avg_redundancy, solve_gg])
+def test_solvers_reject_a_tolerance_below_zero_or_nan(solve, tol):
+    # -1.0 used to raise a bare math domain error from the own-root step,
+    # and -1e-12 and NaN returned a result
+    with pytest.raises(DomainError, match="tol must be >= 0"):
+        solve(DivergenceBall(SKEWED, 0.05), tol=tol)

@@ -13,11 +13,18 @@ from klcodes.core import (
     validate_distribution,
 )
 from klcodes import tilted
+from klcodes.errors import DomainError
+from klcodes.huffman import exponential_huffman_log
+from klcodes.solver import g_of_beta
 from klcodes.tilted import (
     ARGMAX_LOG_TOL,
+    MAX_DOUBLINGS,
     _crossing,
     _log_ratios,
+    _own_root,
     _root_in_beta,
+    _tilt,
+    _tilt_walk,
     avg_redundancy,
     decomposition_terms,
     gg_utility,
@@ -736,3 +743,70 @@ def test_tilted_point_is_supremum_over_samples():
         for nu in ball_sample(DivergenceBall(mu, radius), n_interior=500,
                               n_boundary=8, seed=trial):
             assert avg_redundancy(lengths, nu) <= top + 1e-6
+
+
+def test_tilt_walk_first_divergence_matches_tilt():
+    # the closed form is not bit-matched to _tilt, but stays within the
+    # 1e-11 nats that the skip margin and the own-root window allow for
+    rng = np.random.default_rng(5)
+    for m in (4, 64, 1024):
+        for alpha in (1.0, 0.1, 0.02):
+            for floor in (1e-6, 1e-100, 1e-300):
+                raw = np.maximum(rng.dirichlet(np.full(m, alpha)), floor)
+                mu = Distribution(tuple(raw / raw.sum()))
+                p = mu.as_array()
+                for beta in (1e-3, 0.1, 1.0, 30.0, 1e3, 1e6):
+                    log_r = _log_ratios(mu, g_of_beta(mu, 2, beta)[1])
+                    walked = next(_tilt_walk(p, log_r, beta, 1.0, MAX_DOUBLINGS))
+                    assert walked[0] == beta
+                    assert abs(walked[1] - _tilt(p, log_r, beta)[0]) <= 1e-11
+
+
+def test_own_root_lands_in_its_window_or_reports_no_root():
+    p = SKEWED.as_array()
+    log_r = _log_ratios(SKEWED, L122)
+    radius, tol = 0.05, 1e-9
+    beta = _own_root(p, log_r, 1.0, _tilt(p, log_r, 1.0)[0], radius, tol)
+    assert beta is not None
+    walked = next(_tilt_walk(p, log_r, beta, radius, 1))[1]
+    assert radius <= walked <= radius + 0.5 * tol
+    exact = _tilt(p, log_r, beta)[0]
+    assert radius <= exact <= radius + tol
+    # the limit divergence of (1, 2, 2) at SKEWED is -log 0.9, about 0.105
+    radius = 0.2
+    assert _own_root(p, log_r, 1.0, _tilt(p, log_r, 1.0)[0], radius, tol) is None
+
+
+def test_tilt_walk_stops_where_the_divergence_is_flat():
+    # equal log-ratios tilt nowhere: D is 0 at every beta, so no step exists
+    p = SKEWED.as_array()
+    steps = list(_tilt_walk(p, np.full(3, 0.7), 2.0, 0.1, MAX_DOUBLINGS))
+    assert len(steps) == 1
+    assert steps[0][0] == 2.0
+    assert steps[0][1] == pytest.approx(0.0, abs=1e-15)
+    assert steps[0][2] == 0.0
+
+
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("entry", [
+    lambda beta: nu_circ(SKEWED, L122, beta),
+    lambda beta: xi(SKEWED, beta),
+    lambda beta: decomposition_terms(L122, SKEWED, SKEWED, beta),
+    lambda beta: exponential_huffman_log([-1.0, -2.0, -3.0, -4.0, -5.0], beta),
+    lambda beta: g_of_beta(SKEWED, 2, beta),
+], ids=["nu_circ", "xi", "decomposition_terms", "exponential_huffman_log", "g_of_beta"])
+def test_tilt_entry_points_reject_a_beta_outside_zero_to_infinity(entry, beta):
+    # an infinite beta used to pass `beta > 0` and return a wrong code,
+    # NaNs or an unrelated error
+    with pytest.raises(DomainError, match="beta must be positive and finite"):
+        entry(beta)
+
+
+def test_exact_avg_sup_at_radius_zero_is_the_centre():
+    from klcodes.tilted import exact_avg_sup
+
+    value, worst = exact_avg_sup(SKEWED, L122, 0.0)
+    assert worst == SKEWED
+    assert value == avg_redundancy(L122, SKEWED)
+    with pytest.raises(DomainError):
+        exact_avg_sup(SKEWED, L122, -0.1)
