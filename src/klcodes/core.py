@@ -295,6 +295,12 @@ def _check_beta(beta: float) -> None:
         raise DomainError(f"beta must be positive and finite, got {beta}")
 
 
+def _check_tol(tol: float) -> None:
+    """Require a tolerance tol >= 0 (NaN fails too)."""
+    if not (tol >= 0.0):
+        raise DomainError(f"tol must be >= 0, got {tol}")
+
+
 def log_sum_exp(values: np.ndarray) -> float:
     """log(sum(exp(values))) with max subtraction; tolerates -inf entries."""
     values = np.asarray(values, dtype=float)

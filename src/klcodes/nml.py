@@ -25,6 +25,7 @@ from .core import (
     CodeLengths,
     Distribution,
     DivergenceBall,
+    _check_tol,
     binary_divergence,
     pinsker_upper,
 )
@@ -69,6 +70,7 @@ def solve_pi_k(
         raise DomainError(f"m must be in (0, 1), got {m}")
     if not (radius > 0.0):
         raise DomainError(f"radius must be positive, got {radius}")
+    _check_tol(tol)
     if m >= math.exp(-radius):
         raise SaturatedInputError(f"m={m} saturates at radius {radius}")
 
@@ -125,6 +127,7 @@ def nml_distribution(ball: DivergenceBall, tol: float = 1e-13) -> NmlResult:
     coordinates solve the binary-divergence root.  Radius zero returns the
     center unchanged.
     """
+    _check_tol(tol)
     mu = ball.center
     radius = ball.radius
     if any(not (0.0 < p < 1.0) for p in mu.probs):

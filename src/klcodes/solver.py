@@ -15,17 +15,22 @@ Illinois steps remain for roots that fall outside the bracket.  Because
 the inner problem is discrete, the divergence-vs-beta curve can jump where
 the optimal length multiset changes (and so cross R more than once; the
 search stops at one crossing), so every probed candidate code is kept
-(with the hedged codes and the limit code) and the winner is chosen by its
-exact supremum over the ball, not by the root alone.  Scoring is exact but
-lazy: the code of the closest probe is scored first, and a later candidate
-is scored only when no value it provably reaches inside the ball (at the
-incumbent's worst case, or at a tilt of its own closed-form walk) already
-exceeds the incumbent's supremum; a candidate so ruled out cannot win.
+(after the limit code, and for avg-red after the hedged codes) and the
+winner is chosen by its exact supremum over the ball, not by the root
+alone.  A search that finds no bracket (its doublings reached the family's
+limit below R or, past r_max, met the limit code) is scored the same way,
+first candidate first.  Scoring is exact but lazy: the code of the closest
+probe is scored first, and a later candidate is scored only when no value
+it provably reaches inside the ball (at the incumbent's worst case, or at
+a tilt of its own closed-form walk) already exceeds the incumbent's
+supremum; a candidate so ruled out cannot win.
 
 Outside that range the solvers degrade explicitly: R = 0 reduces to plain
-Huffman coding, and R at or beyond the threshold returns the minimax
-pointwise limit code (regime "boundary", or an error in strict mode), for
-gg below -log min mu only when no hedged code does better.
+Huffman coding, and R at or beyond the threshold is regime "boundary" (an
+error in strict mode).  There avg-red returns the minimax pointwise limit
+code, and so does gg at or past -log min mu, where no code has a tilt
+root; gg between the two runs the same search, its candidates the limit
+code and the codes the probes meet (solve_gg says why that suffices).
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .core import CodeLengths, Distribution, DivergenceBall, PrefixCode
-from .errors import BoundaryRegimeError, DomainError, NoConvergenceError, ZeroProbabilityError
+from .core import CodeLengths, Distribution, DivergenceBall, PrefixCode, _check_tol
+from .errors import BoundaryRegimeError, ZeroProbabilityError
 from .huffman import canonical_codewords, exponential_huffman_log, huffman, max_huffman
 from .tilted import (
     MAX_DOUBLINGS,
@@ -63,9 +68,23 @@ Regime = Literal["interior", "boundary", "zero_radius", "reduced"]
 _SKIP_MARGIN = 1e-7
 
 
+class _LimitCodeMet(Exception):
+    """A boundary search met the limit code: no later probe can meet another code.
+
+    Past r_max the limit code's tilt stays below the radius, and once a
+    doubling meets the limit code every later doubling meets it too (an
+    observed property of exponential Huffman codes; see
+    tilted._root_in_beta), so the search has nothing left to find.
+    """
+
+
 @dataclass(frozen=True)
 class BetaSolveTrace:
-    """Diagnostics from the tilt root search: every g_of_beta probe, in order."""
+    """Diagnostics from the tilt root search: every g_of_beta probe, in order.
+
+    Every solve that runs the search carries one, interior or boundary gg
+    below -log min mu, whether or not the search found a bracket.
+    """
 
     probes: tuple[tuple[float, float], ...]  # (beta, divergence)
 
@@ -148,11 +167,12 @@ def _candidate_sup(
 
 
 def _hedged_codes(mu: Distribution, arity: int) -> list[CodeLengths]:
-    """Huffman codes of the nominal hedged toward uniform.
+    """Huffman codes of the nominal hedged toward uniform: the rootless search of avg-red.
 
-    t=0 is plain Huffman, t=1 the flattest code; at large radii the minimax
-    optimum sits on this family rather than on the tilt path, whose codes
-    only steepen with beta.
+    t=0 is plain Huffman, t=1 the flattest code; at large avg-red radii the
+    minimax optimum can be a code without a tilt root, on this family rather
+    than on the tilt path, whose codes only steepen with beta.  gg needs
+    none of them (solve_gg says why).
     """
     m = mu.m
     return [huffman([(1.0 - t) * p + t / m for p in mu.probs], arity)
@@ -256,8 +276,7 @@ def _solve(
     objective: str,
     strict_boundary: bool,
 ) -> RobustCodeResult:
-    if not (tol >= 0.0):
-        raise DomainError(f"tol must be >= 0, got {tol}")
+    _check_tol(tol)
     mu = ball.center
     radius = ball.radius
     if any(p == 0.0 for p in mu.probs):
@@ -274,48 +293,46 @@ def _solve(
         )
 
     r_max, _, limit_code = existence_threshold(mu, arity)
+    boundary = radius >= r_max
+    if boundary and strict_boundary:
+        raise BoundaryRegimeError(
+            f"radius {radius} is at or beyond the existence threshold {r_max}"
+        )
+    regime: Regime = "boundary" if boundary else "interior"
+    # r_max <= -log min mu (the limit's argmax set holds at least one
+    # symbol); past the threshold no avg-red code is searched (an avg-red
+    # candidate without a root costs an exact_avg_sup call), and past -log
+    # min mu no code has a tilt root, so the limit code is optimal for gg
+    if boundary and (objective != "gg" or radius >= -math.log(min(mu.probs))):
+        return _best_candidate(objective, mu, radius, [limit_code], tol, regime, None)
 
-    # r_max <= -log min mu (the limit's argmax set holds at least one symbol),
-    # so this also covers the GG shortcut radius
-    if radius >= r_max:
-        if strict_boundary:
-            raise BoundaryRegimeError(
-                f"radius {radius} is at or beyond the existence threshold {r_max}"
-            )
-        # below the shortcut radius other gg codes can still have tilt roots
-        # and beat the limit code, which comes first so that a code tying it
-        # at its own limit point does not replace it; an avg-red candidate
-        # without a root costs an exact_avg_sup call, so avg-red scores the
-        # limit code alone
-        boundary = [limit_code]
-        if objective == "gg" and radius < -math.log(min(mu.probs)):
-            boundary = dict.fromkeys((limit_code, *_hedged_codes(mu, arity)))
-        return _best_candidate(objective, mu, radius, boundary, tol, "boundary", None)
-
-    # interior: the tilt root search of tilted_root, keeping every candidate
-    # code a probe meets (an ordered set) after the hedged codes and the
-    # limit code; the closest probe's code is scored first
+    # the tilt root search of tilted_root, keeping every candidate code a
+    # probe meets (an ordered set) after the limit code, and for avg-red
+    # after the hedged codes too; the closest probe's code is scored first
     probes: list[tuple[float, float]] = []
-    candidates = dict.fromkeys((*_hedged_codes(mu, arity), limit_code))
+    hedged = _hedged_codes(mu, arity) if objective == "avg-red" else ()
+    candidates = dict.fromkeys((*hedged, limit_code))
     p = mu.as_array()
 
     def probe(beta: float) -> tuple[float, tuple[CodeLengths, float, float]]:
         divergence, lengths = g_of_beta(mu, arity, beta)
         candidates.setdefault(lengths)
         probes.append((beta, divergence))
+        if boundary and lengths == limit_code:
+            raise _LimitCodeMet
         return divergence, (lengths, beta, divergence)
 
     def own_root(point: tuple[CodeLengths, float, float]) -> Optional[float]:
         lengths, beta, divergence = point
         return _own_root(p, _log_ratios(mu, lengths), beta, divergence, radius, tol)
 
-    closest = _root_in_beta(probe, radius, tol, own_root)
-    if closest is None:
-        raise NoConvergenceError(
-            f"no tilt bracket within {MAX_DOUBLINGS} doublings for radius {radius}"
-        )
-    trace = BetaSolveTrace(probes=tuple(probes))
-    return _best_candidate(objective, mu, radius, candidates, tol, "interior", trace, closest[0])
+    try:
+        closest = _root_in_beta(probe, radius, tol, own_root)
+    except _LimitCodeMet:
+        closest = None
+    return _best_candidate(objective, mu, radius, candidates, tol, regime,
+                           BetaSolveTrace(probes=tuple(probes)),
+                           None if closest is None else closest[0])
 
 
 def solve_avg_redundancy(
@@ -337,6 +354,19 @@ def solve_gg(
     """Best prefix code for the worst nominal-referenced redundancy in the ball.
 
     For radius at or beyond -log min_i mu_i the minimax pointwise code is
-    optimal outright and is returned with regime "boundary".
+    optimal outright and is returned with regime "boundary".  Below that the
+    tilt search runs, also between r_max and -log min mu (regime "boundary",
+    with beta and a trace), and its candidates are the limit code and the
+    codes its probes meet.  No hedged code is needed:
+    - For a fixed code gg is linear in nu, <nu, l + log_D mu>.  A code with
+      no tilt root at R has its worst case at its limit point, where the
+      value is its pointwise redundancy max_i (l_i + log_D mu_i).
+    - The limit code minimises that maximum, and its own supremum is at
+      most that maximum.  So only a code with a root can beat it.
+    - By duality over the ball (Csiszar 1975), a rooted code's supremum is
+      min over beta of (R + log sum_i mu_i (mu_i D^l_i)^beta) / (beta log D),
+      at least min over beta of Psi(beta), the same expression minimised
+      over codes, which exponential Huffman on mu^(beta+1) attains (Campbell
+      1965).  That envelope is what the probes walk.
     """
     return _solve(ball, arity, tol, "gg", strict_boundary)

@@ -283,15 +283,21 @@ def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
     the bracket shrinks from both sides even where the divergence jumps.
     The search keeps the probe closest to the radius (the last doubling
     below it included) and stops when that lies within tol or the bracket
-    collapses.  Returns that probe's point, or None when MAX_DOUBLINGS
-    doublings do not reach the radius (numerically indistinguishable from
-    the limit).
+    collapses.  Returns that probe's point, or None when the doublings do
+    not reach the radius: after MAX_DOUBLINGS of them, or once a doubling's
+    divergence equals the previous doubling's bit for bit, where the family
+    has reached its limit in floating point.  For the solver's probes, whose
+    code can change between doublings, that stop rests on an observed
+    property: on seeded centres (M 3-256, arity 2 and 3), once a doubling
+    met the limit code every later doubling up to 2^60 met it too.
     """
     lo, hi = 0.0, 1.0
     best = evaluate(hi)
     f_lo = -radius
     for _ in range(MAX_DOUBLINGS):
-        if best[0] >= radius:
+        # a doubling that repeats the previous one's divergence bit for bit
+        # has reached the family's limit in floating point
+        if best[0] >= radius or lo and best[0] == below[0]:
             break
         lo, below, f_lo = hi, best, best[0] - radius
         hi *= 2.0

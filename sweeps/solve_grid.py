@@ -1,0 +1,79 @@
+"""Solve a fixed grid of balls with one klcodes tree and dump one record per solve.
+
+usage: PYTHONPATH=<tree>/src python sweeps/solve_grid.py OUT.json
+
+Grid A draws one centre per (seed 3 or 17, M, alpha, arity) from
+default_rng(seed), in that loop order: M in 3..256 (15 sizes), Dirichlet
+alpha 1 or 0.3, arity 2 or 3, floored at 1e-6 and renormalised.  Each
+centre is solved by solve_gg and solve_avg_redundancy at 1e-4, 0.01, 0.1,
+0.3, 0.5, 0.8, 0.95, 0.99 and 1 x r_max and halfway from r_max to
+-log min mu.  Grid B is boundary gg alone: centres from
+default_rng([seed, M, round(10 alpha), arity]) for seeds 0-39, M in 4..48,
+alpha 1 or 0.3 and arity 2 or 3, at R = r_max + f (-log min mu - r_max)
+for f = 0, 0.25, 0.5 and 0.75.  Run it on two trees and compare the dumps
+with compare_grids.py.
+"""
+
+import json
+import math
+import sys
+
+import numpy as np
+
+from klcodes.core import DivergenceBall, validate_distribution
+from klcodes.solver import existence_threshold, solve_avg_redundancy, solve_gg
+
+SIZES = (3, 4, 5, 6, 8, 10, 12, 16, 24, 32, 48, 64, 100, 128, 256)
+FRACTIONS = (1e-4, 0.01, 0.1, 0.3, 0.5, 0.8, 0.95, 0.99, 1.0, "mid")
+
+
+def centre(rng, m, alpha):
+    p = np.maximum(rng.dirichlet(np.full(m, alpha)), 1e-6)
+    return validate_distribution((p / p.sum()).tolist())
+
+
+def record(solve, ball, arity):
+    try:
+        r = solve(ball, arity)
+    except Exception as exc:  # the exception type is part of the outcome
+        return {"exc": type(exc).__name__}
+    return {"value": r.achieved_utility, "regime": r.regime, "beta": r.beta,
+            "lengths": list(r.lengths.lengths),
+            "repr": repr((r.lengths, r.beta, r.worst_case, r.achieved_utility, r.regime)),
+            "probes": None if r.trace is None else repr(r.trace.probes)}
+
+
+def main(path):
+    out = []
+    for seed in (3, 17):
+        rng = np.random.default_rng(seed)
+        for m in SIZES:
+            for alpha in (1.0, 0.3):
+                for arity in (2, 3):
+                    mu = centre(rng, m, alpha)
+                    r_max = existence_threshold(mu, arity)[0]
+                    top = -math.log(min(mu.probs))
+                    for f in FRACTIONS:
+                        ball = DivergenceBall(mu, 0.5 * (r_max + top) if f == "mid" else f * r_max)
+                        for name, solve in (("gg", solve_gg), ("avg-red", solve_avg_redundancy)):
+                            out.append({"grid": "A", "seed": seed, "m": m, "alpha": alpha,
+                                        "arity": arity, "f": f, "objective": name,
+                                        **record(solve, ball, arity)})
+    for seed in range(40):
+        for m in (4, 6, 8, 12, 16, 24, 32, 48):
+            for alpha in (1.0, 0.3):
+                for arity in (2, 3):
+                    mu = centre(np.random.default_rng([seed, m, round(10 * alpha), arity]), m, alpha)
+                    r_max = existence_threshold(mu, arity)[0]
+                    top = -math.log(min(mu.probs))
+                    for f in (0.0, 0.25, 0.5, 0.75):
+                        ball = DivergenceBall(mu, r_max + f * (top - r_max))
+                        out.append({"grid": "B", "seed": seed, "m": m, "alpha": alpha,
+                                    "arity": arity, "f": f, "objective": "gg",
+                                    **record(solve_gg, ball, arity)})
+    with open(path, "w") as handle:
+        json.dump(out, handle)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])

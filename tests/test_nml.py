@@ -47,6 +47,26 @@ def test_solve_pi_k_domain_errors():
         solve_pi_k(0.96, 0.05)  # 0.96 >= e^-0.05 ~ 0.9512
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda tol: solve_pi_k(0.1, 0.2, tol=tol),
+        lambda tol: nml_distribution(DivergenceBall(validate_distribution([0.6, 0.3, 0.1]), 0.2),
+                                     tol=tol),
+        # radius 0 needs no root, and still rejects the tolerance
+        lambda tol: nml_distribution(DivergenceBall(validate_distribution([0.6, 0.3, 0.1]), 0.0),
+                                     tol=tol),
+    ],
+    ids=["solve_pi_k", "nml_distribution", "nml_distribution_radius_0"],
+)
+def test_nml_roots_reject_a_tolerance_below_zero_or_nan(solve, tol):
+    # NaN and -1e-12 returned a root unchecked, and -1.0 raised
+    # NoConvergenceError for a root at residual 5.55e-17
+    with pytest.raises(DomainError, match="tol must be >= 0"):
+        solve(tol)
+
+
 def test_solve_pi_k_agrees_with_bisection_randomized():
     rng = np.random.default_rng(61)
     for _ in range(200):

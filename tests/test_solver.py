@@ -12,7 +12,6 @@ from klcodes.errors import (
     BoundaryRegimeError,
     DomainError,
     LimitExceededError,
-    NoConvergenceError,
     ZeroProbabilityError,
 )
 from klcodes.huffman import expected_cost, huffman
@@ -177,6 +176,41 @@ def test_solve_gg_between_thresholds_is_exact():
     assert tuple(sorted(result.lengths.lengths)) in report.optimal_length_vectors
 
 
+@pytest.mark.parametrize("seed, m", [(244, 8), (100, 7)])
+def test_solve_gg_at_the_threshold_matches_the_exhaustive_oracle(seed, m):
+    # at R = r_max codes other than the limit code still have tilt roots, and
+    # the tilt search meets the optimal one (seed 244: (1,2,6,3,5,5,6,5) at
+    # beta about 6.23), which the limit and hedged codes alone missed
+    p = np.maximum(np.random.default_rng([seed, m, 2]).dirichlet(np.full(m, 0.3)), 1e-6)
+    mu = validate_distribution((p / p.sum()).tolist())
+    ball = DivergenceBall(mu, existence_threshold(mu)[0])
+    result = solve_gg(ball)
+    report = brute_min_over_codes("gg", ball=ball, arity=2, n_interior=0, n_boundary=0)
+    assert result.regime == "boundary" and result.beta is not None
+    assert result.achieved_utility == pytest.approx(report.optimum_value, abs=1e-9)
+    assert tuple(sorted(result.lengths.lengths)) in report.optimal_length_vectors
+    assert abs(kl_divergence(result.worst_case, mu) - ball.radius) <= 1e-9
+
+
+def test_boundary_gg_search_stops_at_the_limit_code():
+    # past r_max the limit code's tilt stays below the radius and every later
+    # doubling meets it again, so the first probe that meets it is the last
+    rng = np.random.default_rng(41)
+    stopped = 0
+    for m in (4, 6, 8, 12, 16, 24, 32, 48):
+        for alpha in (1.0, 0.3):
+            p = np.maximum(rng.dirichlet(np.full(m, alpha)), 1e-6)
+            mu = validate_distribution((p / p.sum()).tolist())
+            r_max, _, limit_code = existence_threshold(mu)
+            for radius in (r_max, 0.5 * (r_max - math.log(min(mu.probs)))):
+                result = solve_gg(DivergenceBall(mu, radius))
+                assert result.regime == "boundary"
+                codes = [g_of_beta(mu, 2, beta)[1] for beta, _ in result.trace.probes]
+                assert limit_code not in codes[:-1]
+                stopped += codes[-1] == limit_code
+    assert stopped >= 24
+
+
 def test_solve_gg_interior_matches_avg_code():
     ball = DivergenceBall(SKEWED, 0.05)
     gg_result = solve_gg(ball)
@@ -285,14 +319,27 @@ def test_trace_bracket_straddles_radius():
     assert len(set(betas)) == len(betas)
 
 
-def test_unreached_radius_raises_no_convergence(monkeypatch):
-    # with no doublings allowed, beta = 1 is the whole bracket and its
-    # divergence lies below the radius
-    from klcodes import tilted
+def test_a_search_without_a_bracket_scores_its_candidates(monkeypatch):
+    # a search that finds no bracket is scored like any other, first
+    # candidate first: both solvers return the exact least supremum over the
+    # same candidates, with the one probe in the trace
+    from klcodes import solver
 
-    monkeypatch.setattr(tilted, "MAX_DOUBLINGS", 0)
-    with pytest.raises(NoConvergenceError):
-        solve_avg_redundancy(DivergenceBall(SKEWED, 0.09))
+    def unbracketed(evaluate, radius, tol, suggest=None):
+        evaluate(1.0)
+        return None
+
+    monkeypatch.setattr(solver, "_root_in_beta", unbracketed)
+    radius = 0.09
+    limit_code = existence_threshold(SKEWED)[2]
+    divergence, probed = g_of_beta(SKEWED, 2, 1.0)
+    for solve, objective in ((solve_avg_redundancy, "avg-red"), (solve_gg, "gg")):
+        result = solve(DivergenceBall(SKEWED, radius))
+        assert result.trace.probes == ((1.0, divergence),)
+        hedged = solver._hedged_codes(SKEWED, 2) if objective == "avg-red" else ()
+        candidates = list(dict.fromkeys((*hedged, limit_code, probed)))
+        assert result == _score_every_candidate(objective, SKEWED, radius, candidates, 1e-9,
+                                                "interior", result.trace)
 
 
 def test_g_of_beta_matches_public_composition():
@@ -435,7 +482,11 @@ def test_every_scored_candidate_asks_the_solvers_tilted_root(monkeypatch):
         assert len(scored) == len(set(scored)) and set(scored) <= set(offered)
         assert set(exact) <= set(scored)
         assert limit_code in offered and result.lengths in scored
-        if result.regime == "interior":
+        if objective == "gg":
+            # the limit code, then the codes the traced probes meet
+            probed = {g_of_beta(mu, 2, beta)[1] for beta, _ in result.trace.probes}
+            assert offered[0] == limit_code and set(offered) == {limit_code} | probed
+        elif result.regime == "interior":
             assert set(solver._hedged_codes(mu, 2)) <= set(offered)
         else:
             assert scored[0] == limit_code
@@ -574,12 +625,14 @@ def _reference_root_in_beta(evaluate, radius, tol):
 
 def _reference_interior(objective, ball, arity, tol=1e-9):
     # the interior solve with the reference search driving g_of_beta; every
-    # probe code is kept, after the hedged codes and the limit code
+    # probe code is kept, after the limit code and, for avg-red, after the
+    # hedged codes
     from klcodes import solver
 
     mu, radius = ball.center, ball.radius
     limit_code = existence_threshold(mu, arity)[2]
-    candidates = dict.fromkeys((*solver._hedged_codes(mu, arity), limit_code))
+    hedged = solver._hedged_codes(mu, arity) if objective == "avg-red" else ()
+    candidates = dict.fromkeys((*hedged, limit_code))
     probes = []
 
     def probe(beta):

@@ -350,6 +350,43 @@ def test_root_in_beta_takes_the_midpoint_where_the_secant_rounds_onto_hi():
     assert hi - lo <= 1e-15 * max(1.0, hi)
 
 
+def test_root_in_beta_stops_where_the_divergence_stops_moving():
+    # a divergence constant below the radius: the doubling to beta = 2 repeats
+    # beta = 1's divergence bit for bit, so the family is at its limit and
+    # the search gives up there instead of doubling MAX_DOUBLINGS times
+    seen = []
+
+    def evaluate(beta):
+        seen.append(beta)
+        return 0.25, beta
+
+    assert _root_in_beta(evaluate, 0.5, 1e-12) is None
+    assert seen == [1.0, 2.0]
+
+
+def test_doublings_keep_the_limit_code_once_they_meet_it():
+    # the property the solver's stops rely on (the bit-for-bit stop of the
+    # doublings, and a boundary search ending at the limit code): once a
+    # doubling's exponential Huffman code is the limit code, so is every
+    # later one
+    from klcodes.solver import existence_threshold
+
+    rng = np.random.default_rng(29)
+    met = 0
+    for m in (3, 4, 5, 6, 8, 12, 16, 24, 32, 64):
+        for alpha in (1.0, 0.1):
+            for arity in (2, 3):
+                raw = np.maximum(rng.dirichlet(np.full(m, alpha)), 1e-6)
+                mu = validate_distribution((raw / raw.sum()).tolist())
+                limit_code = existence_threshold(mu, arity)[2]
+                codes = [g_of_beta(mu, arity, 2.0 ** k)[1] for k in range(31)]
+                if limit_code in codes:
+                    met += 1
+                    first = codes.index(limit_code)
+                    assert all(code == limit_code for code in codes[first:]), (m, alpha, arity)
+    assert met >= 30
+
+
 def test_tilted_root_takes_few_tilts(monkeypatch):
     # the codes a solver scores (its hedged Huffman codes) at interior radii;
     # secant steps reach the radius in a handful of tilts after the doublings,
