@@ -8,6 +8,7 @@ division by log D wherever a D-ary quantity is returned.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -97,8 +98,10 @@ class CodeLengths:
     is_integer: bool = True
 
     def __post_init__(self):
-        if self.arity < 2:
-            raise DomainError(f"arity must be >= 2, got {self.arity}")
+        arity = _index_arity(self.arity)
+        if arity < 2:
+            raise DomainError(f"arity must be >= 2, got {arity}")
+        object.__setattr__(self, "arity", arity)
         lengths = tuple(self.lengths)
         if not lengths:
             raise DomainError("empty length vector")
@@ -293,6 +296,14 @@ def _check_beta(beta: float) -> None:
     """Require a tilt parameter 0 < beta < inf (NaN fails too)."""
     if not (0.0 < beta < math.inf):
         raise DomainError(f"beta must be positive and finite, got {beta}")
+
+
+def _index_arity(arity) -> int:
+    """The arity as a Python int, through operator.index: a float arity raises DomainError."""
+    try:
+        return operator.index(arity)
+    except TypeError:
+        raise DomainError(f"arity must be an integer, got {arity!r}") from None
 
 
 def _check_tol(tol: float) -> None:

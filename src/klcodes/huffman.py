@@ -27,6 +27,12 @@ so merged weights do not form a sorted queue.  The tree is a parent
 array, so a build makes no node objects.  The exponential merge runs on
 Python floats, rounded exactly as core.log_sum_exp rounds, so its depths
 match those of the array form bit for bit.
+
+_certifies_exponential decides, without a build, whether the exponential
+rule would return a given length vector: it rebuilds that tree level by
+level and checks Gallager's sibling property with a margin above rounding
+(its docstring argues the margin).  The tilt probe solver.g_of_beta uses it
+to return the code the previous probe met when that code is certified.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .core import (
     Distribution,
     PrefixCode,
     _check_beta,
+    _index_arity,
     ceil_log_inv,
     kraft_integer_ok,
     log_sum_exp,
@@ -104,6 +111,78 @@ def _build_tree(weights, arity, combine) -> list[int]:
     return depths[:leaves]
 
 
+# _certifies_exponential accepts a code only if each sibling group of its
+# tree lies above the group before it by more than this times the scale of
+# the log-weights (its docstring argues why that is enough)
+_CERTIFY_MARGIN = 1e-9
+
+
+def _certifies_exponential(log_weights: list[float], beta: float, arity: int,
+                           lengths: CodeLengths) -> bool:
+    """Whether exponential_huffman_log(log_weights, beta, arity) returns lengths; no build.
+
+    The sibling property (Gallager 1978): the tree of the lengths is
+    rebuilt level by level, deepest first, the -inf dummies padding the
+    deepest level.  Each level's nodes are its leaves and the parents
+    made from the level below, in ascending weight; every D consecutive
+    nodes form a sibling group, whose parent weighs beta log D + lse of
+    the group.  If every group lies strictly above the group before it, in
+    that order across all levels, the greedy build pops exactly these
+    groups in turn: when a group's turn comes its members all exist (their
+    children are in earlier groups) and they are the D lightest nodes left.
+    So the build returns these lengths whatever its tie rule.  A group
+    that does not clear the one before it, a level whose node count is not
+    a multiple of D, or a non-finite weight returns False; the caller then
+    builds.  The first group is tested against -inf, which a dummy there
+    meets as nan and a weight as inf, so it always passes.
+
+    The gap must exceed _CERTIFY_MARGIN * S, with S = 1 + max |w| +
+    (beta + 1) log D L, L the deepest length: no node of the tree weighs
+    more than S in magnitude (each level adds beta log D, and an lse of D
+    terms at most log D).  The check rounds with math.exp and math.log1p,
+    the builder with numpy's exp and log; each merge in either is off by at
+    most about D + 6 ulps of S beyond its children's error, an lse being
+    1-Lipschitz in its inputs.  The two weights of a node differ by at most
+    2 L (D + 6) 2^-53 S, under a tenth of the margin while L (D + 6) stays
+    below 4e6, and the check declines beyond that.  So a gap above the
+    margin has the same sign in the builder's floats: a certified code is
+    bit for bit what the build returns, and a tie falls back to the build.
+    """
+    _check_beta(beta)
+    arity = _check_arity(arity)
+    depths = lengths.lengths
+    if not lengths.is_integer or lengths.arity != arity or len(depths) != len(log_weights):
+        return False
+    depth = max(depths)
+    log_d = math.log(arity)
+    scale = 1.0 + max(map(abs, log_weights)) + (beta + 1.0) * log_d * depth
+    # the sum is finite only if every weight is (nan or inf otherwise)
+    if depth * (arity + 6) > 4e6 or not math.isfinite(scale + sum(log_weights)):
+        return False
+    margin = _CERTIFY_MARGIN * scale
+    bump = beta * log_d
+    levels: list[list[float]] = [[] for _ in range(depth)]
+    for length, weight in zip(depths, log_weights):
+        levels[length - 1].append(weight)
+    parents = [-math.inf] * _dummy_count(len(depths), arity)
+    top = -math.inf
+    exp, log1p = math.exp, math.log1p
+    for level in reversed(levels):
+        nodes = sorted(level + parents)
+        if len(nodes) % arity:
+            return False
+        parents = []
+        for start in range(0, len(nodes), arity):
+            if nodes[start] - top <= margin:
+                return False
+            top = nodes[start + arity - 1]
+            total = 0.0
+            for weight in nodes[start:start + arity - 1]:
+                total += exp(weight - top)
+            parents.append(bump + top + log1p(total))
+    return len(parents) == 1
+
+
 def _sum_ascending(values: list[float]) -> float:
     """Left-to-right float sum; the built-in sum compensates from Python 3.12."""
     total = 0.0
@@ -130,9 +209,16 @@ def _log_sum_exp_ascending(values: list[float]) -> float:
     return float(hi + np.log(total + 1.0))
 
 
-def _check_weights(weights, arity) -> np.ndarray:
+def _check_arity(arity) -> int:
+    """The arity as a Python int >= 2; a float arity raises DomainError."""
+    arity = _index_arity(arity)
     if arity < 2:
         raise ArityTooSmallError(f"arity must be >= 2, got {arity}")
+    return arity
+
+
+def _check_weights(weights, arity) -> tuple[np.ndarray, int]:
+    arity = _check_arity(arity)
     w = np.asarray(list(weights), dtype=float)
     if w.size < 2:
         raise TooFewSymbolsError(f"need at least 2 weights, got {w.size}")
@@ -140,7 +226,7 @@ def _check_weights(weights, arity) -> np.ndarray:
         raise NonFiniteWeightError(f"non-finite weight in {w}")
     if np.any(w < 0.0):
         raise DomainError(f"negative weight in {w}")
-    return w
+    return w, arity
 
 
 def _log_weights(w: np.ndarray) -> list[float]:
@@ -150,7 +236,7 @@ def _log_weights(w: np.ndarray) -> list[float]:
 
 def huffman(weights, arity: int = 2) -> CodeLengths:
     """Optimal integer lengths for expected length sum w_k * l_k."""
-    w = _check_weights(weights, arity)
+    w, arity = _check_weights(weights, arity)
     padded = w.tolist() + [0.0] * _dummy_count(w.size, arity)
     depths = _build_tree(padded, arity, _sum_ascending)
     return CodeLengths(tuple(depths[: w.size]), arity=arity)
@@ -163,7 +249,7 @@ def exponential_huffman(weights, beta: float, arity: int = 2) -> CodeLengths:
     recovers plain Huffman; beta -> infinity approaches the minimax
     pointwise solution.
     """
-    w = _check_weights(weights, arity)
+    w, arity = _check_weights(weights, arity)
     return exponential_huffman_log(_log_weights(w), beta, arity)
 
 
@@ -176,8 +262,7 @@ def exponential_huffman_log(log_weights, beta: float, arity: int = 2) -> CodeLen
     merge order then collapses onto tie-breaking noise.
     """
     _check_beta(beta)
-    if arity < 2:
-        raise ArityTooSmallError(f"arity must be >= 2, got {arity}")
+    arity = _check_arity(arity)
     log_weights = [float(x) for x in log_weights]
     if len(log_weights) < 2:
         raise TooFewSymbolsError(f"need at least 2 weights, got {len(log_weights)}")
@@ -198,7 +283,7 @@ def max_huffman(weights, arity: int = 2) -> CodeLengths:
     The beta -> infinity member of the exponential family: the D smallest
     weights merge into D times the largest child.
     """
-    w = _check_weights(weights, arity)
+    w, arity = _check_weights(weights, arity)
     if not np.any(w > 0.0):
         raise AllZeroWeightsError("all weights are zero")
     bump = math.log(arity)

@@ -11,7 +11,11 @@ that those doublings meet.  It then refines the bracket at the own root of
 the last probe's code (tilted._own_root, on the closed-form walk
 tilted._tilt_walk: no build) when that lies inside the bracket; a probe
 whose code is unchanged there lands within tol and ends the search.
-Illinois steps remain for roots that fall outside the bracket.  Because
+Illinois steps remain for roots that fall outside the bracket.  Each probe
+first offers the code the previous probe met to the sibling check
+huffman._certifies_exponential, and builds only when that check cannot
+prove that the build would return it, so most doublings build no tree and
+every probe still returns what its build would.  Because
 the inner problem is discrete, the divergence-vs-beta curve can jump where
 the optimal length multiset changes (and so cross R more than once; the
 search stops at one crossing), so every probed candidate code is kept
@@ -43,7 +47,13 @@ import numpy as np
 
 from .core import CodeLengths, Distribution, DivergenceBall, PrefixCode, _check_tol
 from .errors import BoundaryRegimeError, ZeroProbabilityError
-from .huffman import canonical_codewords, exponential_huffman_log, huffman, max_huffman
+from .huffman import (
+    _certifies_exponential,
+    canonical_codewords,
+    exponential_huffman_log,
+    huffman,
+    max_huffman,
+)
 from .tilted import (
     MAX_DOUBLINGS,
     LimitPoint,
@@ -119,17 +129,25 @@ def existence_threshold(mu: Distribution, arity: int = 2) -> tuple[float, LimitP
     return limit.divergence_from_center, limit, limit_code
 
 
-def g_of_beta(mu: Distribution, arity: int, beta: float) -> tuple[float, CodeLengths]:
+def g_of_beta(
+    mu: Distribution, arity: int, beta: float, met: Optional[CodeLengths] = None
+) -> tuple[float, CodeLengths]:
     """Divergence of the tilted worst case induced by the optimal code at this tilt.
 
     The tilted weights xi_k ~ mu_k^(beta+1) are handed to the coder in
     log-domain and unnormalized (the coder is scale invariant); a linear
-    round trip would underflow them at large beta.
+    round trip would underflow them at large beta.  met, a code already
+    met (the previous probe's), is returned without a build when the
+    sibling check huffman._certifies_exponential proves that the build
+    would return it; the result is the same either way.
     """
     if 0.0 in mu.probs:
         raise ZeroProbabilityError("tilted weights need strictly positive probabilities")
     log_xi = [(beta + 1.0) * math.log(p) for p in mu.probs]
-    lengths = exponential_huffman_log(log_xi, beta, arity)
+    if met is not None and _certifies_exponential(log_xi, beta, arity, met):
+        lengths = met
+    else:
+        lengths = exponential_huffman_log(log_xi, beta, arity)
     return _tilt(mu.as_array(), _log_ratios(mu, lengths), beta)[0], lengths
 
 
@@ -313,9 +331,12 @@ def _solve(
     hedged = _hedged_codes(mu, arity) if objective == "avg-red" else ()
     candidates = dict.fromkeys((*hedged, limit_code))
     p = mu.as_array()
+    met: Optional[CodeLengths] = None  # the last probe's code, checked before a build
 
     def probe(beta: float) -> tuple[float, tuple[CodeLengths, float, float]]:
-        divergence, lengths = g_of_beta(mu, arity, beta)
+        nonlocal met
+        divergence, lengths = g_of_beta(mu, arity, beta, met)
+        met = lengths
         candidates.setdefault(lengths)
         probes.append((beta, divergence))
         if boundary and lengths == limit_code:

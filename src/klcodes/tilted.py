@@ -40,6 +40,7 @@ from .core import (
     CodeLengths,
     Distribution,
     _check_beta,
+    _check_tol,
     array_divergence,
     kl_divergence,
     log_sum_exp,
@@ -382,6 +383,7 @@ def exact_avg_sup(
     edge loop (about 523k edges at M = 1024) is unmeasured.  At radius 0
     the ball is mu alone.
     """
+    _check_tol(tol)
     if radius == 0.0:
         return avg_redundancy(lengths, mu), mu
     point = tilted_root(mu, lengths, radius, tol)
@@ -461,8 +463,9 @@ def tilted_root(
     bracket doubling (_root_in_beta) is sufficient; the end beta = 0 is mu
     itself, at divergence 0, and costs no tilt.
     """
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
+    _check_tol(tol)
     p = mu.as_array()
     log_r = _log_ratios(mu, lengths)
     if radius >= -math.log(_face_limit(p, log_r)[1]):

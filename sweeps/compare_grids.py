@@ -1,11 +1,12 @@
-"""Compare two solve_grid.py dumps: a summary per grid and regime, then every moved gg result.
+"""Compare two solve_grid.py dumps: a summary per objective, grid and regime, then every moved result.
 
 usage: python sweeps/compare_grids.py BEFORE.json AFTER.json
 
-avg-red records must be identical in result and probes; a gg record is
-identical, a tie (same value, other code), a rounding move (|change| at
-most 1e-12) or a move up or down.  Moved gg results print as a markdown
-table.
+A record is identical, a tie (same value, other code), a rounding move
+(|change| at most 1e-12) or a move up or down.  Apart from that, "probes
+moved" counts the records whose recorded probes differ, so a search that
+changed its trace but not its result is seen too.  Moved results print
+as a markdown table.
 """
 
 import json
@@ -17,18 +18,15 @@ KEY = ("grid", "seed", "m", "alpha", "arity", "f", "objective")
 def main(before_path, after_path):
     before, after = json.load(open(before_path)), json.load(open(after_path))
     assert len(before) == len(after)
-    summary, moved, avg = {}, [], [0, 0]
+    summary, moved = {}, []
     for a, b in zip(before, after):
         assert all(a[k] == b[k] for k in KEY)
-        if a["objective"] == "avg-red":
-            avg[0] += 1
-            avg[1] += a.get("exc") == b.get("exc") and a.get("repr") == b.get("repr") and (
-                a.get("probes") == b.get("probes"))
-            continue
-        cell = summary.setdefault(f"{a['grid']} {a.get('regime', a.get('exc'))}",
+        cell = summary.setdefault(f"{a['objective']} {a['grid']} {a.get('regime', a.get('exc'))}",
                                   dict.fromkeys(("solves", "identical", "tie", "rounding",
-                                                 "fell", "rose", "exception moved"), 0))
+                                                 "fell", "rose", "exception moved",
+                                                 "probes moved"), 0))
         cell["solves"] += 1
+        cell["probes moved"] += a.get("probes") != b.get("probes")
         if "exc" in a or "exc" in b:
             cell["identical" if a.get("exc") == b.get("exc") else "exception moved"] += 1
             continue
@@ -40,18 +38,18 @@ def main(before_path, after_path):
                 else "fell" if change < 0.0 else "rose")
         cell[kind] += 1
         moved.append((kind, a, b, change))
-    print(f"avg-red: {avg[1]} of {avg[0]} identical, probes included\n")
-    print("| grid, regime | " + " | ".join(next(iter(summary.values()))) + " |")
+    print("| objective, grid, regime | " + " | ".join(next(iter(summary.values()))) + " |")
     print("|---" * (1 + len(next(iter(summary.values())))) + "|")
     for name, cell in summary.items():
         print(f"| {name} | " + " | ".join(str(v) for v in cell.values()) + " |")
-    print("\n| kind | grid | seed | M | alpha | D | radius | before | after | change | beta before | beta after |")
-    print("|---" * 12 + "|")
+    print("\n| kind | objective | grid | seed | M | alpha | D | radius | before | after | change "
+          "| beta before | beta after |")
+    print("|---" * 13 + "|")
     for kind, a, b, change in moved:
         radius = "mid" if a["f"] == "mid" else (f"{a['f']} r_max" if a["grid"] == "A"
                                                 else f"r_max + {a['f']} gap")
         beta = [f"{x['beta']:.4g}" if x["beta"] is not None else "none" for x in (a, b)]
-        print(f"| {kind} | {a['grid']} | {a['seed']} | {a['m']} | {a['alpha']} | {a['arity']} | "
+        print(f"| {kind} | {a['objective']} | {a['grid']} | {a['seed']} | {a['m']} | {a['alpha']} | {a['arity']} | "
               f"{radius} | {a['value']:.10f} | {b['value']:.10f} | {change:.3g} | "
               f"{beta[0]} | {beta[1]} |")
 

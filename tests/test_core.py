@@ -181,6 +181,17 @@ def test_code_lengths_reject_nonfinite():
             CodeLengths((1, 2, bad), arity=3)
 
 
+def test_code_lengths_take_an_integral_arity_only():
+    # a float arity used to pass `arity < 2`, and the integer Kraft test then
+    # ran in floats; an int or a numpy integer is stored as an int
+    for bad in (2.5, 3.0, "2"):
+        with pytest.raises(DomainError):
+            CodeLengths((1, 2, 2), arity=bad)
+    lengths = CodeLengths((1, 1, 1), arity=np.int64(3))
+    assert lengths.arity == 3 and type(lengths.arity) is int
+    assert lengths == CodeLengths((1, 1, 1), arity=3)
+
+
 def test_prefix_code_rejects_prefix_clash():
     lengths = CodeLengths((1, 2, 2), arity=2)
     with pytest.raises(DomainError):

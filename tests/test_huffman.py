@@ -5,16 +5,24 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from klcodes.core import kraft_integer_ok, kraft_sum, log_sum_exp, validate_distribution
+from klcodes.core import (
+    CodeLengths,
+    kraft_integer_ok,
+    kraft_sum,
+    log_sum_exp,
+    validate_distribution,
+)
 from klcodes.errors import (
     AllZeroWeightsError,
     ArityTooSmallError,
+    DomainError,
     KraftViolationError,
     NonFiniteWeightError,
     ZeroProbabilityError,
 )
 from klcodes.huffman import (
     _build_tree,
+    _certifies_exponential,
     _dummy_count,
     _log_sum_exp_ascending,
     canonical_codewords,
@@ -46,6 +54,19 @@ def test_huffman_ternary_single_level():
 def test_huffman_rejects_bad_arity():
     with pytest.raises(ArityTooSmallError):
         huffman([0.5, 0.5], arity=1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda arity: huffman([0.5, 0.3, 0.2], arity),
+    lambda arity: max_huffman([0.5, 0.3, 0.2], arity),
+    lambda arity: exponential_huffman([0.5, 0.3, 0.2], 1.0, arity),
+    lambda arity: exponential_huffman_log([-1.0, -2.0, -3.0], 1.0, arity),
+], ids=["huffman", "max_huffman", "exponential_huffman", "exponential_huffman_log"])
+def test_builders_take_an_integral_arity_only(build):
+    # a float arity used to raise a bare TypeError from list repetition
+    with pytest.raises(DomainError, match="arity must be an integer"):
+        build(3.0)
+    assert build(np.int64(3)) == build(3) == CodeLengths((1, 1, 1), arity=3)
 
 
 def test_exponential_huffman_small_beta_reduces_to_huffman():
@@ -346,3 +367,85 @@ def test_huffman_edge_weights_pinned():
     assert huffman([1e308] * 5).lengths == (3, 3, 2, 2, 2)
     assert huffman([1e308, 1e308, 1e307, 1e306, 5e307, 1.7e308]).lengths == (3, 2, 5, 5, 4, 1)
     assert huffman([5e-324, 5e-324, 1e-323, 0.0]).lengths == (3, 2, 1, 3)
+
+
+def _swapped(lengths):
+    # the code with the first two symbols of different lengths exchanged
+    ls = list(lengths.lengths)
+    j = next(k for k in range(1, len(ls)) if ls[k] != ls[0])
+    ls[0], ls[j] = ls[j], ls[0]
+    return CodeLengths(tuple(ls), arity=lengths.arity)
+
+
+def test_a_certified_code_is_the_code_the_build_returns():
+    # at each beta the kernel is offered the code built at the previous beta,
+    # the code built now and that code with two lengths swapped; whatever it
+    # certifies, the build returns
+    rng = np.random.default_rng(20)
+    betas = [1e-3 * 8.0 ** k for k in range(24)] + [2.0 ** 60]
+    offered = certified = 0
+    for m in (2, 3, 5, 9, 17, 64, 200, 1024):
+        for arity in (2, 3, 4):
+            for alpha in (1.0, 0.3):
+                p = np.maximum(rng.dirichlet(np.full(m, alpha)), 1e-6)
+                log_p = np.log(p / p.sum()).tolist()
+                previous = None
+                for beta in betas:
+                    log_w = [(beta + 1.0) * x for x in log_p]
+                    built = exponential_huffman_log(log_w, beta, arity)
+                    offers = [built] + [previous] * (previous is not None)
+                    if len(set(built.lengths)) > 1:
+                        offers.append(_swapped(built))
+                    for code in offers:
+                        if _certifies_exponential(log_w, beta, arity, code):
+                            certified += 1
+                            assert code == built, (m, arity, alpha, beta, code)
+                    offered += len(offers)
+                    previous = built
+    assert certified > 0.4 * offered
+
+
+@pytest.mark.parametrize("probs", [
+    [0.25] * 4, [0.2] * 5, [0.125] * 8, [0.4, 0.2, 0.2, 0.1, 0.1], [0.3, 0.3, 0.1, 0.1, 0.1, 0.1],
+], ids=["uniform4", "uniform5", "uniform8", "repeated5", "repeated6"])
+def test_exact_ties_between_sibling_groups_fall_back_to_the_build(probs):
+    # binary, these ties fall between sibling groups, so the kernel declines
+    # even the code the build returns; at any arity, where the tie rule picks
+    # the code (the build of the reversed weights, reversed back, differs),
+    # it certifies neither code, and whatever it certifies the build returns
+    for arity in (2, 3, 4):
+        for beta in (1e-3, 1.0, 4.0, 2.0 ** 60):
+            log_w = [(beta + 1.0) * math.log(p) for p in probs]
+            built = exponential_huffman_log(log_w, beta, arity)
+            flipped = exponential_huffman_log(log_w[::-1], beta, arity).lengths[::-1]
+            flipped = CodeLengths(flipped, arity=arity)
+            for code in {built, flipped}:
+                if _certifies_exponential(log_w, beta, arity, code):
+                    assert code == built == flipped, (arity, beta)
+            if arity == 2:
+                assert not _certifies_exponential(log_w, beta, arity, built), beta
+
+
+def test_a_tie_inside_one_sibling_group_is_certified():
+    # the dyadic centre's merged pair of 0.25 leaves ties the 0.5 leaf, but
+    # both are siblings under the root, so every tie rule builds (1, 2, 2):
+    # the kernel certifies that code and no other arrangement
+    probs = [0.5, 0.25, 0.25]
+    for beta in (1e-3, 1.0, 4.0, 2.0 ** 60):
+        log_w = [(beta + 1.0) * math.log(p) for p in probs]
+        assert exponential_huffman_log(log_w, beta, 2).lengths == (1, 2, 2)
+        assert _certifies_exponential(log_w, beta, 2, CodeLengths((1, 2, 2)))
+        for other in ((2, 1, 2), (2, 2, 1)):
+            assert not _certifies_exponential(log_w, beta, 2, CodeLengths(other))
+
+
+def test_the_kernel_declines_what_it_cannot_certify():
+    # a weight the build rejects or merges first (nan, -inf), another arity
+    # or size, and a tree that is not full all fall back to the build
+    log_w = [-1.0, -2.0, -3.0]
+    code = CodeLengths((1, 2, 2))
+    assert _certifies_exponential(log_w, 1.0, 2, code)
+    for bad in ([-1.0, -2.0, math.nan], [-1.0, -2.0, -math.inf], [-1.0, -2.0, -3.0, -4.0]):
+        assert not _certifies_exponential(bad, 1.0, 2, code)
+    assert not _certifies_exponential(log_w, 1.0, 3, code)
+    assert not _certifies_exponential(log_w, 1.0, 2, CodeLengths((1, 2, 3)))

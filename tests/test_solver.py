@@ -430,9 +430,9 @@ def test_every_probe_is_a_g_of_beta_call(monkeypatch):
     calls = []
     original = solver.g_of_beta
 
-    def counted(mu, arity, beta):
+    def counted(mu, arity, beta, *met):
         calls.append(beta)
-        return original(mu, arity, beta)
+        return original(mu, arity, beta, *met)
 
     monkeypatch.setattr(solver, "g_of_beta", counted)
     for objective in (solve_avg_redundancy, solve_gg):
@@ -653,9 +653,9 @@ def _counting_g_of_beta(monkeypatch):
     counted = []
     original = solver.g_of_beta
 
-    def counting(mu, arity, beta):
+    def counting(mu, arity, beta, *met):
         counted.append(beta)
-        return original(mu, arity, beta)
+        return original(mu, arity, beta, *met)
 
     monkeypatch.setattr(solver, "g_of_beta", counting)
     return counted
@@ -772,3 +772,41 @@ def test_solvers_reject_a_tolerance_below_zero_or_nan(solve, tol):
     # and -1e-12 and NaN returned a result
     with pytest.raises(DomainError, match="tol must be >= 0"):
         solve(DivergenceBall(SKEWED, 0.05), tol=tol)
+
+
+@pytest.mark.parametrize("solve", [solve_avg_redundancy, solve_gg])
+def test_solvers_take_an_integral_arity_only(solve):
+    # arity=3.0 used to raise a bare TypeError from list repetition
+    ball = DivergenceBall(SKEWED, 0.05)
+    with pytest.raises(DomainError, match="arity must be an integer"):
+        solve(ball, arity=3.0)
+    assert repr(solve(ball, arity=np.int64(3))) == repr(solve(ball, arity=3))
+
+
+@pytest.mark.parametrize("solve", [solve_avg_redundancy, solve_gg])
+def test_probes_that_meet_the_previous_code_build_no_tree(monkeypatch, solve):
+    # a probe whose code the sibling check certifies returns it without a
+    # build, so one interior solve builds fewer exponential Huffman trees
+    # than it probes, with its result unchanged
+    from klcodes import solver
+
+    rng = np.random.default_rng(20)
+    p = np.maximum(rng.dirichlet(np.ones(64)), 1e-6)
+    mu = validate_distribution((p / p.sum()).tolist())
+    ball = DivergenceBall(mu, 0.3 * existence_threshold(mu, 2)[0])
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(solver, "_certifies_exponential", lambda *args: False)
+        expected = repr(solve(ball))
+    builds = []
+    original = solver.exponential_huffman_log
+
+    def counted_build(*args):
+        builds.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(solver, "exponential_huffman_log", counted_build)
+    probes = _counting_g_of_beta(monkeypatch)
+    result = solve(ball)
+    assert result.regime == "interior" and repr(result) == expected
+    assert len(probes) == len(result.trace.probes)
+    assert 0 < len(builds) < len(probes)

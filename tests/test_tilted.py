@@ -831,7 +831,9 @@ def test_tilt_walk_stops_where_the_divergence_is_flat():
     lambda beta: decomposition_terms(L122, SKEWED, SKEWED, beta),
     lambda beta: exponential_huffman_log([-1.0, -2.0, -3.0, -4.0, -5.0], beta),
     lambda beta: g_of_beta(SKEWED, 2, beta),
-], ids=["nu_circ", "xi", "decomposition_terms", "exponential_huffman_log", "g_of_beta"])
+    lambda beta: g_of_beta(SKEWED, 2, beta, L122),
+], ids=["nu_circ", "xi", "decomposition_terms", "exponential_huffman_log", "g_of_beta",
+        "g_of_beta_met"])
 def test_tilt_entry_points_reject_a_beta_outside_zero_to_infinity(entry, beta):
     # an infinite beta used to pass `beta > 0` and return a wrong code,
     # NaNs or an unrelated error
@@ -847,3 +849,20 @@ def test_exact_avg_sup_at_radius_zero_is_the_centre():
     assert value == avg_redundancy(L122, SKEWED)
     with pytest.raises(DomainError):
         exact_avg_sup(SKEWED, L122, -0.1)
+
+
+@pytest.mark.parametrize("radius, tol", [
+    (math.nan, 1e-12), (0.1, -1.0), (0.1, math.nan), (-0.1, 1e-12),
+], ids=["nan_radius", "negative_tol", "nan_tol", "negative_radius"])
+def test_tilted_root_and_exact_avg_sup_reject_a_bad_radius_or_tol(radius, tol):
+    # a NaN radius used to pass `radius <= 0.0`: tilted_root returned a point
+    # at beta = 512 with divergence 1.204 and exact_avg_sup returned 2.0; a
+    # negative tol ran all 200 Illinois steps
+    from klcodes.tilted import exact_avg_sup
+
+    mu = validate_distribution([0.5, 0.3, 0.2])
+    lengths = CodeLengths((1, 2, 2), arity=2)
+    with pytest.raises(DomainError):
+        tilted_root(mu, lengths, radius, tol)
+    with pytest.raises(DomainError):
+        exact_avg_sup(mu, lengths, radius, tol)
