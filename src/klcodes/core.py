@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AbsoluteContinuityError,
+    ArityTooSmallError,
     DimensionMismatchError,
     DomainError,
     KraftViolationError,
@@ -98,10 +99,7 @@ class CodeLengths:
     is_integer: bool = True
 
     def __post_init__(self):
-        arity = _index_arity(self.arity)
-        if arity < 2:
-            raise DomainError(f"arity must be >= 2, got {arity}")
-        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "arity", _check_arity(self.arity))
         lengths = tuple(self.lengths)
         if not lengths:
             raise DomainError("empty length vector")
@@ -202,8 +200,7 @@ def drop_zero_symbols(
 
 def entropy(nu: Distribution, arity: int = 2) -> float:
     """Entropy of nu in base-`arity` symbols, with 0 log 0 = 0."""
-    if arity < 2:
-        raise DomainError(f"arity must be >= 2, got {arity}")
+    arity = _check_arity(arity)
     p = nu.as_array()
     nz = p > 0.0
     return float(-np.sum(p[nz] * np.log(p[nz])) / math.log(arity))
@@ -268,7 +265,7 @@ def pinsker_upper(m: float, radius: float) -> float:
     """Upper end of the admissible root interval, min(1, m + sqrt(R/2))."""
     if not (0.0 < m < 1.0):
         raise DomainError(f"m must be in (0, 1), got {m}")
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise DomainError(f"radius must be >= 0, got {radius}")
     return min(1.0, m + math.sqrt(radius / 2.0))
 
@@ -280,6 +277,7 @@ def ceil_log_inv(p: float, arity: int) -> int:
     p, so boundary cases (p an exact power of the arity) never round the
     wrong way.
     """
+    arity = _check_arity(arity)
     if not (0.0 < p <= 1.0):
         raise DomainError(f"probability must be in (0, 1], got {p}")
     frac = Fraction(p)
@@ -298,12 +296,18 @@ def _check_beta(beta: float) -> None:
         raise DomainError(f"beta must be positive and finite, got {beta}")
 
 
-def _index_arity(arity) -> int:
-    """The arity as a Python int, through operator.index: a float arity raises DomainError."""
+def _check_arity(arity) -> int:
+    """The arity as a Python int >= 2, through operator.index.
+
+    A float arity raises DomainError, an integer below 2 ArityTooSmallError.
+    """
     try:
-        return operator.index(arity)
+        arity = operator.index(arity)
     except TypeError:
         raise DomainError(f"arity must be an integer, got {arity!r}") from None
+    if arity < 2:
+        raise ArityTooSmallError(f"arity must be >= 2, got {arity}")
+    return arity
 
 
 def _check_tol(tol: float) -> None:

@@ -33,7 +33,7 @@ class DomainError(CodingError):
     pass
 
 
-class ArityTooSmallError(CodingError):
+class ArityTooSmallError(DomainError):
     pass
 
 

@@ -24,20 +24,22 @@ the weight list is padded with zero-weight dummies until (M'-1) mod (D-1)
 The leaves are sorted once; only merged nodes go on a heap, because a
 rounded exponential merge need not come out above the merges before it,
 so merged weights do not form a sorted queue.  The tree is a parent
-array, so a build makes no node objects.  The exponential merge runs on
-Python floats, rounded exactly as core.log_sum_exp rounds, so its depths
-match those of the array form bit for bit.
+array, so a build makes no node objects.
 
-_certifies_exponential decides, without a build, whether the exponential
-rule would return a given length vector: it rebuilds that tree level by
-level and checks Gallager's sibling property with a margin above rounding
-(its docstring argues the margin).  The tilt probe solver.g_of_beta uses it
-to return the code the previous probe met when that code is certified.
+One function, _exponential_merge, forms every exponential-rule parent
+weight, for the build and for _certifies_exponential.  The latter decides,
+without a build, whether the exponential rule would return a given length
+vector: it rebuilds that tree level by level in the build's own floats and
+checks Gallager's sibling property with strict gaps between sibling
+groups; a tie between groups falls back to the build.  The tilt probe
+solver.g_of_beta uses it to return the code the previous probe met when
+that code is certified.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from heapq import heappop, heappush
 
 import numpy as np
@@ -46,15 +48,14 @@ from .core import (
     CodeLengths,
     Distribution,
     PrefixCode,
+    _check_arity,
     _check_beta,
-    _index_arity,
     ceil_log_inv,
     kraft_integer_ok,
     log_sum_exp,
 )
 from .errors import (
     AllZeroWeightsError,
-    ArityTooSmallError,
     DomainError,
     KraftViolationError,
     LimitExceededError,
@@ -111,10 +112,19 @@ def _build_tree(weights, arity, combine) -> list[int]:
     return depths[:leaves]
 
 
-# _certifies_exponential accepts a code only if each sibling group of its
-# tree lies above the group before it by more than this times the scale of
-# the log-weights (its docstring argues why that is enough)
-_CERTIFY_MARGIN = 1e-9
+def _exponential_merge(bump, children, exp=math.exp, log=math.log) -> float:
+    """The exponential rule's parent weight: bump + lse of the ascending children.
+
+    The terms below the top child are summed left to right; exp and log are
+    bound as defaults because this runs once per merge.
+    """
+    hi = children[-1]
+    if hi == -math.inf:
+        return hi
+    total = 0.0
+    for child in children[:-1]:
+        total += exp(child - hi)
+    return bump + (hi + log(total + 1.0))
 
 
 def _certifies_exponential(log_weights: list[float], beta: float, arity: int,
@@ -125,61 +135,42 @@ def _certifies_exponential(log_weights: list[float], beta: float, arity: int,
     rebuilt level by level, deepest first, the -inf dummies padding the
     deepest level.  Each level's nodes are its leaves and the parents
     made from the level below, in ascending weight; every D consecutive
-    nodes form a sibling group, whose parent weighs beta log D + lse of
-    the group.  If every group lies strictly above the group before it, in
-    that order across all levels, the greedy build pops exactly these
-    groups in turn: when a group's turn comes its members all exist (their
-    children are in earlier groups) and they are the D lightest nodes left.
-    So the build returns these lengths whatever its tie rule.  A group
-    that does not clear the one before it, a level whose node count is not
+    nodes form a sibling group, whose parent is _exponential_merge of the
+    group, the build's own merge on the build's own floats.  If every group
+    lies strictly above the group before it, in that order across all
+    levels, the greedy build pops exactly these groups in turn: when a
+    group's turn comes its members all exist (their children are in
+    earlier groups) and they are the D lightest nodes left.  So the build
+    returns these lengths whatever its tie rule, and merges each group into
+    the same float.  A tie between groups, a level whose node count is not
     a multiple of D, or a non-finite weight returns False; the caller then
-    builds.  The first group is tested against -inf, which a dummy there
-    meets as nan and a weight as inf, so it always passes.
-
-    The gap must exceed _CERTIFY_MARGIN * S, with S = 1 + max |w| +
-    (beta + 1) log D L, L the deepest length: no node of the tree weighs
-    more than S in magnitude (each level adds beta log D, and an lse of D
-    terms at most log D).  The check rounds with math.exp and math.log1p,
-    the builder with numpy's exp and log; each merge in either is off by at
-    most about D + 6 ulps of S beyond its children's error, an lse being
-    1-Lipschitz in its inputs.  The two weights of a node differ by at most
-    2 L (D + 6) 2^-53 S, under a tenth of the margin while L (D + 6) stays
-    below 4e6, and the check declines beyond that.  So a gap above the
-    margin has the same sign in the builder's floats: a certified code is
-    bit for bit what the build returns, and a tie falls back to the build.
+    builds.
     """
     _check_beta(beta)
     arity = _check_arity(arity)
     depths = lengths.lengths
     if not lengths.is_integer or lengths.arity != arity or len(depths) != len(log_weights):
         return False
-    depth = max(depths)
-    log_d = math.log(arity)
-    scale = 1.0 + max(map(abs, log_weights)) + (beta + 1.0) * log_d * depth
     # the sum is finite only if every weight is (nan or inf otherwise)
-    if depth * (arity + 6) > 4e6 or not math.isfinite(scale + sum(log_weights)):
+    if not math.isfinite(sum(log_weights)):
         return False
-    margin = _CERTIFY_MARGIN * scale
-    bump = beta * log_d
-    levels: list[list[float]] = [[] for _ in range(depth)]
+    merge = partial(_exponential_merge, beta * math.log(arity))
+    levels: list[list[float]] = [[] for _ in range(max(depths))]
     for length, weight in zip(depths, log_weights):
         levels[length - 1].append(weight)
     parents = [-math.inf] * _dummy_count(len(depths), arity)
-    top = -math.inf
-    exp, log1p = math.exp, math.log1p
+    top = math.nan  # no comparison with nan holds: the first group passes
     for level in reversed(levels):
         nodes = sorted(level + parents)
         if len(nodes) % arity:
             return False
         parents = []
         for start in range(0, len(nodes), arity):
-            if nodes[start] - top <= margin:
+            if nodes[start] <= top:
                 return False
-            top = nodes[start + arity - 1]
-            total = 0.0
-            for weight in nodes[start:start + arity - 1]:
-                total += exp(weight - top)
-            parents.append(bump + top + log1p(total))
+            group = nodes[start:start + arity]
+            top = group[-1]
+            parents.append(merge(group))
     return len(parents) == 1
 
 
@@ -189,32 +180,6 @@ def _sum_ascending(values: list[float]) -> float:
     for value in values:
         total += value
     return total
-
-
-def _log_sum_exp_ascending(values: list[float]) -> float:
-    """core.log_sum_exp of ascending Python floats, rounded exactly as it rounds.
-
-    Scalar numpy exp and log give the bits of numpy's array loops (the
-    math module's differ in the last place), and numpy sums fewer than
-    eight terms left to right; longer lists go through log_sum_exp itself.
-    """
-    if len(values) >= 8:
-        return log_sum_exp(np.asarray(values))
-    hi = values[-1]
-    if hi == -math.inf:
-        return hi
-    total = 0.0
-    for value in values[:-1]:
-        total += np.exp(value - hi)
-    return float(hi + np.log(total + 1.0))
-
-
-def _check_arity(arity) -> int:
-    """The arity as a Python int >= 2; a float arity raises DomainError."""
-    arity = _index_arity(arity)
-    if arity < 2:
-        raise ArityTooSmallError(f"arity must be >= 2, got {arity}")
-    return arity
 
 
 def _check_weights(weights, arity) -> tuple[np.ndarray, int]:
@@ -268,12 +233,8 @@ def exponential_huffman_log(log_weights, beta: float, arity: int = 2) -> CodeLen
         raise TooFewSymbolsError(f"need at least 2 weights, got {len(log_weights)}")
     if any(math.isnan(x) or x == math.inf for x in log_weights):
         raise NonFiniteWeightError(f"bad log-weight in {log_weights}")
-    bump = beta * math.log(arity)
-
-    def combine(children):
-        return bump + _log_sum_exp_ascending(children)
-
-    depths = _build_tree(log_weights, arity, combine)
+    merge = partial(_exponential_merge, beta * math.log(arity))
+    depths = _build_tree(log_weights, arity, merge)
     return CodeLengths(tuple(depths[: len(log_weights)]), arity=arity)
 
 

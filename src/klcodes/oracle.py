@@ -6,7 +6,8 @@ plain minima and maxima.  These routines are the reference the fast
 algorithms are tested against, so they avoid sharing shortcuts with them;
 the one sanctioned exception is the analytic tilted worst case, which the
 ball-dependent objectives include alongside the samples because a sampled
-supremum alone is only a lower bound.
+supremum alone is only a lower bound.  exact_min_over_codes goes further
+on purpose and takes tilted's exact suprema (its docstring says why).
 
 For the same reason the bisection loops here (the ball crossings of
 ball_sample and brute_binary_root) stay written out rather than calling the
@@ -40,7 +41,7 @@ from .core import (
     pair_divergence,
 )
 from .errors import DomainError, LimitExceededError
-from .tilted import avg_redundancy, gg_utility, nu_infinity, tilted_root
+from .tilted import avg_redundancy, exact_avg_sup, gg_utility, nu_infinity, tilted_root
 
 ENUM_MAX_M = 10
 ENUM_MAX_LEN = 10
@@ -328,7 +329,11 @@ def brute_min_over_codes(
                     else gg_utility(lengths, worst, ball.center))
         return max(value, analytic)
 
-    scored = [(evaluate(vector), vector) for vector in _enumerated(m, arity, l_max)]
+    return _report([(evaluate(vector), vector) for vector in _enumerated(m, arity, l_max)])
+
+
+def _report(scored: list[tuple[float, tuple[int, ...]]]) -> OracleReport:
+    """The least value over (value, vector) pairs and every vector within 1e-12 of it."""
     best = min(value for value, _ in scored)
     argmin = [vector for value, vector in scored if value <= best + 1e-12]
     return OracleReport(
@@ -336,6 +341,39 @@ def brute_min_over_codes(
         optimal_length_vectors=tuple(argmin),
         evaluations=len(scored),
     )
+
+
+def exact_min_over_codes(
+    utility: str,
+    ball: DivergenceBall,
+    arity: int = 2,
+    l_max: int | None = None,
+) -> OracleReport:
+    """Exact nested minimax: the least exact supremum over every enumerated code.
+
+    utility is "avg_red" or "gg".  Unlike brute_min_over_codes, each code's
+    inner supremum is exact rather than sampled: gg is linear in nu, so its
+    supremum is at the code's tilted point at the radius when that exists
+    and at its limit point otherwise; avg-red's is exact_avg_sup's.  Those
+    suprema are the solver's own routines, so this checks the solver's
+    outer search over codes; the sampled oracle checks the suprema.
+    """
+    if utility not in ("avg_red", "gg"):
+        raise DomainError(f"unknown ball utility {utility!r}")
+    mu = ball.center
+    if l_max is None:
+        l_max = default_l_max(mu.m, arity)
+    scored = []
+    for vector in _enumerated(mu.m, arity, l_max):
+        lengths = CodeLengths(sorted_assignment(mu.probs, vector), arity=arity)
+        if utility == "avg_red":
+            value = exact_avg_sup(mu, lengths, ball.radius)[0]
+        elif ball.radius == 0.0:
+            value = gg_utility(lengths, mu, mu)
+        else:
+            value = gg_utility(lengths, _analytic_worst(mu, lengths, ball.radius), mu)
+        scored.append((value, vector))
+    return _report(scored)
 
 
 def brute_binary_root(m: float, radius: float) -> float:

@@ -187,9 +187,12 @@ def _candidate_sup(
 def _hedged_codes(mu: Distribution, arity: int) -> list[CodeLengths]:
     """Huffman codes of the nominal hedged toward uniform: the rootless search of avg-red.
 
-    t=0 is plain Huffman, t=1 the flattest code; at large avg-red radii the
-    minimax optimum can be a code without a tilt root, on this family rather
-    than on the tilt path, whose codes only steepen with beta.  gg needs
+    t=0 is plain Huffman, t=1 the flattest code.  At large avg-red radii the
+    minimax optimum can be a code without a tilt root, which the tilt path
+    need not meet.  This family is a heuristic for such codes, not a proof:
+    against the exact nested minimax (oracle.exact_min_over_codes) on 240
+    binary avg-red solves at M 4-7, the 48 interior solves at 0.9 x r_max
+    still missed a rootless optimum 4 times, by up to 0.416 bits.  gg needs
     none of them (solve_gg says why).
     """
     m = mu.m

@@ -10,8 +10,11 @@ centre is solved by solve_gg and solve_avg_redundancy at 1e-4, 0.01, 0.1,
 -log min mu.  Grid B is boundary gg alone: centres from
 default_rng([seed, M, round(10 alpha), arity]) for seeds 0-39, M in 4..48,
 alpha 1 or 0.3 and arity 2 or 3, at R = r_max + f (-log min mu - r_max)
-for f = 0, 0.25, 0.5 and 0.75.  Run it on two trees and compare the dumps
-with compare_grids.py.
+for f = 0, 0.25, 0.5 and 0.75.  Grid C covers wider arities: one
+generator default_rng([seed, M, arity]) per seed 0-3, M in 8..128 and
+arity 4, 5 or 8 draws a Dirichlet alpha 1 centre, then an alpha 0.3 one,
+each solved by both objectives at 0.1, 0.5 and 0.95 x r_max.  Run it on
+two trees and compare the dumps with compare_grids.py.
 """
 
 import json
@@ -71,6 +74,19 @@ def main(path):
                         out.append({"grid": "B", "seed": seed, "m": m, "alpha": alpha,
                                     "arity": arity, "f": f, "objective": "gg",
                                     **record(solve_gg, ball, arity)})
+    for seed in range(4):
+        for m in (8, 16, 32, 64, 128):
+            for arity in (4, 5, 8):
+                rng = np.random.default_rng([seed, m, arity])
+                for alpha in (1.0, 0.3):
+                    mu = centre(rng, m, alpha)
+                    r_max = existence_threshold(mu, arity)[0]
+                    for f in (0.1, 0.5, 0.95):
+                        ball = DivergenceBall(mu, f * r_max)
+                        for name, solve in (("gg", solve_gg), ("avg-red", solve_avg_redundancy)):
+                            out.append({"grid": "C", "seed": seed, "m": m, "alpha": alpha,
+                                        "arity": arity, "f": f, "objective": name,
+                                        **record(solve, ball, arity)})
     with open(path, "w") as handle:
         json.dump(out, handle)
 

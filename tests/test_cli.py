@@ -186,6 +186,18 @@ def test_arity_above_ten_exits_6(capsys, argv):
     assert "arity" in err
 
 
+@pytest.mark.parametrize("command", ["code", "verify"])
+@pytest.mark.parametrize("arity", ["1", "0", "-2"])
+def test_arity_below_two_exits_2(capsys, command, arity):
+    # arity 1 used to divide by log 1 = 0 in the Shannon lengths, a traceback
+    # and exit 1; 0 and -2 exited 2 only through a bare math domain error
+    status, out, err = run(capsys, [command, instance("skewed3.json"), "--objective",
+                                    "shannon-nominal", "--radius", "0.1", "--arity", arity])
+    assert status == 2
+    assert out == ""
+    assert "arity must be >= 2" in err
+
+
 def test_analyze_arity_above_ten_exits_0(capsys):
     status, out, _ = run(capsys, ["analyze", instance("mixed4.csv"), "--arity", "11",
                                   "--format", "json"])

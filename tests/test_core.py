@@ -6,6 +6,7 @@ import pytest
 from klcodes.core import (
     CodeLengths,
     Distribution,
+    DivergenceBall,
     PrefixCode,
     binary_divergence,
     ceil_log_inv,
@@ -17,6 +18,7 @@ from klcodes.core import (
 )
 from klcodes.errors import (
     AbsoluteContinuityError,
+    ArityTooSmallError,
     DimensionMismatchError,
     DomainError,
     KraftViolationError,
@@ -25,6 +27,8 @@ from klcodes.errors import (
     TooFewSymbolsError,
     ZeroProbabilityError,
 )
+from klcodes.huffman import shannon_lengths
+from klcodes.nml import robust_shannon_pointwise
 from klcodes.oracle import brute_binary_root
 
 
@@ -192,6 +196,28 @@ def test_code_lengths_take_an_integral_arity_only():
     assert lengths == CodeLengths((1, 1, 1), arity=3)
 
 
+@pytest.mark.parametrize("check", [
+    lambda arity: CodeLengths((1, 2, 2), arity=arity),
+    lambda arity: entropy(validate_distribution([0.5, 0.3, 0.2]), arity),
+    lambda arity: ceil_log_inv(0.3, arity),
+    lambda arity: shannon_lengths(validate_distribution([0.5, 0.3, 0.2]), arity),
+    lambda arity: robust_shannon_pointwise(
+        DivergenceBall(validate_distribution([0.5, 0.3, 0.2]), 0.1), arity),
+], ids=["CodeLengths", "entropy", "ceil_log_inv", "shannon_lengths", "robust_shannon_pointwise"])
+def test_one_arity_check_everywhere(check):
+    # arity 1 used to divide by log 1 = 0 in ceil_log_inv and so in both
+    # Shannon codes, and entropy took 2.5 or nan; an arity below 2 raises
+    # ArityTooSmallError, which is a DomainError, and a non-integer DomainError
+    for small in (1, 0, -2):
+        with pytest.raises(ArityTooSmallError, match="arity must be >= 2"):
+            check(small)
+    assert issubclass(ArityTooSmallError, DomainError)
+    for bad in (2.5, math.nan, 3.0):
+        with pytest.raises(DomainError, match="arity must be an integer"):
+            check(bad)
+    check(np.int64(3))
+
+
 def test_prefix_code_rejects_prefix_clash():
     lengths = CodeLengths((1, 2, 2), arity=2)
     with pytest.raises(DomainError):
@@ -202,6 +228,13 @@ def test_pinsker_upper_examples():
     assert pinsker_upper(0.5, 0.0) == 0.5
     assert pinsker_upper(0.25, 0.02) == pytest.approx(0.35, abs=1e-15)
     assert pinsker_upper(0.9, 2.0) == 1.0
+
+
+def test_pinsker_upper_rejects_a_nan_radius():
+    # `radius < 0.0` let NaN through, and min(1.0, nan) returned 1.0
+    for bad in (math.nan, -1e-3):
+        with pytest.raises(DomainError):
+            pinsker_upper(0.5, bad)
 
 
 def test_root_in_pinsker_range_randomized():

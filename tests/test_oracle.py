@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from klcodes.core import DivergenceBall, CodeLengths, kl_divergence, validate_distribution
@@ -10,8 +11,10 @@ from klcodes.oracle import (
     brute_min_over_codes,
     brute_sup_over_ball,
     enumerate_kraft_lengths,
+    exact_min_over_codes,
     sorted_assignment,
 )
+from klcodes.solver import existence_threshold, solve_avg_redundancy, solve_gg
 
 
 def test_enumerate_tiny_binary():
@@ -145,3 +148,33 @@ def test_brute_binary_root_domain():
         brute_binary_root(0.9, 0.5)  # saturated: 0.9 >= e^-0.5
     with pytest.raises(DomainError):
         brute_binary_root(0.5, 0.0)
+
+
+def test_exact_nested_minimax_bounds_the_sampled_oracle_and_the_solver():
+    # M 4-6, binary, interior and boundary radii: the exact minimum over codes
+    # of each code's exact supremum is at least the sampled oracle's (whose
+    # inner suprema are lower bounds), and no solver returns less.  avg-red
+    # may sit above the exact optimum when that is rootless, so equality is
+    # not asserted.
+    rng = np.random.default_rng(29)
+    solvers = {"avg_red": solve_avg_redundancy, "gg": solve_gg}
+    for m in (4, 5, 6):
+        for alpha in (0.4, 1.0):
+            p = np.maximum(rng.dirichlet(np.full(m, alpha)), 1e-4)
+            mu = validate_distribution((p / p.sum()).tolist())
+            r_max = existence_threshold(mu)[0]
+            for fraction in (0.3, 0.9, 1.0, 1.3):
+                ball = DivergenceBall(mu, fraction * r_max)
+                samples = ball_sample(ball)
+                for utility, solve in solvers.items():
+                    exact = exact_min_over_codes(utility, ball).optimum_value
+                    sampled = brute_min_over_codes(utility, ball=ball, samples=samples)
+                    assert exact >= sampled.optimum_value - 1e-9, (m, alpha, fraction, utility)
+                    value = solve(ball).achieved_utility
+                    assert value >= exact - 1e-9, (m, alpha, fraction, utility)
+
+
+def test_exact_min_over_codes_rejects_other_utilities():
+    ball = DivergenceBall(validate_distribution([0.5, 0.3, 0.2]), 0.1)
+    with pytest.raises(DomainError):
+        exact_min_over_codes("pointwise", ball)

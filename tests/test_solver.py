@@ -543,7 +543,8 @@ def test_skipping_candidates_matches_scoring_every_one(monkeypatch):
         r_max = existence_threshold(mu)[0]
         cases = [(solve, fraction * r_max) for fraction in (0.05, 0.3, 0.6, 0.95)
                  for solve in (solve_avg_redundancy, solve_gg)]
-        # boundary gg, where hedged codes can still beat the limit code
+        # boundary gg below -log min mu, where the tilt search scores the
+        # limit code and the codes its probes meet
         cases.append((solve_gg, 0.5 * (r_max - math.log(min(mu.probs)))))
         for solve, radius in cases:
             ball = DivergenceBall(mu, radius)
