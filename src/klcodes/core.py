@@ -12,6 +12,7 @@ import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -70,6 +71,11 @@ class Distribution:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
+
+    @cached_property
+    def log_probs(self) -> tuple[float, ...]:
+        """math.log of each entry (-inf at a zero), computed on the first read only."""
+        return tuple(math.log(p) if p > 0.0 else -math.inf for p in self.probs)
 
 
 @dataclass(frozen=True)

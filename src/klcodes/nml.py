@@ -5,10 +5,13 @@ normalized coordinatewise suprema pi_k = sup {nu_k : nu in ball}.  For a
 relative-entropy ball each supremum is either 1 (when the vertex at k is
 itself inside, i.e. mu_k >= e^-R) or the larger root of the scalar
 equation d(p || mu_k) = R, where d is the binary relative entropy.  The
-root is found by Newton's method inside a bisection safeguard, started
-from the small-radius closed form
-mu_k + sqrt(2 R mu_k (1 - mu_k)); the returned value always carries a
-recomputed residual certificate, never the approximation itself.
+roots are found by Newton's method inside a bisection safeguard, started
+from the small-radius closed form mu_k + sqrt(2 R mu_k (1 - mu_k)), for
+all coordinates at once in one numpy kernel (_pi_roots); solve_pi_k is its
+one-coordinate call.  The kernel takes its logarithms with numpy, which
+can differ from math.log in the last bit, so a root may differ in its last
+bits from a scalar loop written with math.log.  Every returned value
+carries a recomputed residual certificate, never the approximation itself.
 
 The total-variation ball admits the same reduction with the trivial
 suprema min(1, mu_k + T/2).
@@ -26,8 +29,6 @@ from .core import (
     Distribution,
     DivergenceBall,
     _check_tol,
-    binary_divergence,
-    pinsker_upper,
 )
 from .errors import (
     DomainError,
@@ -38,20 +39,112 @@ from .errors import (
 from .huffman import max_huffman, shannon_lengths
 from .solver import RobustCodeResult
 
+_TINY = np.finfo(float).tiny  # smallest normal float
+_HUGE = np.finfo(float).max
+# Below this centre entry x / m may overflow or m (1 - x) underflow for some
+# x in the root bracket (1 - x >= 1e-15 there); above it neither can.
+_GUARD_BELOW = _TINY * 1e16
+
 
 @dataclass(frozen=True)
 class NmlResult:
     """Raw coordinatewise suprema and their normalization.
 
     roots_residual[k] is |d(raw_k || mu_k) - R| for root coordinates and 0.0
-    for saturated ones (it is empty for the total-variation variant, which
-    needs no root-finding).
+    for saturated ones; iterations[k] counts the Newton and bisection steps
+    of its root, a kept polishing step included, and is 0 for saturated
+    ones.  Both are empty for the total-variation variant, which needs no
+    root-finding.
     """
 
     raw: tuple[float, ...]
     normalized: Distribution
     saturated: frozenset[int]
     roots_residual: tuple[float, ...]
+    iterations: tuple[int, ...]
+
+
+def _excess(x: np.ndarray, m: np.ndarray, q: np.ndarray, radius: float, guard: bool) -> np.ndarray:
+    """d(x || m) - radius elementwise, with q = 1 - m.
+
+    With guard, the log of x / m is taken as log x - log m wherever the
+    quotient leaves the normal floats; every other entry keeps its bits.
+    """
+    r = 1.0 - x
+    ratio = x / m
+    log_ratio = np.log(ratio)
+    if guard:
+        off = ~((ratio >= _TINY) & (ratio <= _HUGE))
+        log_ratio[off] = np.log(x[off]) - np.log(m[off])
+    return x * log_ratio + r * np.log(r / q) - radius
+
+
+def _slope(x: np.ndarray, m: np.ndarray, q: np.ndarray, guard: bool) -> np.ndarray:
+    """Derivative of d(x || m) in x, log(x q) - log(m (1 - x)), with q = 1 - m.
+
+    With guard, log(m (1 - x)) is taken as log m + log(1 - x) wherever the
+    product underflows; every other entry keeps its bits.
+    """
+    r = 1.0 - x
+    low = m * r
+    log_low = np.log(low)
+    if guard:
+        off = ~(low >= _TINY)
+        log_low[off] = np.log(m[off]) + np.log(r[off])
+    return np.log(x * q) - log_low
+
+
+def _pi_roots(m: np.ndarray, radius: float, tol: float):
+    """Larger roots of d(p || m_k) = radius for an array of unsaturated entries m.
+
+    Every entry runs the same iteration: the closed-form start inside the
+    bracket [m + 1e-15, min(m + sqrt(R/2), 1 - 1e-15)], Newton steps that
+    shrink the bracket, bisection when a step would leave it, at most 60
+    steps, then one polishing step kept only when it does not raise the
+    residual.  An entry within tol leaves the compacted active arrays.
+    Returns (roots, residuals, steps); raises NoConvergenceError, naming
+    the first entry still above tol, after 60 steps.
+    """
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        q = 1.0 - m
+        lo = m + 1e-15
+        hi = np.minimum(np.minimum(1.0, m + math.sqrt(radius / 2.0)), 1.0 - 1e-15)
+        p = np.minimum(np.maximum(m + np.sqrt(2.0 * radius * q * m), lo), hi)
+        guard = bool(np.count_nonzero(m < _GUARD_BELOW))
+        value, slope = _excess(p, m, q, radius, guard), _slope(p, m, q, guard)
+        steps = np.zeros(m.size, dtype=np.int64)
+        # the unfinished entries: where they sit in m, and their state
+        index = np.arange(m.size)
+        x, v, s, mk, qk, a, b = p, value, slope, m, q, lo, hi
+        for step in range(61):
+            done = np.abs(v) <= tol
+            if np.count_nonzero(done):
+                fin = index[done]
+                p[fin], value[fin], slope[fin] = x[done], v[done], s[done]
+                lo[fin], hi[fin], steps[fin] = a[done], b[done], step
+                active = ~done
+                index, x, v, s, mk, qk, a, b = (
+                    arr[active] for arr in (index, x, v, s, mk, qk, a, b)
+                )
+            if not index.size or step == 60:
+                break
+            below = v < 0.0
+            np.maximum(a, x, out=a, where=below)
+            np.minimum(b, x, out=b, where=~below)
+            # a zero slope gives an infinite step, which fails the bracket test too
+            x = x - v / s
+            x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+            v, s = _excess(x, mk, qk, radius, guard), _slope(x, mk, qk, guard)
+        if index.size:
+            raise NoConvergenceError(f"root solve stalled at residual {abs(v[0])}")
+
+        # one polishing step: quadratic convergence puts p at machine accuracy
+        trial = p - value / slope
+        trial_value = _excess(trial, m, q, radius, guard)
+        keep = (lo < trial) & (trial < hi) & (np.abs(trial_value) <= np.abs(value))
+        p = np.where(keep, trial, p)
+        value = np.where(keep, trial_value, value)
+    return p, np.abs(value), steps + keep
 
 
 def solve_pi_k(
@@ -64,7 +157,9 @@ def solve_pi_k(
 
     Newton steps that would leave the current bracket are replaced by
     bisection, so convergence is unconditional; the objective is increasing
-    and convex on (m, 1).  At most 60 steps are taken.
+    and convex on (m, 1).  At most 60 steps are taken.  This is the
+    one-entry case of the kernel nml_distribution runs on every unsaturated
+    coordinate at once, so both return the same bits.
     """
     if not (0.0 < m < 1.0):
         raise DomainError(f"m must be in (0, 1), got {m}")
@@ -74,49 +169,10 @@ def solve_pi_k(
     if m >= math.exp(-radius):
         raise SaturatedInputError(f"m={m} saturates at radius {radius}")
 
-    lo = m + 1e-15
-    hi = min(pinsker_upper(m, radius), 1.0 - 1e-15)
-    p = min(max(m + math.sqrt(2.0 * radius * (1.0 - m) * m), lo), hi)
-
-    def h(x: float) -> float:
-        return binary_divergence(x, m) - radius
-
-    def h1(x: float) -> float:
-        return math.log(x * (1.0 - m)) - math.log(m * (1.0 - x))
-
-    steps = 0
-    value = h(p)
-    for _ in range(60):
-        if abs(value) <= tol:
-            break
-        if value < 0.0:
-            lo = max(lo, p)
-        else:
-            hi = min(hi, p)
-        slope = h1(p)
-        step = value / slope if slope != 0.0 else math.inf
-        trial = p - step
-        if not math.isfinite(trial) or not (lo < trial < hi):
-            trial = 0.5 * (lo + hi)
-        p = trial
-        value = h(p)
-        steps += 1
-    else:
-        if abs(value) > tol:
-            raise NoConvergenceError(f"root solve stalled at residual {abs(value)}")
-
-    # one polishing step: quadratic convergence puts p at machine accuracy
-    slope = h1(p)
-    if slope != 0.0:
-        trial = p - value / slope
-        if math.isfinite(trial) and lo < trial < hi:
-            trial_value = h(trial)
-            if abs(trial_value) <= abs(value):
-                p, value = trial, trial_value
-                steps += 1
-
+    roots, residuals, steps = _pi_roots(np.array([m], dtype=float), radius, tol)
+    p = float(roots[0])
     if return_info:
-        return p, {"residual": abs(value), "iterations": steps}
+        return p, {"residual": float(residuals[0]), "iterations": int(steps[0])}
     return p
 
 
@@ -124,7 +180,8 @@ def nml_distribution(ball: DivergenceBall, tol: float = 1e-13) -> NmlResult:
     """Coordinatewise suprema over the relative-entropy ball, normalized.
 
     Coordinate k saturates (pi_k = 1) exactly when mu_k >= e^-R; all other
-    coordinates solve the binary-divergence root.  Radius zero returns the
+    coordinates solve their binary-divergence roots in one call of
+    _pi_roots, the kernel behind solve_pi_k.  Radius zero returns the
     center unchanged.
     """
     _check_tol(tol)
@@ -138,26 +195,23 @@ def nml_distribution(ball: DivergenceBall, tol: float = 1e-13) -> NmlResult:
             normalized=mu,
             saturated=frozenset(),
             roots_residual=tuple(0.0 for _ in mu.probs),
+            iterations=tuple(0 for _ in mu.probs),
         )
-    cutoff = math.exp(-radius)
-    raw: list[float] = []
-    residuals: list[float] = []
-    saturated: set[int] = set()
-    for k, p in enumerate(mu.probs):
-        if p >= cutoff:
-            saturated.add(k)
-            raw.append(1.0)
-            residuals.append(0.0)
-        else:
-            root, info = solve_pi_k(p, radius, tol, return_info=True)
-            raw.append(root)
-            residuals.append(info["residual"])
+    probs = mu.as_array()
+    saturated = probs >= math.exp(-radius)
+    roots = np.ones(mu.m)
+    residuals = np.zeros(mu.m)
+    iterations = np.zeros(mu.m, dtype=np.int64)
+    solved = ~saturated
+    roots[solved], residuals[solved], iterations[solved] = _pi_roots(probs[solved], radius, tol)
+    raw = tuple(roots.tolist())
     total = math.fsum(raw)
     return NmlResult(
-        raw=tuple(raw),
+        raw=raw,
         normalized=Distribution(tuple(r / total for r in raw)),
-        saturated=frozenset(saturated),
-        roots_residual=tuple(residuals),
+        saturated=frozenset(np.flatnonzero(saturated).tolist()),
+        roots_residual=tuple(residuals.tolist()),
+        iterations=tuple(iterations.tolist()),
     )
 
 
@@ -172,6 +226,7 @@ def nml_tv(mu: Distribution, tv: float) -> NmlResult:
         normalized=Distribution(tuple(r / total for r in raw)),
         saturated=frozenset(k for k, r in enumerate(raw) if r >= 1.0),
         roots_residual=(),
+        iterations=(),
     )
 
 

@@ -139,11 +139,13 @@ def g_of_beta(
     round trip would underflow them at large beta.  met, a code already
     met (the previous probe's), is returned without a build when the
     sibling check huffman._certifies_exponential proves that the build
-    would return it; the result is the same either way.
+    would return it; the result is the same either way.  log mu is read
+    from mu.log_probs, computed once per distribution, and scaled per probe.
     """
     if 0.0 in mu.probs:
         raise ZeroProbabilityError("tilted weights need strictly positive probabilities")
-    log_xi = [(beta + 1.0) * math.log(p) for p in mu.probs]
+    scale = beta + 1.0
+    log_xi = [scale * log_p for log_p in mu.log_probs]
     if met is not None and _certifies_exponential(log_xi, beta, arity, met):
         lengths = met
     else:

@@ -6,21 +6,72 @@ A record is identical, a tie (same value, other code), a rounding move
 (|change| at most 1e-12) or a move up or down.  Apart from that, "probes
 moved" counts the records whose recorded probes differ, so a search that
 changed its trace but not its result is seen too.  Moved results print
-as a markdown table.
+as a markdown table.  The pointwise records of grid P get a table of
+their own: moved codes, moved values, moved raw suprema and the largest
+move of one in units in the last place, the largest root residual on
+each side and the after side's count of solves with a root outside
+(mu_k, min(1, mu_k + sqrt(R/2))].
 """
 
 import json
+import struct
 import sys
 
 KEY = ("grid", "seed", "m", "alpha", "arity", "f", "objective")
 
 
+def ulps(x, y):
+    """Distance between two floats of one sign in units in the last place."""
+    bits = [struct.unpack("<q", struct.pack("<d", v))[0] for v in (x, y)]
+    return abs(bits[0] - bits[1])
+
+
+def pointwise_table(pairs):
+    cell = dict.fromkeys(("solves", "identical", "codes moved", "values moved",
+                          "largest value move", "roots moved", "largest ulp move",
+                          "exception moved", "largest residual before",
+                          "largest residual after", "solves with a root outside after"), 0)
+    moved = []
+    for a, b in pairs:
+        cell["solves"] += 1
+        if "exc" in a or "exc" in b:
+            cell["identical" if a.get("exc") == b.get("exc") else "exception moved"] += 1
+            continue
+        cell["identical"] += a == b
+        cell["codes moved"] += a["lengths"] != b["lengths"]
+        cell["values moved"] += a["value"] != b["value"]
+        cell["largest value move"] = max(cell["largest value move"], abs(b["value"] - a["value"]))
+        moves = [ulps(x, y) for x, y in zip(a["raw"], b["raw"]) if x != y]
+        cell["roots moved"] += len(moves)
+        cell["largest ulp move"] = max(cell["largest ulp move"], *moves, 0)
+        cell["largest residual before"] = max(cell["largest residual before"], a["residual"])
+        cell["largest residual after"] = max(cell["largest residual after"], b["residual"])
+        cell["solves with a root outside after"] += not b["in_interval"]
+        if a["lengths"] != b["lengths"] or a["value"] != b["value"]:
+            moved.append((a, b))
+    print("| grid P, pointwise | " + " | ".join(cell) + " |")
+    print("|---" * (1 + len(cell)) + "|")
+    print("| all | " + " | ".join(str(v) for v in cell.values()) + " |")
+    if moved:
+        print("\n| seed | M | alpha | D | radius | before | after | lengths moved |")
+        print("|---" * 8 + "|")
+        for a, b in moved:
+            print(f"| {a['seed']} | {a['m']} | {a['alpha']} | {a['arity']} | {a['f']} | "
+                  f"{a['value']!r} | {b['value']!r} | {a['lengths'] != b['lengths']} |")
+    print()
+
+
 def main(before_path, after_path):
     before, after = json.load(open(before_path)), json.load(open(after_path))
     assert len(before) == len(after)
+    assert all(a[k] == b[k] for a, b in zip(before, after) for k in KEY)
+    pointwise = [(a, b) for a, b in zip(before, after) if a["grid"] == "P"]
+    if pointwise:
+        pointwise_table(pointwise)
     summary, moved = {}, []
     for a, b in zip(before, after):
-        assert all(a[k] == b[k] for k in KEY)
+        if a["grid"] == "P":
+            continue
         cell = summary.setdefault(f"{a['objective']} {a['grid']} {a.get('regime', a.get('exc'))}",
                                   dict.fromkeys(("solves", "identical", "tie", "rounding",
                                                  "fell", "rose", "exception moved",

@@ -13,8 +13,15 @@ alpha 1 or 0.3 and arity 2 or 3, at R = r_max + f (-log min mu - r_max)
 for f = 0, 0.25, 0.5 and 0.75.  Grid C covers wider arities: one
 generator default_rng([seed, M, arity]) per seed 0-3, M in 8..128 and
 arity 4, 5 or 8 draws a Dirichlet alpha 1 centre, then an alpha 0.3 one,
-each solved by both objectives at 0.1, 0.5 and 0.95 x r_max.  Run it on
-two trees and compare the dumps with compare_grids.py.
+each solved by both objectives at 0.1, 0.5 and 0.95 x r_max.  Grid P is
+the pointwise objective: one generator default_rng([seed, M]) per seed 0-2
+and M in 3..4096 draws a Dirichlet alpha 1 centre, then an alpha 0.3 one,
+each solved by robust_huffman_pointwise at arity 2 and 3 and R = 1e-3,
+0.01, 0.1, 0.3, 1 and 3 nats; a record keeps the lengths, the value, the
+raw suprema of nml_distribution, their largest residual |d(raw_k || mu_k)
+- R| recomputed with core.binary_divergence, and whether every root lies
+in (mu_k, min(1, mu_k + sqrt(R/2))].  Run it on two trees and compare the
+dumps with compare_grids.py.
 """
 
 import json
@@ -23,11 +30,14 @@ import sys
 
 import numpy as np
 
-from klcodes.core import DivergenceBall, validate_distribution
+from klcodes.core import DivergenceBall, binary_divergence, validate_distribution
+from klcodes.nml import nml_distribution, robust_huffman_pointwise
 from klcodes.solver import existence_threshold, solve_avg_redundancy, solve_gg
 
 SIZES = (3, 4, 5, 6, 8, 10, 12, 16, 24, 32, 48, 64, 100, 128, 256)
 FRACTIONS = (1e-4, 0.01, 0.1, 0.3, 0.5, 0.8, 0.95, 0.99, 1.0, "mid")
+POINTWISE_SIZES = (3, 4, 5, 8, 17, 64, 256, 1024, 4096)
+POINTWISE_RADII = (1e-3, 0.01, 0.1, 0.3, 1.0, 3.0)
 
 
 def centre(rng, m, alpha):
@@ -44,6 +54,19 @@ def record(solve, ball, arity):
             "lengths": list(r.lengths.lengths),
             "repr": repr((r.lengths, r.beta, r.worst_case, r.achieved_utility, r.regime)),
             "probes": None if r.trace is None else repr(r.trace.probes)}
+
+
+def pointwise_record(ball, arity):
+    try:
+        r = robust_huffman_pointwise(ball, arity)
+        nml = nml_distribution(ball)
+    except Exception as exc:
+        return {"exc": type(exc).__name__}
+    mu, radius = ball.center.probs, ball.radius
+    roots = [(m, x) for k, (m, x) in enumerate(zip(mu, nml.raw)) if k not in nml.saturated]
+    return {"value": r.achieved_utility, "lengths": list(r.lengths.lengths), "raw": list(nml.raw),
+            "residual": max((abs(binary_divergence(x, m) - radius) for m, x in roots), default=0.0),
+            "in_interval": all(m < x <= min(1.0, m + math.sqrt(radius / 2.0)) for m, x in roots)}
 
 
 def main(path):
@@ -87,6 +110,16 @@ def main(path):
                             out.append({"grid": "C", "seed": seed, "m": m, "alpha": alpha,
                                         "arity": arity, "f": f, "objective": name,
                                         **record(solve, ball, arity)})
+    for seed in range(3):
+        for m in POINTWISE_SIZES:
+            rng = np.random.default_rng([seed, m])
+            for alpha in (1.0, 0.3):
+                mu = centre(rng, m, alpha)
+                for arity in (2, 3):
+                    for radius in POINTWISE_RADII:
+                        out.append({"grid": "P", "seed": seed, "m": m, "alpha": alpha,
+                                    "arity": arity, "f": radius, "objective": "pointwise",
+                                    **pointwise_record(DivergenceBall(mu, radius), arity)})
     with open(path, "w") as handle:
         json.dump(out, handle)
 

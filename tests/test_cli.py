@@ -171,6 +171,25 @@ def test_nml_only_unreachable_tol_exits_4(capsys, tol):
     assert "stalled" in err
 
 
+@pytest.mark.parametrize("radius", [0.01, 1.0, 5.0, 50.0, 600.0])
+@pytest.mark.parametrize("m", [1e-310, 1e-315, 1e-320, 5e-324])
+def test_subnormal_centre_entry_solves(capsys, tmp_path, m, radius):
+    # x / m overflowed in the divergence (and m (1 - x) underflowed in its
+    # slope), so the root converged onto the overflow edge and the solve
+    # exited 4: below about 1e-312 at every radius here, and at 1e-310 from R = 50
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"probs": [m, 0.5, 0.5 - m]}))
+    for objective in ("pointwise", "nml-only"):
+        status, out, err = run(
+            capsys, ["code", str(path), "--objective", objective, "--radius", str(radius)]
+        )
+        assert status == 0, err
+    root = json.loads(out)["raw"][0]  # 1 - m rounds to 1 for these m
+    divergence = root * (math.log(root) - math.log(m)) + (1.0 - root) * math.log1p(-root)
+    assert abs(divergence - radius) <= 1e-10
+    assert m < root <= min(1.0, m + math.sqrt(radius / 2.0))
+
+
 @pytest.mark.parametrize("argv", [
     ["code", instance("mixed4.csv"), "--objective", "avg-red", "--radius", "0.1"],
     ["code", instance("mixed4.csv"), "--objective", "gg", "--radius", "0.1"],

@@ -10,7 +10,7 @@ from klcodes.core import (
     pinsker_upper,
     validate_distribution,
 )
-from klcodes.errors import DomainError, SaturatedInputError
+from klcodes.errors import DomainError, NoConvergenceError, SaturatedInputError
 from klcodes.huffman import shannon_lengths
 from klcodes.nml import (
     nml_distribution,
@@ -79,11 +79,38 @@ def test_solve_pi_k_agrees_with_bisection_randomized():
         assert p == pytest.approx(brute_binary_root(m, radius), abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [5, 17, 300, 4096])
+def test_solve_pi_k_and_nml_distribution_share_one_path(m):
+    # solve_pi_k is the one-entry call of the kernel nml_distribution runs on
+    # all unsaturated entries at once: same bits, residual and step count
+    rng = np.random.default_rng([67, m])
+    mu = validate_distribution(rng.dirichlet(np.full(m, 0.5)))
+    for radius in (0.01, 0.3, 2.0):
+        result = nml_distribution(DivergenceBall(mu, radius))
+        for k, p in enumerate(mu.probs):
+            if k in result.saturated:
+                assert (result.raw[k], result.iterations[k]) == (1.0, 0)
+                continue
+            root, info = solve_pi_k(p, radius, return_info=True)
+            assert root == result.raw[k]
+            assert info["residual"] == result.roots_residual[k] <= 1e-13
+            assert info["iterations"] == result.iterations[k] > 0
+        if max(result.roots_residual) > 0.0:  # tol 0 is met by a root exactly on R only
+            with pytest.raises(NoConvergenceError, match="stalled"):
+                nml_distribution(DivergenceBall(mu, radius), tol=0.0)
+
+
+def test_solve_pi_k_tol_zero_raises():
+    with pytest.raises(NoConvergenceError, match="stalled"):
+        solve_pi_k(0.1, 0.2, tol=0.0)
+
+
 def test_nml_saturation_at_boundary_case():
     mu = validate_distribution([0.5, 0.5])
     result = nml_distribution(DivergenceBall(mu, math.log(2)))
     assert result.saturated == frozenset({0, 1})
     assert result.raw == (1.0, 1.0)
+    assert result.iterations == (0, 0)
     assert result.normalized.probs == (0.5, 0.5)
 
 
@@ -162,6 +189,7 @@ def test_nml_tv_examples():
     three = nml_tv(validate_distribution([0.5, 0.3, 0.2]), 0.2)
     assert three.raw == pytest.approx((0.6, 0.4, 0.3), abs=1e-15)
     assert three.roots_residual == ()
+    assert three.iterations == ()
 
 
 def test_nml_tv_rejects_nan():
