@@ -21,9 +21,13 @@ nodes, so outputs are deterministic across runs and platforms.  For D > 2
 the weight list is padded with zero-weight dummies until (M'-1) mod (D-1)
 = 0; dummy leaves are dropped from the returned vector.
 
-The leaves are sorted once; only merged nodes go on a heap, because a
-rounded exponential merge need not come out above the merges before it,
-so merged weights do not form a sorted queue.  The tree is a parent
+The leaves are sorted once, and merged nodes wait in a FIFO of node ids
+(van Leeuwen 1976): under the sum and max rules each sibling group is no
+lighter, child by child, than the one before, and float + and max are
+monotone, so parents come out in nondecreasing order.  A rounded
+exponential merge can come out below the one before; it is inserted into
+the unread part of the FIFO in weight order, after its equals, so the pop
+order is always that of one heap over every node.  The tree is a parent
 array, so a build makes no node objects.
 
 One function, _exponential_merge, forms every exponential-rule parent
@@ -39,8 +43,8 @@ that code is certified.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from functools import partial
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -75,37 +79,50 @@ def _build_tree(weights, arity, combine) -> list[int]:
     """Run the greedy merge loop; returns the depth of every leaf, dummies last.
 
     Missing dummies are padded as -inf, the log-domain zero; a caller on
-    linear weights passes its 0.0 dummies already padded.  The leaves are
-    sorted once by (weight, id) and merged nodes go on a heap of
-    (weight, node_id) tuples, node_id being creation order.  Each pop
-    takes the smaller of the front leaf and the heap top; a leaf wins a
-    tie, its id being the smaller, so the pop order is that of one heap
-    holding every node.  combine gets the children's weights in pop
-    order, so ascending with the largest last.
+    linear weights passes its 0.0 dummies already padded.  One list holds
+    every node's weight by node id, node ids after the leaves being
+    creation order.  The leaves are sorted once by (weight, id); merged
+    ids wait in a FIFO read from `head`, whose unwritten end holds the ids
+    not made yet, weighing inf.  Each pop takes the front leaf when it
+    weighs no more than the FIFO's front, a leaf's id being the smaller,
+    so the pop order is that of one heap of (weight, id) over every node.
+    A parent lighter than one already in the FIFO (of this module's
+    rules, only a rounded exponential merge) is moved into the unread part
+    by weight, after its equals, its id being the largest.  combine gets the children's weights
+    in pop order, so ascending with the largest last.
     """
     m = len(weights)
     leaves = m + _dummy_count(m, arity)
-    weights = list(weights) + [-math.inf] * (leaves - m)
-    order = sorted(range(leaves), key=weights.__getitem__)
     nodes = leaves + (leaves - 1) // (arity - 1)
+    weight = list(weights) + [-math.inf] * (leaves - m)
+    order = sorted(range(leaves), key=weight.__getitem__)
     # sentinels: nan is never <= a merged weight, and no leaf weighs above inf
-    queue = [weights[leaf] for leaf in order] + [math.nan]
-    merged = [(math.inf, nodes)]
+    queue = [weight[leaf] for leaf in order] + [math.nan]
+    weight += [math.inf] * (nodes - leaves)
+    fifo = list(range(leaves, nodes))
     parent = [0] * nodes
-    front = 0
+    front = head = 0
+    top = -math.inf
     pops = range(arity)
     for node in range(leaves, nodes):
         children = []
         for _ in pops:
-            weight = queue[front]
-            if weight <= merged[0][0]:
+            leaf_weight = queue[front]
+            merged = fifo[head]
+            if leaf_weight <= weight[merged]:
                 parent[order[front]] = node
                 front += 1
+                children.append(leaf_weight)
             else:
-                weight, child = heappop(merged)
-                parent[child] = node
-            children.append(weight)
-        heappush(merged, (combine(children), node))
+                parent[merged] = node
+                head += 1
+                children.append(weight[merged])
+        new = weight[node] = combine(children)
+        if new < top:
+            del fifo[node - leaves]
+            insort(fifo, node, head, node - leaves, key=weight.__getitem__)
+        else:
+            top = new
     depths = [0] * nodes
     for node in range(nodes - 2, -1, -1):
         depths[node] = depths[parent[node]] + 1

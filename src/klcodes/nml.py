@@ -187,7 +187,8 @@ def nml_distribution(ball: DivergenceBall, tol: float = 1e-13) -> NmlResult:
     _check_tol(tol)
     mu = ball.center
     radius = ball.radius
-    if any(not (0.0 < p < 1.0) for p in mu.probs):
+    probs = mu.as_array()
+    if not np.all((probs > 0.0) & (probs < 1.0)):
         raise ZeroProbabilityError("center must have entries in (0, 1)")
     if radius == 0.0:
         return NmlResult(
@@ -197,7 +198,6 @@ def nml_distribution(ball: DivergenceBall, tol: float = 1e-13) -> NmlResult:
             roots_residual=tuple(0.0 for _ in mu.probs),
             iterations=tuple(0 for _ in mu.probs),
         )
-    probs = mu.as_array()
     saturated = probs >= math.exp(-radius)
     roots = np.ones(mu.m)
     residuals = np.zeros(mu.m)

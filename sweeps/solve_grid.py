@@ -16,12 +16,13 @@ arity 4, 5 or 8 draws a Dirichlet alpha 1 centre, then an alpha 0.3 one,
 each solved by both objectives at 0.1, 0.5 and 0.95 x r_max.  Grid P is
 the pointwise objective: one generator default_rng([seed, M]) per seed 0-2
 and M in 3..4096 draws a Dirichlet alpha 1 centre, then an alpha 0.3 one,
-each solved by robust_huffman_pointwise at arity 2 and 3 and R = 1e-3,
-0.01, 0.1, 0.3, 1 and 3 nats; a record keeps the lengths, the value, the
-raw suprema of nml_distribution, their largest residual |d(raw_k || mu_k)
-- R| recomputed with core.binary_divergence, and whether every root lies
-in (mu_k, min(1, mu_k + sqrt(R/2))].  Run it on two trees and compare the
-dumps with compare_grids.py.
+each solved by robust_huffman_pointwise at arity 2, 3, 4 and 8 (up to
+1, 2 and 6 -inf dummies in the max rule's build) and R = 1e-3, 0.01,
+0.1, 0.3, 1 and 3 nats; a record keeps the lengths, the value, the raw
+suprema of nml_distribution, their largest residual |d(raw_k || mu_k) -
+R| recomputed with core.binary_divergence, and whether every root lies
+in (mu_k, min(1, mu_k + sqrt(R/2))].  Run it on two trees and compare
+the dumps with compare_grids.py.
 """
 
 import json
@@ -115,7 +116,7 @@ def main(path):
             rng = np.random.default_rng([seed, m])
             for alpha in (1.0, 0.3):
                 mu = centre(rng, m, alpha)
-                for arity in (2, 3):
+                for arity in (2, 3, 4, 8):
                     for radius in POINTWISE_RADII:
                         out.append({"grid": "P", "seed": seed, "m": m, "alpha": alpha,
                                     "arity": arity, "f": radius, "objective": "pointwise",

@@ -315,7 +315,7 @@ def test_tree_builders_match_reference_heap():
 
 
 def _match_reference_heap(rng, arities):
-    sizes = list(range(2, 41)) + list(range(41, 301, 13)) + [255, 256, 257, 300, 1024]
+    sizes = list(range(2, 41)) + list(range(41, 301, 13)) + [255, 256, 257, 300, 1024, 4096]
     kinds = ("random", "ties", "zeros")
     for index, m in enumerate(sizes):
         for arity in arities:
@@ -336,6 +336,40 @@ def _match_reference_heap(rng, arities):
             expected = _reference_depths(
                 log_xi, arity, lambda c: tilt_bump + log_sum_exp(np.asarray(c)))
             assert list(exponential_huffman_log(log_xi, beta, arity).lengths) == expected
+
+
+def test_unsorted_parents_match_reference_heap():
+    # combines that are not monotone make parents come out below earlier
+    # ones, so the FIFO must take them out of creation order; the depths
+    # must still be those of the node-object heap, bit for bit.  The
+    # negated sum comes out unsorted in every build of three merges or more;
+    # the sum mod 4 on small integer weights makes such parents tie with
+    # nodes already waiting.
+    rng = np.random.default_rng(63)
+    negated = lambda c: -_left_to_right_sum(c)
+    modular = lambda c: _left_to_right_sum(c) % 4.0
+    modular_unsorted = modular_builds = 0
+    for m in list(range(2, 41)) + [100, 257, 1000]:
+        for arity in (2, 3, 5, 9):
+            for kind in ("random", "ties"):
+                w = _reference_weights(rng, m, kind).tolist()
+                padded = w + [0.0] * _dummy_count(m, arity)
+                for rule in (negated, modular) if kind == "ties" else (negated,):
+                    made = []
+
+                    def combine(children):
+                        made.append(rule(children))
+                        return made[-1]
+
+                    depths = _build_tree(padded, arity, combine)[:m]
+                    unsorted = any(b < a for a, b in zip(made, made[1:]))
+                    if rule is negated:
+                        assert unsorted or len(made) <= 2
+                    else:
+                        modular_unsorted += unsorted
+                        modular_builds += 1
+                    assert depths == _reference_depths(w, arity, rule, dummy=0.0)
+    assert 2 * modular_unsorted > modular_builds
 
 
 def test_huffman_ties_cost_matches_log_domain_reference():

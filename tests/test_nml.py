@@ -5,12 +5,18 @@ import pytest
 
 from klcodes.core import (
     DivergenceBall,
+    Distribution,
     binary_divergence,
     kl_divergence,
     pinsker_upper,
     validate_distribution,
 )
-from klcodes.errors import DomainError, NoConvergenceError, SaturatedInputError
+from klcodes.errors import (
+    DomainError,
+    NoConvergenceError,
+    SaturatedInputError,
+    ZeroProbabilityError,
+)
 from klcodes.huffman import shannon_lengths
 from klcodes.nml import (
     nml_distribution,
@@ -132,6 +138,13 @@ def test_nml_zero_radius_returns_center():
     assert result.raw == mu.probs
     assert result.normalized.probs == mu.probs
     assert result.saturated == frozenset()
+
+
+@pytest.mark.parametrize("probs", [(0.5, 0.5, 0.0), (1.0, 0.0), (0.0, 0.25, 0.75)])
+@pytest.mark.parametrize("radius", [0.0, 0.2])
+def test_nml_rejects_a_centre_entry_outside_zero_one(probs, radius):
+    with pytest.raises(ZeroProbabilityError):
+        nml_distribution(DivergenceBall(Distribution(probs), radius))
 
 
 def test_saturation_boundary_both_sides():
