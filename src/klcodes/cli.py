@@ -79,12 +79,10 @@ def load_distribution(path: str, allow_zero_drop: bool = False) -> Distribution:
 
 
 def _radius(args) -> float:
-    radius = args.radius
-    if radius is None:
+    """The radius in nats; build_parser has already checked its range."""
+    if args.radius is None:
         raise CodingError("--radius is required for this objective")
-    if not (0.0 <= radius < math.inf):
-        raise CodingError(f"radius must be finite and >= 0, got {radius}")
-    return radius * math.log(2.0) if args.bits else radius
+    return args.radius * math.log(2.0) if args.bits else args.radius
 
 
 def _fmt(value: float) -> str:
@@ -184,8 +182,6 @@ def run_code(args, mu: Distribution) -> tuple[dict, NmlResult | None]:
     """The report on the loaded distribution and the suprema solve behind it, if any."""
     objective = args.objective
     arity = args.arity
-    if not (args.tol >= 0.0):
-        raise CodingError(f"tol must be >= 0, got {args.tol}")
 
     if objective == "nml-tv":
         if args.tv is None:
@@ -348,10 +344,6 @@ def _check_stored_report(path: str, fresh: dict, checks: _Checks) -> None:
 
 
 def run_verify(args) -> tuple[str, int]:
-    if args.lmax is not None and args.lmax < 1:
-        raise CodingError(f"lmax must be >= 1, got {args.lmax}")
-    if args.samples < 0:
-        raise CodingError(f"samples must be >= 0, got {args.samples}")
     mu = load_distribution(args.input, args.allow_zero)
     fresh, nml = run_code(args, mu)
     checks = _Checks()
@@ -370,7 +362,24 @@ def run_verify(args) -> tuple[str, int]:
     return text, EXIT_OK if checks.all_ok else EXIT_VERIFY
 
 
+def _at_least(convert, low, name: str, finite: bool = False):
+    """An argparse type: the text through convert, at least low and finite if asked.
+
+    A value out of range raises CodingError, which main maps to exit 2;
+    text that convert rejects keeps argparse's "invalid float value" (or
+    int) message, since the type carries convert's name.
+    """
+    def parse(text: str):
+        if (value := convert(text)) >= low and (value < math.inf or not finite):
+            return value
+        raise CodingError(f"{name} must be {'finite and ' if finite else ''}>= {low}, got {value}")
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each numeric flag's accepted range is checked where it is declared."""
     parser = argparse.ArgumentParser(
         prog="klcodes",
         description="Robust prefix codes over relative-entropy uncertainty balls",
@@ -379,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("input", help="distribution file (JSON or CSV)")
-        p.add_argument("--arity", type=int, default=2, help="code alphabet size D")
-        p.add_argument("--radius", type=float, default=None, help="ball radius (nats)")
+        p.add_argument("--arity", type=_at_least(int, 2, "arity"), default=2, help="code alphabet size D")
+        p.add_argument("--radius", type=_at_least(float, 0, "radius", finite=True), help="ball radius (nats)")
         p.add_argument("--bits", action="store_true", help="radius is given in bits")
         p.add_argument("--allow-zero", action="store_true",
                        help="drop zero-probability symbols instead of rejecting")
@@ -388,8 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     def solve_options(p):
         p.add_argument("--objective", choices=OBJECTIVES, required=True,
                        help="what to optimise or report")
-        p.add_argument("--tv", type=float, default=None, help="total variation for nml-tv")
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tv", type=_at_least(float, 0, "total variation", finite=True),
+                       help="total variation for nml-tv")
+        p.add_argument("--tol", type=_at_least(float, 0, "tol"), default=1e-9,
                        help="tilt search tolerance (avg-red, gg) or Newton tolerance (nml-only)")
         p.add_argument("--strict-boundary", action="store_true",
                        help="error out instead of returning the boundary-regime code")
@@ -408,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run oracle cross-checks")
     common(verify)
     solve_options(verify)
-    verify.add_argument("--lmax", type=int, default=None,
+    verify.add_argument("--lmax", type=_at_least(int, 1, "lmax"), default=None,
                         help="longest codeword the oracle enumerates (1 to 10)")
-    verify.add_argument("--samples", type=int, default=20000,
+    verify.add_argument("--samples", type=_at_least(int, 0, "samples"), default=20000,
                         help="interior points of the oracle's ball sample")
     verify.add_argument("--seed", type=int, default=0, help="seed of the ball sample")
     verify.add_argument("--result", default=None,
@@ -419,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "analyze":
             _write_atomic(_render(run_analyze(args), args.format), None)
         elif args.command == "code":

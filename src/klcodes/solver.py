@@ -22,12 +22,13 @@ search stops at one crossing), so every probed candidate code is kept
 (after the limit code, and for avg-red after the hedged codes) and the
 winner is chosen by its exact supremum over the ball, not by the root
 alone.  A search that finds no bracket (its doublings reached the family's
-limit below R or, past r_max, met the limit code) is scored the same way,
-first candidate first.  Scoring is exact but lazy: the code of the closest
-probe is scored first, and a later candidate is scored only when no value
-it provably reaches inside the ball (at the incumbent's worst case, or at
-a tilt of its own closed-form walk) already exceeds the incumbent's
-supremum; a candidate so ruled out cannot win.
+limit below R or, past r_max, met the limit code, where the probe returns
+None instead of a divergence and so ends the search) is scored the same
+way, first candidate first.  Scoring is exact but lazy: the code of the
+closest probe is scored first, and a later candidate is scored only when
+no value it provably reaches inside the ball (at the incumbent's worst
+case, or at a tilt of its own closed-form walk) already exceeds the
+incumbent's supremum; a candidate so ruled out cannot win.
 
 Outside that range the solvers degrade explicitly: R = 0 reduces to plain
 Huffman coding, and R at or beyond the threshold is regime "boundary" (an
@@ -55,7 +56,6 @@ from .huffman import (
     max_huffman,
 )
 from .tilted import (
-    MAX_DOUBLINGS,
     LimitPoint,
     _log_ratios,
     _own_root,
@@ -76,16 +76,6 @@ Regime = Literal["interior", "boundary", "zero_radius", "reduced"]
 # argues why that is enough); _reaches_above looks for such a value along
 # at most MAX_DOUBLINGS closed-form tilts of that walk
 _SKIP_MARGIN = 1e-7
-
-
-class _LimitCodeMet(Exception):
-    """A boundary search met the limit code: no later probe can meet another code.
-
-    Past r_max the limit code's tilt stays below the radius, and once a
-    doubling meets the limit code every later doubling meets it too (an
-    observed property of exponential Huffman codes; see
-    tilted._root_in_beta), so the search has nothing left to find.
-    """
 
 
 @dataclass(frozen=True)
@@ -232,7 +222,7 @@ def _reaches_above(
         return True
     log_r = log_p + l * log_d
     top = float(np.max(log_r))
-    for _, divergence, mean in _tilt_walk(p, log_r, beta, radius, MAX_DOUBLINGS):
+    for _, divergence, mean in _tilt_walk(p, log_r, beta, radius):
         if divergence <= radius:
             nats = mean + top if objective == "gg" else divergence + mean + top
             if nats / log_d > limit:
@@ -338,24 +328,24 @@ def _solve(
     p = mu.as_array()
     met: Optional[CodeLengths] = None  # the last probe's code, checked before a build
 
-    def probe(beta: float) -> tuple[float, tuple[CodeLengths, float, float]]:
+    def probe(beta: float) -> Optional[tuple[float, tuple[CodeLengths, float, float]]]:
         nonlocal met
         divergence, lengths = g_of_beta(mu, arity, beta, met)
         met = lengths
         candidates.setdefault(lengths)
         probes.append((beta, divergence))
+        # past r_max the limit code's tilt stays below the radius, and once a
+        # doubling meets the limit code every later one meets it too (see
+        # tilted._root_in_beta): no later probe can meet another code
         if boundary and lengths == limit_code:
-            raise _LimitCodeMet
+            return None
         return divergence, (lengths, beta, divergence)
 
     def own_root(point: tuple[CodeLengths, float, float]) -> Optional[float]:
         lengths, beta, divergence = point
         return _own_root(p, _log_ratios(mu, lengths), beta, divergence, radius, tol)
 
-    try:
-        closest = _root_in_beta(probe, radius, tol, own_root)
-    except _LimitCodeMet:
-        closest = None
+    closest = _root_in_beta(probe, radius, tol, own_root)
     return _best_candidate(objective, mu, radius, candidates, tol, regime,
                            BetaSolveTrace(probes=tuple(probes)),
                            None if closest is None else closest[0])

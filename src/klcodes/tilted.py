@@ -109,7 +109,7 @@ def _tilt(p: np.ndarray, log_r: np.ndarray, beta: float) -> tuple[float, np.ndar
     return array_divergence(nu, p), raw
 
 
-def _tilt_walk(p: np.ndarray, log_r: np.ndarray, beta: float, target: float, steps: int):
+def _tilt_walk(p: np.ndarray, log_r: np.ndarray, beta: float, target: float):
     """Closed-form tilts from beta toward the target divergence: (beta, divergence, mean).
 
     With c = log r minus its maximum, Z = sum p e^(beta c) and <nu, c> =
@@ -118,8 +118,8 @@ def _tilt_walk(p: np.ndarray, log_r: np.ndarray, beta: float, target: float, ste
     one exp and three dot products per tilt, no Distribution.  mean is
     <nu, c>.  After each tilt comes a Newton step on log D against log beta
     toward the target, kept between halving and quadrupling beta.  The walk
-    stops after steps tilts, or where that slope is not positive (D is 0 or
-    flat).  p must be positive.
+    stops after MAX_DOUBLINGS tilts (read at each call), or where that
+    slope is not positive (D is 0 or flat).  p must be positive.
     It is not bit-matched to _tilt.  _own_root uses it only to pick a beta
     that a probe then evaluates with _tilt.  solver._best_candidate uses it
     only for lower bounds, and skips a candidate only when such a value
@@ -140,7 +140,7 @@ def _tilt_walk(p: np.ndarray, log_r: np.ndarray, beta: float, target: float, ste
       tolerance alone already moves a value by that much.
     """
     centred = log_r - np.max(log_r)
-    for _ in range(steps):
+    for _ in range(MAX_DOUBLINGS):
         e = np.exp(beta * centred)
         total = float(p @ e)
         ec = e * centred
@@ -171,7 +171,7 @@ def _own_root(
     """
     if divergence < radius and radius >= -math.log(_face_limit(p, log_r)[1]):
         return None
-    for beta, divergence, _ in _tilt_walk(p, log_r, beta, radius + 0.25 * tol, MAX_DOUBLINGS):
+    for beta, divergence, _ in _tilt_walk(p, log_r, beta, radius + 0.25 * tol):
         if radius <= divergence <= radius + 0.5 * tol:
             return beta
     return None
@@ -272,16 +272,18 @@ def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
     """Tilt whose divergence equals the radius, for a divergence nondecreasing in beta.
 
     evaluate(beta) returns (divergence, point), and no beta is evaluated
-    twice.  The bracket doubles from beta = 1; the search then refines
-    [hi / 2, hi] after a doubling, else [0, 1], where the divergence at 0
-    is that of mu itself, 0, and needs no evaluation.  Each refining step
-    probes suggest(point) of the last probe, a beta worth probing next or
-    None, when given and strictly inside the open bracket.  Otherwise it
-    is an Illinois regula falsi step (Dowell and Jarratt, BIT 11, 1971):
-    the secant through the bracket's ends, or the midpoint when rounding
-    puts the secant outside the open bracket; an end that survives two
-    steps in a row has its divergence's offset from the radius halved, so
-    the bracket shrinks from both sides even where the divergence jumps.
+    twice.  evaluate may instead return None to end the search, which then
+    returns None at once, whether at the first probe, a doubling or a
+    refining step.  The bracket doubles from beta = 1; the search then
+    refines [hi / 2, hi] after a doubling, else [0, 1], where the
+    divergence at 0 is that of mu itself, 0, and needs no evaluation.  Each
+    refining step probes suggest(point) of the last probe, a beta worth
+    probing next or None, when given and strictly inside the open bracket.
+    Otherwise it is an Illinois regula falsi step (Dowell and Jarratt, BIT
+    11, 1971): the secant through the bracket's ends, or the midpoint when
+    rounding puts the secant outside the open bracket; an end that survives
+    two steps in a row has its divergence's offset from the radius halved,
+    so the bracket shrinks from both sides even where the divergence jumps.
     The search keeps the probe closest to the radius (the last doubling
     below it included) and stops when that lies within tol or the bracket
     collapses.  Returns that probe's point, or None when the doublings do
@@ -298,12 +300,12 @@ def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
     for _ in range(MAX_DOUBLINGS):
         # a doubling that repeats the previous one's divergence bit for bit
         # has reached the family's limit in floating point
-        if best[0] >= radius or lo and best[0] == below[0]:
+        if best is None or best[0] >= radius or lo and best[0] == below[0]:
             break
         lo, below, f_lo = hi, best, best[0] - radius
         hi *= 2.0
         best = evaluate(hi)
-    if best[0] < radius:
+    if best is None or best[0] < radius:
         return None
     last = best
     f_hi = best[0] - radius
@@ -320,6 +322,8 @@ def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
             if not lo < step < hi:
                 step = 0.5 * (lo + hi)
         last = evaluate(step)
+        if last is None:
+            return None
         f = last[0] - radius
         if abs(f) < abs(best[0] - radius):
             best = last

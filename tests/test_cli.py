@@ -488,12 +488,38 @@ def test_negative_radius_exits_2(capsys):
     ["analyze", instance("mixed4.csv"), "--radius", "inf"],
     ["code", instance("mixed4.csv"), "--objective", "nml-only", "--radius", "inf"],
     ["code", instance("mixed4.csv"), "--objective", "nml-tv", "--tv", "inf"],
+    # a flag that the objective does not read is range-checked all the same
+    *([command, instance("mixed4.csv"), "--objective", "nml-tv", "--tv", "0.1",
+       "--radius", radius]
+      for command in ("code", "verify") for radius in ("nan", "-1")),
+    *(["code", instance("mixed4.csv"), "--objective", objective, "--radius", "0.1", "--tv", tv]
+      for objective in ("avg-red", "gg", "pointwise", "shannon-nominal", "nml-only")
+      for tv in ("nan", "-1", "inf")),
+    *([command, instance("mixed4.csv"), "--objective", objective, flag, "0.1",
+       "--arity", arity]
+      for command in ("code", "verify")
+      for objective, flag in (("nml-only", "--radius"), ("nml-tv", "--tv"))
+      for arity in ("0", "1", "-2")),
 ])
 def test_nan_parameter_exits_2(capsys, argv):
+    # main returns the status (no SystemExit) before anything is written
     status, out, err = run(capsys, argv)
     assert status == 2
     assert out == ""
-    assert "error" in err
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag, text, kind", [
+    ("--radius", "abc", "float"), ("--tol", "", "float"), ("--arity", "2.5", "int"),
+])
+def test_non_numeric_flag_keeps_the_argparse_message(capsys, flag, text, kind):
+    # text that is no number at all is argparse's to reject, under its own
+    # message and exit status
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["code", instance("mixed4.csv"), "--objective", "nml-only", "--radius", "0.1",
+                  flag, text])
+    assert exited.value.code == 2
+    assert f"argument {flag}: invalid {kind} value: {text!r}" in capsys.readouterr().err
 
 
 def test_nml_tv_without_tv_exits_2(capsys):

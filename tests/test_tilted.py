@@ -18,7 +18,6 @@ from klcodes.huffman import exponential_huffman_log
 from klcodes.solver import g_of_beta
 from klcodes.tilted import (
     ARGMAX_LOG_TOL,
-    MAX_DOUBLINGS,
     _crossing,
     _log_ratios,
     _own_root,
@@ -362,6 +361,23 @@ def test_root_in_beta_stops_where_the_divergence_stops_moving():
 
     assert _root_in_beta(evaluate, 0.5, 1e-12) is None
     assert seen == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("calls", [1, 3, 5], ids=["first", "doubling", "refining"])
+def test_root_in_beta_ends_when_evaluate_returns_none(calls):
+    # the root at beta = 5 takes the doublings 1, 2, 4 and 8, then refining
+    # steps inside [4, 8]; an evaluate that returns None on its calls-th
+    # call ends the search there, with no further probe
+    radius = nu_circ(SKEWED, L122, 5.0).divergence_from_center
+    seen = []
+    divergence = _recording_divergence(seen)
+
+    def evaluate(beta):
+        point = divergence(beta)
+        return None if len(seen) == calls else point
+
+    assert _root_in_beta(evaluate, radius, 1e-12) is None
+    assert len(seen) == calls
 
 
 def test_doublings_keep_the_limit_code_once_they_meet_it():
@@ -794,7 +810,7 @@ def test_tilt_walk_first_divergence_matches_tilt():
                 p = mu.as_array()
                 for beta in (1e-3, 0.1, 1.0, 30.0, 1e3, 1e6):
                     log_r = _log_ratios(mu, g_of_beta(mu, 2, beta)[1])
-                    walked = next(_tilt_walk(p, log_r, beta, 1.0, MAX_DOUBLINGS))
+                    walked = next(_tilt_walk(p, log_r, beta, 1.0))
                     assert walked[0] == beta
                     assert abs(walked[1] - _tilt(p, log_r, beta)[0]) <= 1e-11
 
@@ -805,7 +821,7 @@ def test_own_root_lands_in_its_window_or_reports_no_root():
     radius, tol = 0.05, 1e-9
     beta = _own_root(p, log_r, 1.0, _tilt(p, log_r, 1.0)[0], radius, tol)
     assert beta is not None
-    walked = next(_tilt_walk(p, log_r, beta, radius, 1))[1]
+    walked = next(_tilt_walk(p, log_r, beta, radius))[1]
     assert radius <= walked <= radius + 0.5 * tol
     exact = _tilt(p, log_r, beta)[0]
     assert radius <= exact <= radius + tol
@@ -817,7 +833,7 @@ def test_own_root_lands_in_its_window_or_reports_no_root():
 def test_tilt_walk_stops_where_the_divergence_is_flat():
     # equal log-ratios tilt nowhere: D is 0 at every beta, so no step exists
     p = SKEWED.as_array()
-    steps = list(_tilt_walk(p, np.full(3, 0.7), 2.0, 0.1, MAX_DOUBLINGS))
+    steps = list(_tilt_walk(p, np.full(3, 0.7), 2.0, 0.1))
     assert len(steps) == 1
     assert steps[0][0] == 2.0
     assert steps[0][1] == pytest.approx(0.0, abs=1e-15)
