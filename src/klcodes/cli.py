@@ -9,6 +9,7 @@ paths never leave partial output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -378,8 +379,13 @@ def _at_least(convert, low, name: str, finite: bool = False):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser; each numeric flag's accepted range is checked where it is declared."""
+    """The parser; each numeric flag's accepted range is checked where it is declared.
+
+    Built once per process: parse_args keeps no state between calls, so
+    every main call reuses it.
+    """
     parser = argparse.ArgumentParser(
         prog="klcodes",
         description="Robust prefix codes over relative-entropy uncertainty balls",

@@ -345,10 +345,18 @@ def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
 def _crossing(divergence_at, inside: float, outside: float, radius: float) -> float:
     """Parameter where divergence_at crosses the radius between an inside and an outside end.
 
-    A fixed 100 halvings; a tie moves the outside end.
+    Bisection; a tie moves the outside end.  It stops once the midpoint
+    equals an end of the bracket.  A step is a pure function of (inside,
+    outside), so from there every later halving either leaves the pair as
+    it is or moves the other end onto that midpoint, after which the pair
+    stays put: 100 halvings would return that midpoint too, bit for bit.
+    At most 100 halvings, for crossings near 0 that never reach adjacent
+    floats.
     """
     for _ in range(100):
         mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            break
         if divergence_at(mid) < radius:
             inside = mid
         else:
@@ -382,10 +390,32 @@ def exact_avg_sup(
     - A face tied below max log r gains by moving mass toward A, and on A's
       shell f equals R + max log r, the bound itself; one crossing from A's
       centre toward its lightest vertex stands for that shell.
-    A rootless code costs O(M^2) scalar edge crossings.  It is limited to
-    12 symbols: above that exactness rests on this argument alone, and the
-    edge loop (about 523k edges at M = 1024) is unmeasured.  At radius 0
-    the ball is mu alone.
+    On the shell f = R + <nu, log r>, and <nu, log r> is linear along an
+    edge, so the crossing of edge (j, k) toward vertex j, which lies
+    between the edge's centre c and j, is worth at most (R + max(log r_j,
+    <c, log r>)) / log D, and at most (R + max(log r_j, log r_k)) / log D
+    either way.  The in-ball vertices and the tie-class crossing seed the
+    best value; the edge crossings are then computed in descending order
+    of their bounds, and the rest are skipped once a bound plus a margin
+    falls below the best computed value.  The margin, 1e-9 (1 + max l +
+    (-log min mu) / log D) with min mu over the support, covers what a
+    computed value can exceed its bound by:
+    - the crossing's distance from the shell: its bracket ends have
+      adjacent parameters (or a width of 2^-100 of the centre's), and one
+      ulp of t moves the divergence by at most 2^-52 (40 + 2 |log min mu|),
+      as t |log t| <= 1/e near t = 0 and 1 - t >= 2^-53 near t = 1;
+    - the rounding of the divergence, of _redundancy and of the bound: a
+      few ulps of terms no larger than 1 + max l + (-log min mu) / log D
+      in base-D units (R lies below -log min mu, or no vertex is outside).
+    Both are below 1e-12 (1 + max l + (-log min mu) / log D), so a skipped
+    crossing is strictly below the winner, and the final max, taken over
+    the computed points in visiting order (vertices, edges in (j, k)
+    order, tie class), returns the value and the witness (the first of any
+    tie) that computing every crossing gives.  A rootless code costs an
+    O(M^2) bound pass plus the scalar crossings that survive the prune.
+    It is limited to 12 symbols: above that exactness rests on this
+    argument alone, and the edge loop (about 523k edges at M = 1024) is
+    unmeasured.  At radius 0 the ball is mu alone.
     """
     _check_tol(tol)
     if radius == 0.0:
@@ -398,36 +428,16 @@ def exact_avg_sup(
         raise LimitExceededError(f"exact supremum enumeration is limited to 12 symbols, got {m}")
     p = mu.as_array()
     log_r = _log_ratios(mu, lengths)
+    l = lengths.as_array()
+    log_d = math.log(lengths.arity)
     unit = np.eye(m)
-    # candidate extreme points in visiting order: vertices, edges, tie class
-    points = [unit[k] for k in range(m) if p[k] > 0.0 and -math.log(p[k]) <= radius]
-
-    def pair_point(j: int, k: int, t: float) -> np.ndarray:
-        nu = np.zeros(m)
-        nu[j] = t
-        nu[k] = 1.0 - t
-        return nu
-
-    for j in range(m):
-        for k in range(j + 1, m):
-            if p[j] == 0.0 or p[k] == 0.0:
-                continue
-
-            def on_edge(t: float) -> float:
-                return pair_divergence(t, p[j], p[k])
-
-            # the centre's divergence is -log(p_j + p_k); evaluated on the
-            # edge it can round above a radius it equals, as at r_max
-            if -math.log(p[j] + p[k]) > radius:
-                continue  # the segment never enters the ball
-            t_center = p[j] / (p[j] + p[k])
-            # crossing toward each endpoint, where the divergence rises
-            # monotonically from the in-ball center
-            if -math.log(p[j]) > radius:
-                points.append(pair_point(j, k, _crossing(on_edge, t_center, 1.0, radius)))
-            if -math.log(p[k]) > radius:
-                points.append(pair_point(j, k, _crossing(on_edge, t_center, 0.0, radius)))
-
+    q = p.tolist()
+    # far[k]: vertex k lies outside the ball (False off the support)
+    far = [x > 0.0 and -math.log(x) > radius for x in q]
+    # scored extreme points, kept apart by kind for the visiting order
+    vertices = [(_redundancy(unit[k], l, log_d), unit[k])
+                for k in range(m) if p[k] > 0.0 and not far[k]]
+    tie = []
     members = _face_limit(p, log_r)[0]
     if np.count_nonzero(members) >= 3:
         # no root: the redundancy is constant on the tie class's shell,
@@ -440,16 +450,45 @@ def exact_avg_sup(
             def blend(t: float) -> np.ndarray:
                 return (1.0 - t) * center + t * unit[k_min]
 
-            t = _crossing(lambda t: array_divergence(blend(t), p), 0.0, 1.0, radius)
-            points.append(blend(t))
+            nu = blend(_crossing(lambda t: array_divergence(blend(t), p), 0.0, 1.0, radius))
+            tie.append((_redundancy(nu, l, log_d), nu))
 
+    # each shell crossing (bound, j, k, t_center, end), in (j, k) order,
+    # toward end 1.0 (vertex j) or 0.0 (vertex k).  An edge whose centre,
+    # at divergence -log(p_j + p_k), lies outside never enters the ball;
+    # evaluated on the edge that divergence can round above a radius it
+    # equals, as at r_max.  From the in-ball centre the divergence rises
+    # toward each endpoint.
+    ends = []
+    log_q = log_r.tolist()
+    for j in range(m):
+        for k in range(j + 1, m):
+            if q[j] == 0.0 or q[k] == 0.0 or -math.log(q[j] + q[k]) > radius:
+                continue
+            t_center = q[j] / (q[j] + q[k])
+            on_centre = t_center * log_q[j] + (1.0 - t_center) * log_q[k]  # <c, log r>
+            ends += [((radius + max(log_q[v], on_centre)) / log_d, j, k, t_center, end)
+                     for v, end in ((j, 1.0), (k, 0.0)) if far[v]]
+    margin = 1e-9 * (1.0 + float(l.max()) - math.log(min(x for x in q if x > 0.0)) / log_d)
+    best = max((value for value, _ in vertices + tie), default=-math.inf)
+    edges = {}
+    for i in sorted(range(len(ends)), key=lambda i: ends[i][0], reverse=True):
+        bound, j, k, t_center, end = ends[i]
+        if bound + margin < best:
+            break  # no later crossing's bound is larger
+        a, b = q[j], q[k]
+        t = _crossing(lambda t: pair_divergence(t, a, b), t_center, end, radius)
+        nu = np.zeros(m)
+        nu[j] = t
+        nu[k] = 1.0 - t
+        edges[i] = (_redundancy(nu, l, log_d), nu)
+        best = max(best, edges[i][0])
+
+    points = vertices + [edges[i] for i in sorted(edges)] + tie
     if not points:
         raise DomainError("no feasible extreme point found")
-    l = lengths.as_array()
-    log_d = math.log(lengths.arity)
     # max keeps the first of tied values
-    best, witness = max(((_redundancy(nu, l, log_d), nu) for nu in points),
-                         key=lambda pair: pair[0])
+    best, witness = max(points, key=lambda pair: pair[0])
     return best, Distribution(tuple(witness))
 
 

@@ -10,7 +10,9 @@ as a markdown table.  The pointwise records of grid P get a table of
 their own: moved codes, moved values, moved raw suprema and the largest
 move of one in units in the last place, the largest root residual on
 each side and the after side's count of solves with a root outside
-(mu_k, min(1, mu_k + sqrt(R/2))].
+(mu_k, min(1, mu_k + sqrt(R/2))].  The exact_avg_sup records of grid E
+get one too: per code, moved values and moved witnesses, then every
+moved record.
 """
 
 import json
@@ -61,6 +63,33 @@ def pointwise_table(pairs):
     print()
 
 
+def sup_table(pairs):
+    cells, moved = {}, []
+    for a, b in pairs:
+        cell = cells.setdefault(a["objective"], dict.fromkeys(
+            ("calls", "identical", "values moved", "witnesses moved", "exception moved"), 0))
+        cell["calls"] += 1
+        if "exc" in a or "exc" in b:
+            cell["identical" if a.get("exc") == b.get("exc") else "exception moved"] += 1
+            continue
+        cell["identical"] += a["repr"] == b["repr"]
+        cell["values moved"] += a["value"] != b["value"]
+        cell["witnesses moved"] += a["value"] == b["value"] and a["repr"] != b["repr"]
+        if a["repr"] != b["repr"]:
+            moved.append((a, b))
+    print("| grid E, code | " + " | ".join(next(iter(cells.values()))) + " |")
+    print("|---" * (1 + len(next(iter(cells.values())))) + "|")
+    for name, cell in cells.items():
+        print(f"| {name} | " + " | ".join(str(v) for v in cell.values()) + " |")
+    if moved:
+        print("\n| code | seed | M | alpha | D | radius | before | after |")
+        print("|---" * 8 + "|")
+        for a, b in moved:
+            print(f"| {a['objective']} | {a['seed']} | {a['m']} | {a['alpha']} | {a['arity']} | "
+                  f"{a['f']} r_max | {a['repr']} | {b['repr']} |")
+    print()
+
+
 def main(before_path, after_path):
     before, after = json.load(open(before_path)), json.load(open(after_path))
     assert len(before) == len(after)
@@ -68,9 +97,12 @@ def main(before_path, after_path):
     pointwise = [(a, b) for a, b in zip(before, after) if a["grid"] == "P"]
     if pointwise:
         pointwise_table(pointwise)
+    sups = [(a, b) for a, b in zip(before, after) if a["grid"] == "E"]
+    if sups:
+        sup_table(sups)
     summary, moved = {}, []
     for a, b in zip(before, after):
-        if a["grid"] == "P":
+        if a["grid"] in ("P", "E"):
             continue
         cell = summary.setdefault(f"{a['objective']} {a['grid']} {a.get('regime', a.get('exc'))}",
                                   dict.fromkeys(("solves", "identical", "tie", "rounding",

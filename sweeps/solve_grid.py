@@ -21,8 +21,15 @@ each solved by robust_huffman_pointwise at arity 2, 3, 4 and 8 (up to
 0.1, 0.3, 1 and 3 nats; a record keeps the lengths, the value, the raw
 suprema of nml_distribution, their largest residual |d(raw_k || mu_k) -
 R| recomputed with core.binary_divergence, and whether every root lies
-in (mu_k, min(1, mu_k + sqrt(R/2))].  Run it on two trees and compare
-the dumps with compare_grids.py.
+in (mu_k, min(1, mu_k + sqrt(R/2))].  Grid E is the avg-red supremum
+alone: one generator default_rng([seed, M, arity]) per seed 0-9, M in
+3..12 and arity 2 or 3 draws a Dirichlet alpha 1 centre, then an alpha
+0.3 one, then an unrelated Dirichlet alpha 1 draw; exact_avg_sup is
+called directly on three codes per centre (its plain Huffman code, its
+limit code and the unrelated draw's Huffman code) at 0.9, 1, 1.3 and
+2 x r_max, and a record keeps the value and the repr of the value and
+the witness's probabilities.  Run it on two trees and compare the dumps
+with compare_grids.py.
 """
 
 import json
@@ -32,13 +39,16 @@ import sys
 import numpy as np
 
 from klcodes.core import DivergenceBall, binary_divergence, validate_distribution
+from klcodes.huffman import huffman
 from klcodes.nml import nml_distribution, robust_huffman_pointwise
 from klcodes.solver import existence_threshold, solve_avg_redundancy, solve_gg
+from klcodes.tilted import exact_avg_sup
 
 SIZES = (3, 4, 5, 6, 8, 10, 12, 16, 24, 32, 48, 64, 100, 128, 256)
 FRACTIONS = (1e-4, 0.01, 0.1, 0.3, 0.5, 0.8, 0.95, 0.99, 1.0, "mid")
 POINTWISE_SIZES = (3, 4, 5, 8, 17, 64, 256, 1024, 4096)
 POINTWISE_RADII = (1e-3, 0.01, 0.1, 0.3, 1.0, 3.0)
+SUP_FRACTIONS = (0.9, 1.0, 1.3, 2.0)
 
 
 def centre(rng, m, alpha):
@@ -68,6 +78,14 @@ def pointwise_record(ball, arity):
     return {"value": r.achieved_utility, "lengths": list(r.lengths.lengths), "raw": list(nml.raw),
             "residual": max((abs(binary_divergence(x, m) - radius) for m, x in roots), default=0.0),
             "in_interval": all(m < x <= min(1.0, m + math.sqrt(radius / 2.0)) for m, x in roots)}
+
+
+def sup_record(mu, lengths, radius):
+    try:
+        value, witness = exact_avg_sup(mu, lengths, radius)
+    except Exception as exc:
+        return {"exc": type(exc).__name__}
+    return {"value": value, "repr": repr((value, witness.probs))}
 
 
 def main(path):
@@ -121,6 +139,21 @@ def main(path):
                         out.append({"grid": "P", "seed": seed, "m": m, "alpha": alpha,
                                     "arity": arity, "f": radius, "objective": "pointwise",
                                     **pointwise_record(DivergenceBall(mu, radius), arity)})
+    for seed in range(10):
+        for m in range(3, 13):
+            for arity in (2, 3):
+                rng = np.random.default_rng([seed, m, arity])
+                centres = [(alpha, centre(rng, m, alpha)) for alpha in (1.0, 0.3)]
+                other = huffman(centre(rng, m, 1.0).probs, arity)
+                for alpha, mu in centres:
+                    r_max, _, limit_code = existence_threshold(mu, arity)
+                    codes = (("huffman", huffman(mu.probs, arity)), ("limit", limit_code),
+                             ("other", other))
+                    for f in SUP_FRACTIONS:
+                        for name, lengths in codes:
+                            out.append({"grid": "E", "seed": seed, "m": m, "alpha": alpha,
+                                        "arity": arity, "f": f, "objective": f"sup {name}",
+                                        **sup_record(mu, lengths, f * r_max)})
     with open(path, "w") as handle:
         json.dump(out, handle)
 

@@ -679,3 +679,32 @@ def test_readme_synopsis_lists_every_option():
         for name, parser in sub.choices.items()
     }
     assert documented == parsed
+
+
+def test_main_reuses_one_parser_with_a_fresh_parsers_outcomes(capsys):
+    # the parser is built once per process; an error, a solve and --help in
+    # a row give what a parser built for each call alone gives
+    argvs = [
+        ["code", instance("mixed4.csv"), "--objective", "avg-red", "--radius", "-1"],
+        ["code", instance("mixed4.csv"), "--objective", "avg-red", "--radius", "0.05"],
+        ["code", "--help"],
+        ["code", instance("mixed4.csv"), "--objective", "avg-red", "--radius", "0.05"],
+    ]
+
+    def outcome(argv):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exited:
+            status = exited.code
+        return status, *capsys.readouterr()
+
+    reused = [outcome(argv) for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [status for status, _, _ in reused] == [2, 0, 0, 0]
+    assert reused[1] == reused[3]
+    assert reused[2][1].startswith("usage: klcodes code")

@@ -19,6 +19,7 @@ from klcodes.solver import g_of_beta
 from klcodes.tilted import (
     ARGMAX_LOG_TOL,
     _crossing,
+    _face_limit,
     _log_ratios,
     _own_root,
     _root_in_beta,
@@ -485,6 +486,63 @@ def test_exact_avg_sup_keeps_edge_centre_on_the_shell():
     assert kl_divergence(witness, SKEWED) <= r_max + 1e-12
 
 
+def _hundred_halvings(divergence_at, inside, outside, radius):
+    """_crossing as it was: a fixed 100 halvings.  Also reports whether a
+    midpoint equal to the inside end, at or above the radius, moved the
+    outside end onto it, a step that the early stop does not take."""
+    onto_inside = False
+    for _ in range(100):
+        mid = 0.5 * (inside + outside)
+        if divergence_at(mid) < radius:
+            inside = mid
+        else:
+            onto_inside |= mid == inside != outside
+            outside = mid
+    return 0.5 * (inside + outside), onto_inside
+
+
+def test_crossing_stops_at_its_fixed_point_bit_for_bit():
+    # the early stop returns what 100 halvings return: on seeded edges
+    # toward both ends and blend crossings toward a vertex, a third of them
+    # at a radius equal to the centre's divergence, where the bracket can
+    # close on an inside end whose divergence rounds above the radius, and
+    # on the edge of test_exact_avg_sup_keeps_edge_centre_on_the_shell
+    rng = np.random.default_rng(53)
+    r_max = 0.1053605156578264  # SKEWED's, whose edge {0, 1} centre is on the shell
+    cases = [(lambda t: pair_divergence(t, 0.6, 0.3), 0.6 / 0.9, end, r_max)
+             for end in (1.0, 0.0)]
+    for trial in range(300):
+        a, b, _ = rng.dirichlet(np.ones(3) * (0.3 if trial % 2 else 1.0))
+        low = -math.log(a + b)
+        radius = low if trial % 3 == 0 else float(rng.uniform(low, min(-math.log(a), -math.log(b))))
+
+        def on_edge(t, a=a, b=b):
+            return pair_divergence(t, a, b)
+
+        cases += [(on_edge, a / (a + b), end, radius)
+                  for end, far in ((1.0, -math.log(a)), (0.0, -math.log(b))) if far > radius]
+    for trial in range(60):
+        m = int(rng.integers(3, 7))
+        p = rng.dirichlet(np.ones(m))
+        face = rng.permutation(m)[:3]
+        k_min = min(face, key=lambda k: p[k])
+        center = np.zeros(m)
+        center[face] = p[face] / p[face].sum()
+        low = -math.log(float(p[face].sum()))
+        radius = low if trial % 3 == 0 else float(rng.uniform(low, -math.log(p[k_min])))
+
+        def on_blend(t, center=center, vertex=np.eye(m)[k_min], p=p):
+            return array_divergence((1.0 - t) * center + t * vertex, p)
+
+        cases.append((on_blend, 0.0, 1.0, radius))
+    onto_inside = 0
+    for divergence_at, inside, outside, radius in cases:
+        expected, moved = _hundred_halvings(divergence_at, inside, outside, radius)
+        assert _crossing(divergence_at, inside, outside, radius) == expected
+        onto_inside += moved
+    assert len(cases) >= 500 and onto_inside >= 5
+
+
 def test_exact_avg_sup_tied_proper_face_carries_the_supremum():
     # the ratios tie on face {0, 1, 2, 3, 5} but not on the full support, and
     # no tilt has a root: the supremum is the constant redundancy of that
@@ -598,14 +656,15 @@ def _masked_face_root(p, log_r, mask, radius, tol):
     return _root_in_beta(evaluate, radius, tol)
 
 
-def _face_enumeration_sup(mu, lengths, radius, tol=1e-12):
-    """The reference: exact_avg_sup as it was over all 2^M support masks,
-    vertices, edges and then every face of three or more symbols."""
-    m = mu.m
-    p = mu.as_array()
-    log_r = _log_ratios(mu, lengths)
+def _vertex_and_edge_points(p, radius):
+    """exact_avg_sup's vertex and edge loops as they were before the prune:
+    the in-ball vertices, then both shell crossings of every edge in (j, k)
+    order, each crossing computed.  Returns the points and the number of
+    crossings."""
+    m = len(p)
     unit = np.eye(m)
     points = [unit[k] for k in range(m) if p[k] > 0.0 and -math.log(p[k]) <= radius]
+    vertices = len(points)
 
     def pair_point(j, k, t):
         nu = np.zeros(m)
@@ -628,6 +687,56 @@ def _face_enumeration_sup(mu, lengths, radius, tol=1e-12):
                 points.append(pair_point(j, k, _crossing(on_edge, t_center, 1.0, radius)))
             if -math.log(p[k]) > radius:
                 points.append(pair_point(j, k, _crossing(on_edge, t_center, 0.0, radius)))
+    return points, len(points) - vertices
+
+
+def _redundancy_of(lengths):
+    log_d = math.log(lengths.arity)
+    l = lengths.as_array()
+
+    def redundancy(nu):
+        nz = nu > 0.0
+        return float(np.dot(nu, l) + np.sum(nu[nz] * np.log(nu[nz])) / log_d)
+
+    return redundancy
+
+
+def _unpruned_avg_sup(mu, lengths, radius):
+    """The reference for a rootless code: exact_avg_sup as it was before
+    the prune, every crossing computed and scored in visiting order
+    (vertices, edges, tie class).  Returns (value, witness) and the number
+    of crossings."""
+    m = mu.m
+    p = mu.as_array()
+    log_r = _log_ratios(mu, lengths)
+    unit = np.eye(m)
+    points, crossings = _vertex_and_edge_points(p, radius)
+    members = _face_limit(p, log_r)[0]
+    if np.count_nonzero(members) >= 3:
+        k_min = min(np.flatnonzero(members), key=lambda k: p[k])
+        if -math.log(p[k_min]) >= radius:
+            center = np.where(members, p, 0.0)
+            center = center / center.sum()
+
+            def blend(t):
+                return (1.0 - t) * center + t * unit[k_min]
+
+            t = _crossing(lambda t: array_divergence(blend(t), p), 0.0, 1.0, radius)
+            points.append(blend(t))
+            crossings += 1
+    redundancy = _redundancy_of(lengths)
+    best, witness = max(((redundancy(nu), nu) for nu in points), key=lambda pair: pair[0])
+    return (best, Distribution(tuple(witness))), crossings
+
+
+def _face_enumeration_sup(mu, lengths, radius, tol=1e-12):
+    """The reference: exact_avg_sup as it was over all 2^M support masks,
+    vertices, edges and then every face of three or more symbols."""
+    m = mu.m
+    p = mu.as_array()
+    log_r = _log_ratios(mu, lengths)
+    unit = np.eye(m)
+    points = _vertex_and_edge_points(p, radius)[0]
 
     for bits in range(1, 2**m):
         mask = np.array([(bits >> k) & 1 == 1 for k in range(m)])
@@ -652,13 +761,7 @@ def _face_enumeration_sup(mu, lengths, radius, tol=1e-12):
                 t = _crossing(lambda t: array_divergence(blend(t), p), 0.0, 1.0, radius)
                 points.append(blend(t))
 
-    log_d = math.log(lengths.arity)
-    l = lengths.as_array()
-
-    def redundancy(nu):
-        nz = nu > 0.0
-        return float(np.dot(nu, l) + np.sum(nu[nz] * np.log(nu[nz])) / log_d)
-
+    redundancy = _redundancy_of(lengths)
     best, witness = max(((redundancy(nu), nu) for nu in points), key=lambda pair: pair[0])
     return best, Distribution(tuple(witness))
 
@@ -711,6 +814,50 @@ def test_exact_avg_sup_agrees_with_face_enumeration():
         assert value == pytest.approx(_face_enumeration_sup(mu, lengths, radius)[0], abs=1e-11)
         counts["interior"] += 1
     assert sum(counts.values()) >= 150 and min(counts.values()) >= 20
+
+
+def test_exact_avg_sup_prune_keeps_every_bit(monkeypatch):
+    # skipping crossings whose shell bound cannot beat the best point leaves
+    # the value and the witness as the unpruned loop gives them, and does
+    # skip: exact_avg_sup runs fewer crossings than the loop.  Every fourth
+    # centre is ideal for its first code, so that every shell point ties
+    # and the first of the tied points is the witness
+    from klcodes.huffman import huffman
+    from klcodes.solver import existence_threshold
+    from klcodes.tilted import exact_avg_sup
+
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _crossing(*args)
+
+    monkeypatch.setattr(tilted, "_crossing", counted)
+    rng = np.random.default_rng(59)
+    compared = unpruned = 0
+    for trial in range(40):
+        m = 3 + trial % 10
+        arity = 2 + trial % 2
+        alpha = (1.0, 0.3)[trial // 10 % 2]
+        w = np.maximum(rng.dirichlet(np.full(m, alpha)), 1e-6)
+        if trial % 4 == 3:
+            w = float(arity) ** -huffman(w, arity).as_array()
+        mu = Distribution(tuple((w / w.sum()).tolist()))
+        r_max = existence_threshold(mu, arity)[0]
+        scale = -math.log(min(mu.probs)) if trial % 4 == 3 else r_max
+        codes = (huffman(mu.probs, arity), huffman(rng.dirichlet(np.ones(m)), arity))
+        for factor in (0.3, 0.9, 1.0, 1.3, 2.0):
+            radius = factor * scale
+            for lengths in codes:
+                if radius == 0.0 or tilted_root(mu, lengths, radius) is not None:
+                    continue
+                expected, crossings = _unpruned_avg_sup(mu, lengths, radius)
+                assert repr(exact_avg_sup(mu, lengths, radius)) == repr(expected)
+                compared += 1
+                unpruned += crossings
+    assert compared >= 150
+    assert calls < 0.5 * unpruned
 
 
 def test_exact_avg_sup_near_tie_witness_stays_in_the_ball():
