@@ -26,9 +26,10 @@ limit below R or, past r_max, met the limit code, where the probe returns
 None instead of a divergence and so ends the search) is scored the same
 way, first candidate first.  Scoring is exact but lazy: the code of the
 closest probe is scored first, and a later candidate is scored only when
-no value it provably reaches inside the ball (at the incumbent's worst
-case, or at a tilt of its own closed-form walk) already exceeds the
-incumbent's supremum; a candidate so ruled out cannot win.
+no value it provably reaches inside the ball (at a tilt of its own
+closed-form walk) already exceeds the incumbent's supremum; a candidate so
+ruled out cannot win.  A rootless avg-red candidate that is scored costs an
+exact_avg_sup call, exact at every alphabet size.
 
 Outside that range the solvers degrade explicitly: R = 0 reduces to plain
 Huffman coding, and R at or beyond the threshold is regime "boundary" (an
@@ -163,7 +164,7 @@ def _candidate_sup(
     the supremum when it exists.  Without a root the limit point is exact for
     the linear GG objective, and the convex average objective is maximized
     over the vertices, edge crossings and tie-class crossing of
-    exact_avg_sup, which raises LimitExceededError beyond its symbol limit.
+    exact_avg_sup.
     """
     point = tilted_root(mu, lengths, radius, tol=min(tol, 1e-12))
     if point is not None:
@@ -198,28 +199,22 @@ def _reaches_above(
     log_p: np.ndarray,
     radius: float,
     lengths: CodeLengths,
-    incumbent: tuple[np.ndarray, float, float],
+    beta: float,
     limit: float,
 ) -> bool:
     """Whether the code provably reaches a value above limit inside the ball.
 
-    incumbent is (worst, rest, beta): the incumbent's worst case, the part
-    of a value there that no length touches (sum nu log nu / log D for
-    avg-red, <nu, log mu> / log D for gg) and the incumbent's beta (1
-    without one).  The first value tried is the code's at that worst case.
-    Then come the in-ball tilts of tilted._tilt_walk, the code's closed-form
-    tilts from that beta toward the radius, at most MAX_DOUBLINGS of them.
-    Along the tilt the divergence and the value both grow with beta, so the
-    best bound is the in-ball tilt nearest the root.  Where log D is
-    concave in log beta, as near mu (D about beta^2 Var / 2) and toward the
-    limit (D levels off), the walk's Newton step lands inside the ball from
-    either side.
+    The values tried are the code's at the in-ball tilts of
+    tilted._tilt_walk, its closed-form tilts from beta (the incumbent's, 1
+    without one) toward the radius, at most MAX_DOUBLINGS of them.  Along
+    the tilt the divergence and the value both grow with beta, so the best
+    bound is the in-ball tilt nearest the root.  Where log D is concave in
+    log beta, as near mu (D about beta^2 Var / 2) and toward the limit (D
+    levels off), the walk's Newton step lands inside the ball from either
+    side.
     """
-    worst, rest, beta = incumbent
     l = lengths.as_array()
     log_d = math.log(lengths.arity)
-    if float(worst @ l) + rest > limit:
-        return True
     log_r = log_p + l * log_d
     top = float(np.max(log_r))
     for _, divergence, mean in _tilt_walk(p, log_r, beta, radius):
@@ -250,27 +245,24 @@ def _best_candidate(
     A skipped candidate's supremum is strictly above the incumbent's, so the
     winner, its beta, its worst case and the tie order (value, beta,
     position) are those of scoring every candidate; a rootless avg-red
-    candidate that is skipped never needs exact_avg_sup.
+    candidate that is skipped costs no exact_avg_sup call.
     """
     candidates = list(candidates)
     start = 0 if first is None else candidates.index(first)
     p = mu.as_array()
     log_p = np.log(p)
-    best = incumbent = None
+    best = None
     for position in (start, *(k for k in range(len(candidates)) if k != start)):
         lengths = candidates[position]
         if best is not None:
             limit = best[0] + _SKIP_MARGIN * max(1.0, abs(best[0]))
-            if _reaches_above(objective, p, log_p, radius, lengths, incumbent, limit):
+            if _reaches_above(objective, p, log_p, radius, lengths, start_beta, limit):
                 continue
         value, worst, beta = _candidate_sup(objective, mu, radius, lengths, tol)
         item = (value, beta if beta is not None else math.inf, position, lengths, worst)
         if best is None or item[:3] < best[:3]:
             best = item
-            nu = worst.as_array()
-            nz = nu > 0.0
-            rest = float(nu[nz] @ (log_p[nz] if objective == "gg" else np.log(nu[nz])))
-            incumbent = (nu, rest / math.log(lengths.arity), 1.0 if beta is None else beta)
+            start_beta = 1.0 if beta is None else beta
     value, beta, _, lengths, worst = best
     return RobustCodeResult(
         lengths=lengths,

@@ -46,7 +46,7 @@ from .core import (
     log_sum_exp,
     pair_divergence,
 )
-from .errors import DimensionMismatchError, DomainError, LimitExceededError
+from .errors import DimensionMismatchError, DomainError
 
 ARGMAX_LOG_TOL = 1e-12
 # a tilt root bracket gives up after this many doublings of beta from 1
@@ -132,12 +132,12 @@ def _tilt_walk(p: np.ndarray, log_r: np.ndarray, beta: float, target: float):
       for avg-red and <nu, log r> for gg, in nats.
     - A tilt whose computed D is at most R lies in the ball up to that
       rounding, and a candidate's scored root lies within the root tolerance
-      (1e-12) of the shell, as does an incumbent's worst case.  A radius
-      offset t moves a supremum by about (1 + 1/beta) t for avg-red and by
-      t / beta for gg, beta being the candidate's root; below the margin
-      whenever beta > 2e-5.  Near mu, D is about beta^2 Var_mu(c) / 2, so
-      such a beta needs a radius of about 1e-8 nats or less, where the root
-      tolerance alone already moves a value by that much.
+      (1e-12) of the shell.  A radius offset t moves a supremum by about
+      (1 + 1/beta) t for avg-red and by t / beta for gg, beta being the
+      candidate's root; below the margin whenever beta > 2e-5.  Near mu, D
+      is about beta^2 Var_mu(c) / 2, so such a beta needs a radius of about
+      1e-8 nats or less, where the root tolerance alone already moves a
+      value by that much.
     """
     centred = log_r - np.max(log_r)
     for _ in range(MAX_DOUBLINGS):
@@ -411,11 +411,10 @@ def exact_avg_sup(
     crossing is strictly below the winner, and the final max, taken over
     the computed points in visiting order (vertices, edges in (j, k)
     order, tie class), returns the value and the witness (the first of any
-    tie) that computing every crossing gives.  A rootless code costs an
-    O(M^2) bound pass plus the scalar crossings that survive the prune.
-    It is limited to 12 symbols: above that exactness rests on this
-    argument alone, and the edge loop (about 523k edges at M = 1024) is
-    unmeasured.  At radius 0 the ball is mu alone.
+    tie) that computing every crossing gives.  None of this depends on M,
+    so every alphabet size is exact; a rootless code costs an O(M^2) bound
+    pass plus the scalar crossings that survive the prune, which can take
+    seconds at M in the hundreds.  At radius 0 the ball is mu alone.
     """
     _check_tol(tol)
     if radius == 0.0:
@@ -424,8 +423,6 @@ def exact_avg_sup(
     if point is not None:
         return avg_redundancy(lengths, point.distribution), point.distribution
     m = mu.m
-    if m > 12:
-        raise LimitExceededError(f"exact supremum enumeration is limited to 12 symbols, got {m}")
     p = mu.as_array()
     log_r = _log_ratios(mu, lengths)
     l = lengths.as_array()

@@ -12,7 +12,9 @@ move of one in units in the last place, the largest root residual on
 each side and the after side's count of solves with a root outside
 (mu_k, min(1, mu_k + sqrt(R/2))].  The exact_avg_sup records of grid E
 get one too: per code, moved values and moved witnesses, then every
-moved record.
+moved record.  Last comes every record, of any grid, whose exception
+moved: the exception on each side, or the value and regime where that
+side returned (grid E records have no regime).
 """
 
 import json
@@ -90,6 +92,24 @@ def sup_table(pairs):
     print()
 
 
+def outcome(x):
+    """An exception's name, or the value and regime of a result."""
+    if "exc" in x:
+        return x["exc"]
+    return f"{x['value']!r}, {x.get('regime', 'no regime')}"
+
+
+def exception_table(pairs):
+    thrown = [(a, b) for a, b in pairs if a.get("exc") != b.get("exc")]
+    if not thrown:
+        return
+    print("\n| grid | objective | seed | M | alpha | D | radius | before | after |")
+    print("|---" * 9 + "|")
+    for a, b in thrown:
+        print(f"| {a['grid']} | {a['objective']} | {a['seed']} | {a['m']} | {a['alpha']} | "
+              f"{a['arity']} | {a['f']} | {outcome(a)} | {outcome(b)} |")
+
+
 def main(before_path, after_path):
     before, after = json.load(open(before_path)), json.load(open(after_path))
     assert len(before) == len(after)
@@ -135,6 +155,7 @@ def main(before_path, after_path):
         print(f"| {kind} | {a['objective']} | {a['grid']} | {a['seed']} | {a['m']} | {a['alpha']} | {a['arity']} | "
               f"{radius} | {a['value']:.10f} | {b['value']:.10f} | {change:.3g} | "
               f"{beta[0]} | {beta[1]} |")
+    exception_table(list(zip(before, after)))
 
 
 if __name__ == "__main__":

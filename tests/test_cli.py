@@ -224,24 +224,29 @@ def test_analyze_arity_above_ten_exits_0(capsys):
     assert json.loads(out)["arity"] == 11
 
 
-def test_code_beyond_exact_range_exits_6(capsys, tmp_path, monkeypatch):
-    # p proportional to 1..13: some avg-red candidate has no tilt root, and
-    # exact_avg_sup stops at 12 symbols
+def test_code_rootless_avg_red_above_twelve_symbols_exits_0(capsys, tmp_path, monkeypatch):
+    # p proportional to 1..13 at radius 3.0, past r_max: the limit code has
+    # no tilt root, and exact_avg_sup scores it exactly at any alphabet size
+    from klcodes import existence_threshold, validate_distribution
+
     def sampled(*args, **kwargs):
         raise AssertionError("the solver must not sample the ball")
 
     monkeypatch.setattr(oracle, "ball_sample", sampled)
+    probs = [k / 91 for k in range(1, 14)]
     path = tmp_path / "thirteen.json"
-    path.write_text(json.dumps({"probs": [k / 91 for k in range(1, 14)]}))
-    status, out, err = run(capsys, ["code", str(path), "--objective", "avg-red", "--radius", "3.0"])
-    assert status == 6
-    assert out == ""
-    assert "12 symbols" in err
+    path.write_text(json.dumps({"probs": probs}))
+    status, out, _ = run(capsys, ["code", str(path), "--objective", "avg-red", "--radius", "3.0"])
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["regime"] == "boundary"
+    limit_code = existence_threshold(validate_distribution(probs))[2]
+    assert payload["lengths"] == list(limit_code.lengths)
 
 
-def test_exit_6_only_for_a_rootless_candidate_not_ruled_out(capsys, tmp_path):
+def test_sixteen_symbol_avg_red_exits_0_with_or_without_a_rootless_candidate(capsys, tmp_path):
     # 16 symbols: at 0.5 r_max the rootless avg-red candidate is ruled out by
-    # a value it reaches in the ball; at 0.8 r_max one is not
+    # a value it reaches in the ball; at 0.8 r_max one is scored exactly
     from klcodes import existence_threshold, validate_distribution
 
     weights = (0.014516, 0.057579, 0.222358, 0.138804, 0.014951, 0.033002, 0.120653,
@@ -255,8 +260,9 @@ def test_exit_6_only_for_a_rootless_candidate_not_ruled_out(capsys, tmp_path):
     status, out, _ = run(capsys, [*argv, repr(0.5 * r_max)])
     assert status == 0
     assert json.loads(out)["lengths"] == [6, 4, 2, 3, 6, 5, 3, 5, 5, 5, 5, 6, 3, 5, 4, 6]
-    status, out, err = run(capsys, [*argv, repr(0.8 * r_max)])
-    assert status == 6 and out == "" and "12 symbols" in err
+    status, out, _ = run(capsys, [*argv, repr(0.8 * r_max)])
+    assert status == 0
+    assert json.loads(out)["regime"] == "interior"
 
 
 def test_code_nml_tv(capsys, tmp_path):

@@ -25,8 +25,8 @@ PATH = os.path.join(os.path.dirname(__file__), "golden_solve.json")
 SOLVERS = {"avg-red": solve_avg_redundancy, "gg": solve_gg}
 
 # (objective, M, arity, radius as a fraction of r_max); avg-red stays at
-# radii where every candidate has a tilt root, since above twelve symbols a
-# rootless candidate has no exact supremum
+# radii where every candidate has a tilt root, and the rootless supremum is
+# pinned by tests/test_tilted.py and grid E of sweeps/solve_grid.py instead
 SPECS = (
     ("avg-red", 16, 2, 0.1), ("avg-red", 16, 3, 0.25), ("gg", 16, 2, 0.25), ("gg", 16, 2, 0.5),
     ("avg-red", 64, 2, 0.1), ("gg", 64, 3, 0.25), ("gg", 64, 2, 0.5),

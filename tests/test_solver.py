@@ -521,22 +521,18 @@ def _score_every_candidate(objective, mu, radius, candidates, tol, regime, trace
 
 
 def _outcome(solve, ball):
-    try:
-        result = solve(ball)
-    except LimitExceededError:
-        return "LimitExceededError"
+    result = solve(ball)
     return repr((result.lengths, result.beta, result.worst_case, result.achieved_utility,
                  result.regime))
 
 
 def test_skipping_candidates_matches_scoring_every_one(monkeypatch):
     # the skipped candidates are provably worse, so every result is
-    # repr-identical to scoring them all; the only outcome that may move is
-    # LimitExceededError from a rootless avg-red candidate that is skipped
+    # repr-identical to scoring them all
     from klcodes import solver
 
     rng = np.random.default_rng(3)
-    compared = moved = 0
+    compared = 0
     for m in (4, 5, 7, 9, 12, 16, 24, 40, 64):
         p = np.maximum(rng.dirichlet(np.ones(m)), 1e-6)
         mu = validate_distribution((p / p.sum()).tolist())
@@ -552,31 +548,45 @@ def test_skipping_candidates_matches_scoring_every_one(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "_best_candidate", _score_every_candidate)
                 full = _outcome(solve, ball)
-            if full == "LimitExceededError" and lazy != full:
-                moved += 1
-            else:
-                assert lazy == full, (m, radius, solve.__name__)
-                compared += 1
-    assert compared >= 75 and moved >= 1
+            assert lazy == full, (m, radius, solve.__name__)
+            compared += 1
+    assert compared == 81
 
 
 PINNED_16 = (0.014516, 0.057579, 0.222358, 0.138804, 0.014951, 0.033002, 0.120653, 0.019007,
              0.029692, 0.044114, 0.032162, 0.018431, 0.143972, 0.031825, 0.071458, 0.007477)
 
 
-def test_provably_worse_rootless_candidate_needs_no_exact_sup():
+def test_provably_worse_rootless_candidate_needs_no_exact_sup(monkeypatch):
     # at 0.5 r_max the only candidate that needs exact_avg_sup (rootless, 16
-    # symbols) reaches more in the ball than the winner, so it is skipped;
-    # at 0.8 and 0.95 r_max a rootless candidate cannot be ruled out
+    # symbols) reaches more in the ball than the winner, so it is skipped and
+    # exact_avg_sup never runs; at 0.8 and 0.95 r_max a rootless candidate
+    # cannot be ruled out, and the solve is that of scoring every candidate
+    from klcodes import solver
+
     mu = validate_distribution([w / sum(PINNED_16) for w in PINNED_16])
     r_max = existence_threshold(mu)[0]
-    result = solve_avg_redundancy(DivergenceBall(mu, 0.5 * r_max))
+    calls = 0
+    original = solver.exact_avg_sup
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "exact_avg_sup", counted)
+        result = solve_avg_redundancy(DivergenceBall(mu, 0.5 * r_max))
+    assert calls == 0
     assert result.regime == "interior"
     assert result.lengths.lengths == (6, 4, 2, 3, 6, 5, 3, 5, 5, 5, 5, 6, 3, 5, 4, 6)
     assert result.achieved_utility == pytest.approx(2.62760, abs=5e-6)
     for fraction in (0.8, 0.95):
-        with pytest.raises(LimitExceededError):
-            solve_avg_redundancy(DivergenceBall(mu, fraction * r_max))
+        ball = DivergenceBall(mu, fraction * r_max)
+        lazy = _outcome(solve_avg_redundancy, ball)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_best_candidate", _score_every_candidate)
+            assert lazy == _outcome(solve_avg_redundancy, ball)
 
 
 def _reference_root_in_beta(evaluate, radius, tol):

@@ -768,8 +768,9 @@ def _face_enumeration_sup(mu, lengths, radius, tol=1e-12):
 
 def test_exact_avg_sup_agrees_with_face_enumeration():
     # the support and its tie class stand for every face of three or more
-    # symbols: bit for bit where the support has no root, within the root
-    # tolerance inside the ball, and on the same shell for ideal codes
+    # symbols at any M: bit for bit where the support has no root, within
+    # the root tolerance inside the ball, and on the same shell for ideal
+    # codes
     from klcodes.huffman import huffman
     from klcodes.solver import existence_threshold
     from klcodes.tilted import exact_avg_sup
@@ -813,7 +814,82 @@ def test_exact_avg_sup_agrees_with_face_enumeration():
         value, _ = exact_avg_sup(mu, lengths, radius)
         assert value == pytest.approx(_face_enumeration_sup(mu, lengths, radius)[0], abs=1e-11)
         counts["interior"] += 1
-    assert sum(counts.values()) >= 150 and min(counts.values()) >= 20
+    # rootless codes at M = 10-13, the largest sizes where the 2^M reference
+    # runs in about a second
+    rng = np.random.default_rng(29)
+    for m in range(10, 14):
+        mu = Distribution(tuple(rng.dirichlet(np.ones(m)).tolist()))
+        for lengths in (huffman(mu.probs), existence_threshold(mu)[2]):
+            limit = nu_infinity(mu, lengths).divergence_from_center
+            for factor in (1.0, 1.2):
+                radius = factor * limit
+                got = exact_avg_sup(mu, lengths, radius)
+                assert repr(got) == repr(_face_enumeration_sup(mu, lengths, radius))
+                counts["rootless"] += 1
+    assert sum(counts.values()) >= 166 and min(counts.values()) >= 20
+
+
+def _in_ball_edge_values(p, l, radius, log_d):
+    """Values of a code at an in-ball point near each shell crossing of each edge.
+
+    An independent numpy bisection over all edges at once: from the edge's
+    centre toward each endpoint outside the ball, 60 halvings, keeping the
+    end inside the ball.
+    """
+    j, k = np.triu_indices(p.size, 1)
+    keep = -np.log(p[j] + p[k]) <= radius
+    j, k = j[keep], k[keep]
+    values = []
+    for v, w in ((j, k), (k, j)):
+        outside = -np.log(p[v]) > radius
+        a, b = p[v][outside], p[w][outside]
+        lo, hi = a / (a + b), np.ones(a.size)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            divergence = mid * np.log(mid / a) + (1.0 - mid) * np.log((1.0 - mid) / b)
+            inside = divergence <= radius
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        entropy = lo * np.log(lo) + (1.0 - lo) * np.log(1.0 - lo)
+        values.append(lo * l[v][outside] + (1.0 - lo) * l[w][outside] + entropy / log_d)
+    return np.concatenate(values)
+
+
+def test_exact_avg_sup_dominates_the_ball_points_it_knows_at_large_m():
+    # at M = 32-256 no 2^M reference runs, but for a rootless code the
+    # supremum lies in the ball, below the ball's bound, and at least the
+    # value at every vertex inside it, at an in-ball point beside each edge
+    # crossing, and at every tilt, all of which lie inside it too (up to
+    # rounding at 1.0 x the limit divergence, where tilts near beta = 2^60
+    # reach the supremum itself)
+    from klcodes.huffman import huffman
+    from klcodes.solver import existence_threshold
+    from klcodes.tilted import exact_avg_sup
+
+    rng = np.random.default_rng(31)
+    for m in (32, 128, 256):
+        for _ in range(2):
+            mu = Distribution(tuple(rng.dirichlet(np.ones(m)).tolist()))
+            p = mu.as_array()
+            for lengths in (huffman(mu.probs), existence_threshold(mu)[2]):
+                limit = nu_infinity(mu, lengths).divergence_from_center
+                tilts = [nu_circ(mu, lengths, 2.0**k) for k in range(61)]
+                top = float(np.max(_log_ratios(mu, lengths)))
+                for factor in (1.0, 1.25, 1.5):
+                    radius = factor * limit
+                    assert tilted_root(mu, lengths, radius) is None
+                    value, witness = exact_avg_sup(mu, lengths, radius)
+                    assert kl_divergence(witness, mu) <= radius + 1e-12
+                    # R + max log r in nats bounds the value on the ball
+                    assert value <= (radius + top) / math.log(2.0) + 1e-12
+                    for k in range(m):
+                        if -math.log(mu.probs[k]) <= radius:
+                            vertex = Distribution(tuple(float(i == k) for i in range(m)))
+                            assert value >= avg_redundancy(lengths, vertex)
+                    for tilt in tilts:
+                        assert tilt.divergence_from_center <= radius + 1e-12
+                        assert value >= avg_redundancy(lengths, tilt.distribution) - 1e-12
+                    edges = _in_ball_edge_values(p, lengths.as_array(), radius, math.log(2.0))
+                    assert value >= float(edges.max(initial=-math.inf)) - 1e-12
 
 
 def test_exact_avg_sup_prune_keeps_every_bit(monkeypatch):
@@ -878,8 +954,8 @@ def test_exact_avg_sup_near_tie_witness_stays_in_the_ball():
 
 
 def test_exact_avg_sup_returns_the_tilt_root_above_twelve_symbols():
-    # a code whose support tilt has a root needs no enumeration, so the
-    # 12-symbol limit of the rootless case does not apply
+    # a code whose support tilt has a root needs no enumeration: the root is
+    # the supremum, returned as tilted_root finds it
     from klcodes.huffman import huffman
     from klcodes.tilted import exact_avg_sup
 
