@@ -31,9 +31,9 @@ from .core import (
 )
 from .errors import BoundaryRegimeError, CodingError, LimitExceededError, NoConvergenceError
 from .huffman import shannon_lengths
-from .nml import NmlResult, nml_distribution, nml_tv, pointwise_code, pointwise_utility
-from .solver import RobustCodeResult, _eval_utility, existence_threshold, solve_avg_redundancy, solve_gg
-from .tilted import avg_redundancy
+from .nml import NmlResult, nml_distribution, nml_tv, pointwise_code
+from .solver import RobustCodeResult, existence_threshold, solve_avg_redundancy, solve_gg
+from .tilted import avg_redundancy, objective_utility
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -51,32 +51,32 @@ OBJECTIVES = ("avg-red", "gg", "pointwise", "shannon-nominal", "nml-only", "nml-
 
 
 def load_distribution(path: str, allow_zero_drop: bool = False) -> Distribution:
-    """Read a distribution from JSON {"probs": [...], "labels": [...]} or CSV label,prob."""
+    """Read a distribution from JSON {"probs": [...], "labels": [...]} or CSV label,prob.
+
+    This is the one reader of labels: JSON "labels", when present, must be a
+    list as long as "probs", checked before any zero is dropped; they are
+    otherwise ignored, and no report carries them.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    stripped = text.lstrip()
-    if path.endswith(".json") or stripped.startswith("{"):
+    if path.endswith(".json") or text.lstrip().startswith("{"):
         payload = json.loads(text)
         probs = payload.get("probs") if isinstance(payload, dict) else None
         if not (isinstance(probs, list) and all(type(p) in (int, float) for p in probs)):
             raise CodingError('JSON input must be an object whose "probs" is a list of numbers')
-        labels = payload.get("labels")
-        if not (labels is None or isinstance(labels, list)):
-            raise CodingError('"labels" must be a list')
+        labels = payload.get("labels", probs)
+        if not (isinstance(labels, list) and len(labels) == len(probs)):
+            raise CodingError('"labels" must be a list as long as "probs"')
+        try:
+            probs = [float(p) for p in probs]
+        except OverflowError:
+            raise CodingError('a "probs" entry is too large for a float') from None
     else:
-        probs, labels = [], []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            label, _, value = line.rpartition(",")
-            probs.append(float(value))
-            labels.append(label.strip())
-        if not any(labels):
-            labels = None
+        probs = [float(line.rpartition(",")[2]) for line in map(str.strip, text.splitlines())
+                 if line and not line.startswith("#")]
     if allow_zero_drop:
-        probs, labels = drop_zero_symbols(probs, labels)
-    return validate_distribution(probs, allow_zero=False, labels=labels)
+        probs = drop_zero_symbols(probs)
+    return validate_distribution(probs)
 
 
 def _radius(args) -> float:
@@ -259,8 +259,7 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
     checks.add("kraft", kraft_sum(lengths) <= 1.0 + 1e-12,
                f"kraft_sum={_fmt(kraft_sum(lengths))}")
     worst = Distribution(tuple(payload["worst_case"]))
-    recomputed = (pointwise_utility(lengths, worst) if args.objective == "pointwise"
-                  else _eval_utility(args.objective, lengths, worst, mu))
+    recomputed = objective_utility(args.objective, lengths, worst, mu)
     checks.add("utility_recompute", abs(recomputed - payload["achieved_utility"]) <= 1e-9,
                f"residual={_fmt(abs(recomputed - payload['achieved_utility']))}")
 
@@ -274,17 +273,15 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
                        f"residual={_fmt(residual)}")
         if mu.m <= 4 and args.arity == 2 and radius > 0.0:
             ball = DivergenceBall(mu, radius)
-            samples = oracle.ball_sample(ball, n_interior=args.samples,
-                                         n_boundary=64, seed=args.seed,
+            samples = oracle.ball_sample(ball, n_interior=args.samples, seed=args.seed,
                                          arity=args.arity, l_max=args.lmax)
-            utility = "avg_red" if args.objective == "avg-red" else "gg"
-            sup = oracle.brute_sup_over_ball(lengths, ball, utility, samples)
+            sup = oracle.brute_sup_over_ball(lengths, ball, args.objective, samples)
             checks.add("sampled_dominance", sup <= payload["achieved_utility"] + 1e-6,
                        f"gap={_fmt(sup - payload['achieved_utility'])}")
             # boundary-regime average redundancy makes no minimaxity claim:
             # its reported value is an honest sampled supremum only
             if payload["regime"] == "interior" or args.objective == "gg":
-                report = oracle.brute_min_over_codes(utility, ball=ball, arity=args.arity,
+                report = oracle.brute_min_over_codes(args.objective, ball=ball, arity=args.arity,
                                                      l_max=args.lmax, samples=samples)
                 gap = abs(report.optimum_value - payload["achieved_utility"])
                 checks.add("oracle_minimax", gap <= 5e-3, f"gap={_fmt(gap)}")
@@ -311,7 +308,7 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
         by_symbol = all(
             h <= s for h, s in zip(lengths.lengths, shannon.lengths)
         )
-        shannon_value = pointwise_utility(shannon, worst)
+        shannon_value = objective_utility("pointwise", shannon, worst, mu)
         checks.add("shannon_dominance",
                    by_symbol and recomputed <= shannon_value < 1.0,
                    f"huffman={_fmt(recomputed)} shannon={_fmt(shannon_value)}")

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class Distribution:
     """
 
     probs: tuple[float, ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probs)
@@ -59,11 +58,6 @@ class Distribution:
         if total != 1.0:
             probs = tuple(p / total for p in probs)
         object.__setattr__(self, "probs", probs)
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != len(probs):
-                raise DimensionMismatchError("labels and probs differ in length")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def m(self) -> int:
@@ -161,47 +155,32 @@ class PrefixCode:
         object.__setattr__(self, "codewords", codewords)
 
 
-def validate_distribution(
-    probs: Sequence[float],
-    allow_zero: bool = False,
-    labels: Optional[Sequence[str]] = None,
-) -> Distribution:
-    """Check and normalize a probability vector.
+def validate_distribution(probs: Sequence[float]) -> Distribution:
+    """Check and normalize a nominal probability vector, rejecting any zero entry.
 
-    With allow_zero=False any zero entry is rejected: a zero-probability
-    nominal symbol forces an infinite ideal length downstream.  Zero entries
-    are kept (not dropped) when allow_zero=True, so vertex distributions and
-    other boundary points remain representable.
+    A zero-probability nominal symbol forces an infinite ideal length
+    downstream.  Points that keep zero entries (vertices and other boundary
+    points of the simplex) are built as Distribution directly.
     """
-    probs = list(probs)
-    if not probs:
-        raise TooFewSymbolsError("empty probability vector")
-    if not allow_zero and any(p == 0.0 for p in probs):
-        raise ZeroProbabilityError(f"zero entry in {probs}")
-    return Distribution(tuple(float(p) for p in probs),
-                        tuple(labels) if labels is not None else None)
+    probs = tuple(float(p) for p in probs)
+    if 0.0 in probs:
+        raise ZeroProbabilityError(f"zero entry in {list(probs)}")
+    return Distribution(probs)
 
 
-def drop_zero_symbols(
-    probs: Sequence[float],
-    labels: Optional[Sequence[str]] = None,
-) -> tuple[list[float], Optional[list[str]]]:
+def drop_zero_symbols(probs: Sequence[float]) -> list[float]:
     """Remove zero-probability symbols, warning when any are dropped.
 
     Ingestion helper for nominal distributions: the remainder is meant to be
     renormalized by Distribution construction.
     """
-    probs = list(probs)
-    kept = [(i, p) for i, p in enumerate(probs) if p != 0.0]
+    kept = [p for p in probs if p != 0.0]
     if len(kept) < len(probs):
         warnings.warn(
             f"dropping {len(probs) - len(kept)} zero-probability symbol(s)",
             stacklevel=2,
         )
-    idx = [i for i, _ in kept]
-    out_probs = [p for _, p in kept]
-    out_labels = [labels[i] for i in idx] if labels is not None else None
-    return out_probs, out_labels
+    return kept
 
 
 def entropy(nu: Distribution, arity: int = 2) -> float:

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .huffman import max_huffman, shannon_lengths
 from .solver import RobustCodeResult
+from .tilted import pointwise_utility
 
 _TINY = np.finfo(float).tiny  # smallest normal float
 _HUGE = np.finfo(float).max
@@ -228,14 +229,6 @@ def nml_tv(mu: Distribution, tv: float) -> NmlResult:
         roots_residual=(),
         iterations=(),
     )
-
-
-def pointwise_utility(lengths: CodeLengths, dist: Distribution) -> float:
-    """Worst pointwise redundancy max_k (l_k + log_D p_k)."""
-    p = dist.as_array()
-    l = lengths.as_array()
-    nz = p > 0.0
-    return float(np.max(l[nz] + np.log(p[nz]) / math.log(lengths.arity)))
 
 
 def robust_shannon_pointwise(ball: DivergenceBall, arity: int = 2) -> CodeLengths:

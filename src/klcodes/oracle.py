@@ -5,7 +5,8 @@ integer length vector up to a cap, sample the divergence ball, and take
 plain minima and maxima.  These routines are the reference the fast
 algorithms are tested against, so they avoid sharing shortcuts with them;
 the one sanctioned exception is the analytic tilted worst case, which the
-ball-dependent objectives include alongside the samples because a sampled
+ball-dependent objectives score alongside the samples (through
+tilted.objective_utility, the formula the solver reports) because a sampled
 supremum alone is only a lower bound.  exact_min_over_codes goes further
 on purpose and takes tilted's exact suprema (its docstring says why).
 
@@ -41,7 +42,7 @@ from .core import (
     pair_divergence,
 )
 from .errors import DomainError, LimitExceededError
-from .tilted import avg_redundancy, exact_avg_sup, gg_utility, nu_infinity, tilted_root
+from .tilted import exact_avg_sup, gg_utility, nu_infinity, objective_utility, tilted_root
 
 ENUM_MAX_M = 10
 ENUM_MAX_LEN = 10
@@ -129,16 +130,17 @@ def ball_sample(
 ) -> list[Distribution]:
     """Deterministic certified sample of the divergence ball.
 
-    Combines (a) Dirichlet draws kept when they land inside, (b) segments
-    from the center toward each vertex and each two-symbol midpoint, the
-    endpoint itself when it is inside or the boundary crossing otherwise,
-    plus n_boundary extra random directions treated the same way, and
-    (c) the tilted worst-case curve of every small enumerable code, at the
-    tilt whose divergence equals the radius when it exists and at the family
-    limit otherwise.  The deterministic targets also include the boundary
-    crossings of every two-symbol edge of the simplex, where the suprema of
-    saturated codes concentrate.  Every returned point carries a recomputed
-    divergence certificate.
+    Combines (a) Dirichlet draws kept when they land inside; (b) segments
+    from the center toward each vertex and toward n_boundary random points
+    of the simplex, each giving its end when that is inside and its
+    boundary crossing otherwise; (c) on each two-symbol edge of the simplex
+    whose centre (the center conditioned on those two symbols) is inside,
+    the boundary crossing from that centre toward each of its two vertices
+    that lies outside the ball, where the suprema of saturated codes
+    concentrate; and (d) the tilted worst-case point of every small
+    enumerable code, at the tilt whose divergence equals the radius when it
+    exists and at the family limit otherwise.  Every returned point carries
+    a recomputed divergence certificate.
     """
     mu = ball.center
     radius = ball.radius
@@ -151,7 +153,7 @@ def ball_sample(
     def segment_divergence(target: np.ndarray, t: float) -> float:
         return array_divergence((1.0 - t) * p + t * target, p)
 
-    def crossing(target: np.ndarray) -> Distribution | None:
+    def crossing(target: np.ndarray) -> Distribution:
         # divergence along nu(t) = (1-t) mu + t target is 0 at t=0, convex
         end = segment_divergence(target, 1.0)
         if end <= radius:
@@ -169,9 +171,7 @@ def ball_sample(
     for k in range(m):
         vertex = np.zeros(m)
         vertex[k] = 1.0
-        point = crossing(vertex)
-        if point is not None:
-            out.append(point)
+        out.append(crossing(vertex))
 
     for j in range(m):
         for k in range(m):
@@ -195,10 +195,7 @@ def ball_sample(
 
     rng = np.random.default_rng(seed)
     for _ in range(max(0, n_boundary)):
-        target = rng.dirichlet(np.ones(m))
-        point = crossing(target)
-        if point is not None:
-            out.append(point)
+        out.append(crossing(rng.dirichlet(np.ones(m))))
 
     if n_interior > 0:
         draws = rng.dirichlet(np.ones(m), size=n_interior)
@@ -223,20 +220,43 @@ def ball_sample(
 
 
 class _SampleTable:
-    """Sample list flattened to matrices so per-code suprema vectorize."""
+    """A ball's sample list flattened to one matrix, so per-code suprema vectorize.
 
-    def __init__(self, samples: list[Distribution], arity: int):
+    utility is "avg-red" or "gg".  Row i of matrix @ (l + shift) + offset
+    is a code's value at sample i: shift is log_D mu for gg and offset the
+    negative entropy of each sample for avg-red.
+    """
+
+    def __init__(self, samples: list[Distribution], ball: DivergenceBall, utility: str, arity: int):
+        if utility not in ("avg-red", "gg"):
+            raise DomainError(f"unknown ball utility {utility!r}")
+        self.ball = ball
+        self.utility = utility
         self.matrix = np.array([nu.probs for nu in samples], dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = self.matrix * np.log(self.matrix)
-        plogp[self.matrix == 0.0] = 0.0
-        self.neg_entropy = plogp.sum(axis=1) / math.log(arity)
+        log_d = math.log(arity)
+        if utility == "gg":
+            self.shift = np.log(ball.center.as_array()) / log_d
+            self.offset = 0.0
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                plogp = self.matrix * np.log(self.matrix)
+            plogp[self.matrix == 0.0] = 0.0
+            self.shift = 0.0
+            self.offset = plogp.sum(axis=1) / log_d
 
-    def sup_avg_red(self, lengths: np.ndarray) -> float:
-        return float(np.max(self.matrix @ lengths + self.neg_entropy))
+    def sup(self, lengths: CodeLengths) -> float:
+        """The code's largest value over the samples and its analytic worst case.
 
-    def sup_gg(self, lengths: np.ndarray, log_mu_d: np.ndarray) -> float:
-        return float(np.max(self.matrix @ (lengths + log_mu_d)))
+        The analytic point (its tilted point at the radius, else its limit)
+        is scored by tilted.objective_utility; at radius 0 the ball is its
+        centre and the samples alone decide.
+        """
+        value = float(np.max(self.matrix @ (lengths.as_array() + self.shift) + self.offset))
+        mu, radius = self.ball.center, self.ball.radius
+        if radius == 0.0:
+            return value
+        worst = _analytic_worst(mu, lengths, radius)
+        return max(value, objective_utility(self.utility, lengths, worst, mu))
 
 
 def brute_sup_over_ball(
@@ -245,23 +265,13 @@ def brute_sup_over_ball(
     utility: str,
     samples: list[Distribution],
 ) -> float:
-    """Maximum of "avg_red" or "gg" over the given samples; a lower bound on the sup.
+    """Maximum of "avg-red" or "gg" over the given samples; a lower bound on the sup.
 
     The analytic tilted point of this code (or its limit, exact for the
-    linear GG objective) is added so the bound is tight wherever the tilted
-    model applies.
+    linear GG objective) is scored too, so the bound is tight wherever the
+    tilted model applies.
     """
-    if utility not in ("avg_red", "gg"):
-        raise DomainError(f"unknown ball utility {utility!r}")
-    mu = ball.center
-    points = list(samples)
-    if ball.radius > 0.0:
-        points.append(_analytic_worst(mu, lengths, ball.radius))
-    table = _SampleTable(points, lengths.arity)
-    if utility == "avg_red":
-        return table.sup_avg_red(lengths.as_array())
-    log_mu_d = np.log(mu.as_array()) / math.log(lengths.arity)
-    return table.sup_gg(lengths.as_array(), log_mu_d)
+    return _SampleTable(samples, ball, utility, lengths.arity).sup(lengths)
 
 
 def brute_min_over_codes(
@@ -273,16 +283,14 @@ def brute_min_over_codes(
     l_max: int | None = None,
     beta: float | None = None,
     samples: list[Distribution] | None = None,
-    n_interior: int = 20000,
-    n_boundary: int = 64,
-    seed: int = 0,
 ) -> OracleReport:
     """Exact minimum over all enumerated codes of the requested objective.
 
     utility is one of "linear_cost", "exp_cost" (needs beta), "pointwise"
-    (all three take weights), or "avg_red" / "gg" (take a ball; the inner
-    supremum is the sampled-plus-analytic bound of brute_sup_over_ball).
-    Exponential costs are compared in log-domain.
+    (all three take weights), or "avg-red" / "gg" (take a ball; the inner
+    supremum is the sampled-plus-analytic bound of brute_sup_over_ball over
+    samples, ball_sample(ball) when none are given).  Exponential costs are
+    compared in log-domain.
     """
     if utility in ("linear_cost", "exp_cost", "pointwise"):
         if weights is None:
@@ -295,8 +303,8 @@ def brute_min_over_codes(
         w = ball.center.as_array()
         m = ball.center.m
         if samples is None:
-            samples = ball_sample(ball, n_interior=n_interior, n_boundary=n_boundary,
-                                  seed=seed, arity=arity, l_max=l_max)
+            samples = ball_sample(ball, arity=arity, l_max=l_max)
+        table = _SampleTable(samples, ball, utility, arity)
     if l_max is None:
         l_max = default_l_max(m, arity)
     if utility == "exp_cost" and beta is None:
@@ -305,9 +313,6 @@ def brute_min_over_codes(
     log_d = math.log(arity)
     with np.errstate(divide="ignore"):
         log_w = np.log(w)
-    if utility in ("avg_red", "gg"):
-        table = _SampleTable(samples, arity)
-        log_mu_d = log_w / log_d
 
     def evaluate(vector: tuple[int, ...]) -> float:
         assigned = sorted_assignment(w, vector)
@@ -320,14 +325,7 @@ def brute_min_over_codes(
         if utility == "pointwise":
             finite = np.isfinite(log_w)
             return float(np.max(arr[finite] + log_w[finite] / log_d))
-        lengths = CodeLengths(assigned, arity=arity)
-        value = table.sup_avg_red(arr) if utility == "avg_red" else table.sup_gg(arr, log_mu_d)
-        if ball.radius == 0.0:
-            return value
-        worst = _analytic_worst(ball.center, lengths, ball.radius)
-        analytic = (avg_redundancy(lengths, worst) if utility == "avg_red"
-                    else gg_utility(lengths, worst, ball.center))
-        return max(value, analytic)
+        return table.sup(CodeLengths(assigned, arity=arity))
 
     return _report([(evaluate(vector), vector) for vector in _enumerated(m, arity, l_max)])
 
@@ -351,14 +349,14 @@ def exact_min_over_codes(
 ) -> OracleReport:
     """Exact nested minimax: the least exact supremum over every enumerated code.
 
-    utility is "avg_red" or "gg".  Unlike brute_min_over_codes, each code's
+    utility is "avg-red" or "gg".  Unlike brute_min_over_codes, each code's
     inner supremum is exact rather than sampled: gg is linear in nu, so its
     supremum is at the code's tilted point at the radius when that exists
     and at its limit point otherwise; avg-red's is exact_avg_sup's.  Those
     suprema are the solver's own routines, so this checks the solver's
     outer search over codes; the sampled oracle checks the suprema.
     """
-    if utility not in ("avg_red", "gg"):
+    if utility not in ("avg-red", "gg"):
         raise DomainError(f"unknown ball utility {utility!r}")
     mu = ball.center
     if l_max is None:
@@ -366,7 +364,7 @@ def exact_min_over_codes(
     scored = []
     for vector in _enumerated(mu.m, arity, l_max):
         lengths = CodeLengths(sorted_assignment(mu.probs, vector), arity=arity)
-        if utility == "avg_red":
+        if utility == "avg-red":
             value = exact_avg_sup(mu, lengths, ball.radius)[0]
         elif ball.radius == 0.0:
             value = gg_utility(lengths, mu, mu)

@@ -63,10 +63,10 @@ from .tilted import (
     _root_in_beta,
     _tilt,
     _tilt_walk,
-    avg_redundancy,
     exact_avg_sup,
     gg_utility,
     nu_infinity,
+    objective_utility,
     tilted_root,
 )
 
@@ -144,13 +144,6 @@ def g_of_beta(
     return _tilt(mu.as_array(), _log_ratios(mu, lengths), beta)[0], lengths
 
 
-def _eval_utility(objective: str, lengths: CodeLengths, nu: Distribution, mu: Distribution) -> float:
-    """gg utility for "gg"; average redundancy for any other objective."""
-    if objective == "gg":
-        return gg_utility(lengths, nu, mu)
-    return avg_redundancy(lengths, nu)
-
-
 def _candidate_sup(
     objective: str,
     mu: Distribution,
@@ -168,7 +161,7 @@ def _candidate_sup(
     """
     point = tilted_root(mu, lengths, radius, tol=min(tol, 1e-12))
     if point is not None:
-        value = _eval_utility(objective, lengths, point.distribution, mu)
+        value = objective_utility(objective, lengths, point.distribution, mu)
         return value, point.distribution, point.beta
     if objective == "gg":
         limit = nu_infinity(mu, lengths).distribution
@@ -293,7 +286,7 @@ def _solve(
             lengths=lengths,
             beta=None,
             worst_case=mu,
-            achieved_utility=_eval_utility(objective, lengths, mu, mu),
+            achieved_utility=objective_utility(objective, lengths, mu, mu),
             regime="zero_radius",
         )
 

@@ -218,6 +218,28 @@ def gg_utility(lengths: CodeLengths, nu: Distribution, mu: Distribution) -> floa
     return float(np.sum(p[nz] * (l[nz] + np.log(q[nz]) / log_d)))
 
 
+def pointwise_utility(lengths: CodeLengths, dist: Distribution) -> float:
+    """Worst pointwise redundancy max_k (l_k + log_D p_k)."""
+    p = dist.as_array()
+    l = lengths.as_array()
+    nz = p > 0.0
+    return float(np.max(l[nz] + np.log(p[nz]) / math.log(lengths.arity)))
+
+
+def objective_utility(objective: str, lengths: CodeLengths, nu: Distribution, mu: Distribution) -> float:
+    """The value of a code at nu under an objective, named as the CLI names it.
+
+    gg_utility for "gg", pointwise_utility for "pointwise", and
+    avg_redundancy for "avg-red" and every other code objective.  The
+    solver, the oracle and the CLI's verify all score through it.
+    """
+    if objective == "gg":
+        return gg_utility(lengths, nu, mu)
+    if objective == "pointwise":
+        return pointwise_utility(lengths, nu)
+    return avg_redundancy(lengths, nu)
+
+
 def decomposition_terms(
     lengths: CodeLengths,
     nu: Distribution,

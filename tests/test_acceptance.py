@@ -194,7 +194,7 @@ def test_criterion_07_nested_minimax():
         ball = DivergenceBall(mu, radius)
         result = solve_avg_redundancy(ball)
         samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=1000 + trial)
-        report = brute_min_over_codes("avg_red", ball=ball, arity=2, l_max=4, samples=samples)
+        report = brute_min_over_codes("avg-red", ball=ball, arity=2, l_max=4, samples=samples)
         gap = abs(result.achieved_utility - report.optimum_value)
         if gap > 5e-3:
             failures.append(f"trial {trial}: nested gap {gap}")

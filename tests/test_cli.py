@@ -452,13 +452,29 @@ def test_missing_probs_key_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("document", [
     {"probs": None}, [0.5, 0.5], {"probs": [0.5, None]}, {"probs": [0.5, 0.5], "labels": 7},
-], ids=["null-probs", "bare-list", "null-entry", "scalar-labels"])
+    {"probs": [int("9" * 400), 1]},
+], ids=["null-probs", "bare-list", "null-entry", "scalar-labels", "huge-integer"])
 def test_malformed_json_exits_2(capsys, tmp_path, document):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(document))
     status, _, err = run(
         capsys, ["code", str(path), "--objective", "pointwise", "--radius", "0.1"])
     assert status == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("allow_zero", [[], ["--allow-zero"]], ids=["default", "allow-zero"])
+@pytest.mark.parametrize("document", [
+    {"probs": [0.5, 0.5, 0.0], "labels": ["a"]}, {"probs": [0.5, 0.5], "labels": ["a", "b", "c"]},
+], ids=["fewer-labels", "more-labels"])
+def test_labels_of_another_length_exit_2(capsys, tmp_path, document, allow_zero):
+    # checked before any zero is dropped: with --allow-zero the first used to
+    # die with an IndexError and the second to exit 0
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(document))
+    status, out, err = run(capsys, ["analyze", str(path), *allow_zero])
+    assert status == 2
+    assert out == ""
     assert err.startswith("error:")
 
 

@@ -53,7 +53,7 @@ def test_validate_rejects_zero_by_default():
 
 
 def test_validate_allows_zero_when_asked():
-    dist = validate_distribution([0.6, 0.3, 0.1, 0.0], allow_zero=True)
+    dist = Distribution((0.6, 0.3, 0.1, 0.0))
     assert dist.probs[-1] == 0.0
 
 
@@ -74,7 +74,7 @@ def test_entropy_uniform_binary():
 
 
 def test_entropy_deterministic():
-    dist = validate_distribution([1.0, 0.0], allow_zero=True)
+    dist = Distribution((1.0, 0.0))
     assert entropy(dist, 2) == 0.0
 
 
@@ -101,13 +101,13 @@ def test_kl_identity_is_zero():
 
 
 def test_kl_single_term_collapse():
-    nu = validate_distribution([1.0, 0.0], allow_zero=True)
+    nu = Distribution((1.0, 0.0))
     mu = validate_distribution([0.5, 0.5])
     assert kl_divergence(nu, mu) == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_kl_frozen_value():
-    nu = validate_distribution([2 / 3, 1 / 3, 0.0], allow_zero=True)
+    nu = Distribution((2 / 3, 1 / 3, 0.0))
     mu = validate_distribution([0.6, 0.3, 0.1])
     assert kl_divergence(nu, mu) == pytest.approx(-math.log(0.9), abs=1e-12)
 
@@ -116,7 +116,7 @@ def test_kl_errors():
     mu = validate_distribution([0.5, 0.5])
     with pytest.raises(DimensionMismatchError):
         kl_divergence(validate_distribution([0.2, 0.3, 0.5]), mu)
-    ragged = validate_distribution([0.5, 0.5, 0.0], allow_zero=True)
+    ragged = Distribution((0.5, 0.5, 0.0))
     with pytest.raises(AbsoluteContinuityError):
         kl_divergence(validate_distribution([0.2, 0.3, 0.5]), ragged)
 

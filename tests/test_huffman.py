@@ -7,6 +7,7 @@ import pytest
 
 from klcodes.core import (
     CodeLengths,
+    Distribution,
     kraft_integer_ok,
     kraft_sum,
     log_sum_exp,
@@ -205,7 +206,7 @@ def test_shannon_lengths_examples():
 
 
 def test_shannon_lengths_rejects_zero():
-    dist = validate_distribution([0.5, 0.5, 0.0], allow_zero=True)
+    dist = Distribution((0.5, 0.5, 0.0))
     with pytest.raises(ZeroProbabilityError):
         shannon_lengths(dist)
 

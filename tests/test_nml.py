@@ -179,7 +179,7 @@ def test_reduced_adversary_is_feasible():
         rho = (1.0 - pi_k) / (1.0 - mu.probs[k])
         nu = [rho * p for p in mu.probs]
         nu[k] = pi_k
-        point = validate_distribution(nu, allow_zero=True)
+        point = Distribution(tuple(nu))
         assert kl_divergence(point, mu) <= radius + 1e-10
 
 

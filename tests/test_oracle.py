@@ -96,8 +96,8 @@ def test_brute_min_pointwise_anchor():
 def test_brute_min_determinism():
     mu = validate_distribution([0.55, 0.3, 0.15])
     ball = DivergenceBall(mu, 0.04)
-    a = brute_min_over_codes("avg_red", ball=ball, n_interior=500, seed=3)
-    b = brute_min_over_codes("avg_red", ball=ball, n_interior=500, seed=3)
+    a = brute_min_over_codes("avg-red", ball=ball, samples=ball_sample(ball, n_interior=500, seed=3))
+    b = brute_min_over_codes("avg-red", ball=ball, samples=ball_sample(ball, n_interior=500, seed=3))
     assert a.optimum_value == b.optimum_value
     assert a.optimal_length_vectors == b.optimal_length_vectors
     assert a.evaluations == b.evaluations
@@ -109,7 +109,7 @@ def test_brute_sup_zero_radius_is_center_value():
     lengths = CodeLengths((1, 2, 2))
     from klcodes.tilted import avg_redundancy
 
-    value = brute_sup_over_ball(lengths, ball, "avg_red", [mu])
+    value = brute_sup_over_ball(lengths, ball, "avg-red", [mu])
     assert value == pytest.approx(avg_redundancy(lengths, mu), abs=1e-15)
 
 
@@ -128,7 +128,7 @@ def test_brute_sup_includes_analytic_point():
     lengths = CodeLengths((1, 2, 2))
     point = tilted_root(mu, lengths, 0.05)
     analytic = avg_redundancy(lengths, point.distribution)
-    sup = brute_sup_over_ball(lengths, ball, "avg_red", ball_sample(ball, 2000, seed=5))
+    sup = brute_sup_over_ball(lengths, ball, "avg-red", ball_sample(ball, 2000, seed=5))
     assert sup >= analytic - 1e-9
     assert sup <= analytic + 1e-6
 
@@ -157,7 +157,7 @@ def test_exact_nested_minimax_bounds_the_sampled_oracle_and_the_solver():
     # may sit above the exact optimum when that is rootless, so equality is
     # not asserted.
     rng = np.random.default_rng(29)
-    solvers = {"avg_red": solve_avg_redundancy, "gg": solve_gg}
+    solvers = {"avg-red": solve_avg_redundancy, "gg": solve_gg}
     for m in (4, 5, 6):
         for alpha in (0.4, 1.0):
             p = np.maximum(rng.dirichlet(np.full(m, alpha)), 1e-4)
@@ -172,6 +172,24 @@ def test_exact_nested_minimax_bounds_the_sampled_oracle_and_the_solver():
                     assert exact >= sampled.optimum_value - 1e-9, (m, alpha, fraction, utility)
                     value = solve(ball).achieved_utility
                     assert value >= exact - 1e-9, (m, alpha, fraction, utility)
+
+
+def test_oracles_at_radius_zero_give_the_solvers_value():
+    # at R = 0 the ball is its centre: both oracles score each code there
+    # alone, so their minimum is the Huffman code's value the solver reports
+    rng = np.random.default_rng(5)
+    solvers = {"avg-red": solve_avg_redundancy, "gg": solve_gg}
+    for m in (3, 4, 5, 6):
+        for _ in range(3):
+            p = np.maximum(rng.dirichlet(np.ones(m)), 1e-4)
+            ball = DivergenceBall(validate_distribution((p / p.sum()).tolist()), 0.0)
+            for utility, solve in solvers.items():
+                result = solve(ball)
+                assert result.regime == "zero_radius"
+                for oracle in (exact_min_over_codes(utility, ball),
+                               brute_min_over_codes(utility, ball=ball)):
+                    assert oracle.optimum_value == pytest.approx(result.achieved_utility,
+                                                                 abs=1e-12), (m, utility)
 
 
 def test_exact_min_over_codes_rejects_other_utilities():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import klcodes
-from klcodes.core import DivergenceBall, kl_divergence, validate_distribution
+from klcodes.core import Distribution, DivergenceBall, kl_divergence, validate_distribution
 from klcodes.errors import (
     BoundaryRegimeError,
     DomainError,
@@ -100,7 +100,7 @@ def test_solve_avg_interior_instance():
     )
     # nested oracle agreement at documented sampling tolerance
     samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=12)
-    report = brute_min_over_codes("avg_red", ball=ball, l_max=4, samples=samples)
+    report = brute_min_over_codes("avg-red", ball=ball, l_max=4, samples=samples)
     assert result.achieved_utility == pytest.approx(report.optimum_value, abs=5e-3)
     # the trace records probes on both sides of the radius
     assert result.trace is not None
@@ -185,7 +185,8 @@ def test_solve_gg_at_the_threshold_matches_the_exhaustive_oracle(seed, m):
     mu = validate_distribution((p / p.sum()).tolist())
     ball = DivergenceBall(mu, existence_threshold(mu)[0])
     result = solve_gg(ball)
-    report = brute_min_over_codes("gg", ball=ball, arity=2, n_interior=0, n_boundary=0)
+    samples = ball_sample(ball, n_interior=0, n_boundary=0, arity=2)
+    report = brute_min_over_codes("gg", ball=ball, arity=2, samples=samples)
     assert result.regime == "boundary" and result.beta is not None
     assert result.achieved_utility == pytest.approx(report.optimum_value, abs=1e-9)
     assert tuple(sorted(result.lengths.lengths)) in report.optimal_length_vectors
@@ -215,10 +216,26 @@ def test_solve_gg_interior_matches_avg_code():
     ball = DivergenceBall(SKEWED, 0.05)
     gg_result = solve_gg(ball)
     assert gg_result.regime == "interior"
+    assert gg_result.lengths == solve_avg_redundancy(ball).lengths
     assert abs(kl_divergence(gg_result.worst_case, SKEWED) - 0.05) <= 1e-9
     samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=16)
     report = brute_min_over_codes("gg", ball=ball, l_max=4, samples=samples)
     assert gg_result.achieved_utility == pytest.approx(report.optimum_value, abs=5e-3)
+
+
+@pytest.mark.parametrize("low, high", [(3, 16), (17, 64)])
+@pytest.mark.parametrize("arity", [2, 3])
+def test_gg_and_avg_red_codes_agree_in_small_balls(arity, low, high):
+    # the paper's small-ball equivalence: inside a small enough ball the gg
+    # minimax code is the minimax average-redundancy code
+    rng = np.random.default_rng([3, arity, low])
+    for _ in range(20):
+        p = np.maximum(rng.dirichlet(np.ones(int(rng.integers(low, high + 1)))), 1e-4)
+        mu = validate_distribution((p / p.sum()).tolist())
+        r_max = existence_threshold(mu, arity)[0]
+        for fraction in (0.01, 0.1, 0.3):
+            ball = DivergenceBall(mu, fraction * r_max)
+            assert solve_gg(ball, arity).lengths == solve_avg_redundancy(ball, arity).lengths
 
 
 def test_regime_consistency():
@@ -259,7 +276,7 @@ def test_flat_code_wins_at_large_interior_radius():
     )
     assert kl_divergence(result.worst_case, mu) <= radius + 1e-10
     samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=4)
-    report = brute_min_over_codes("avg_red", ball=ball, l_max=5, samples=samples)
+    report = brute_min_over_codes("avg-red", ball=ball, l_max=5, samples=samples)
     assert result.achieved_utility == pytest.approx(report.optimum_value, abs=1e-9)
 
 
@@ -275,7 +292,7 @@ def test_nested_minimax_m4():
         ball = DivergenceBall(mu, radius)
         result = solve_avg_redundancy(ball)
         samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=done)
-        report = brute_min_over_codes("avg_red", ball=ball, l_max=5, samples=samples)
+        report = brute_min_over_codes("avg-red", ball=ball, l_max=5, samples=samples)
         assert result.achieved_utility == pytest.approx(report.optimum_value, abs=5e-3)
         done += 1
 
@@ -304,7 +321,7 @@ def test_ternary_interior_vs_oracle():
     result = solve_avg_redundancy(ball, arity=3)
     assert result.regime == "interior"
     samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=33, arity=3)
-    report = brute_min_over_codes("avg_red", ball=ball, arity=3, samples=samples)
+    report = brute_min_over_codes("avg-red", ball=ball, arity=3, samples=samples)
     assert result.achieved_utility == pytest.approx(report.optimum_value, abs=5e-3)
 
 
@@ -771,7 +788,7 @@ def test_one_code_search_takes_two_probes():
 
 
 def test_g_of_beta_rejects_a_zero_probability():
-    mu = validate_distribution([0.5, 0.5, 0.0], allow_zero=True)
+    mu = Distribution((0.5, 0.5, 0.0))
     with pytest.raises(ZeroProbabilityError):
         g_of_beta(mu, 2, 1.0)
 
