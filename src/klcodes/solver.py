@@ -19,12 +19,13 @@ every probe still returns what its build would.  Because
 the inner problem is discrete, the divergence-vs-beta curve can jump where
 the optimal length multiset changes (and so cross R more than once; the
 search stops at one crossing), so every probed candidate code is kept
-(after the limit code, and for avg-red after the hedged codes) and the
-winner is chosen by its exact supremum over the ball, not by the root
-alone.  A search that finds no bracket (its doublings reached the family's
-limit below R or, past r_max, met the limit code, where the probe returns
-None instead of a divergence and so ends the search) is scored the same
-way, first candidate first.  Scoring is exact but lazy: the code of the
+(after the limit code, and for avg-red at or above _rootless_radius, the
+radius below which every code has a tilt root, after the hedged codes)
+and the winner is chosen by its exact supremum over the ball, not by the
+root alone.  A search that finds no bracket (its doublings reached the
+family's limit below R or, past r_max, met the limit code, where the probe
+returns None instead of a divergence and so ends the search) is scored the
+same way, first candidate first.  Scoring is exact but lazy: the code of the
 closest probe is scored first, and a later candidate is scored only when
 no value it provably reaches inside the ball (at a tilt of its own
 closed-form walk) already exceeds the incumbent's supremum; a candidate so
@@ -77,6 +78,11 @@ Regime = Literal["interior", "boundary", "zero_radius", "reduced"]
 # argues why that is enough); _reaches_above looks for such a value along
 # at most MAX_DOUBLINGS closed-form tilts of that walk
 _SKIP_MARGIN = 1e-7
+# fractional parts of log_D mu this close join one class in _rootless_radius:
+# far above ARGMAX_LOG_TOL / log D (at most 1.5e-12) plus the rounding of
+# log_D mu_i and of log mu_i + l_i log D (a few ulps of numbers below a few
+# thousand, about 1e-12)
+_CLASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -178,12 +184,43 @@ def _hedged_codes(mu: Distribution, arity: int) -> list[CodeLengths]:
     need not meet.  This family is a heuristic for such codes, not a proof:
     against the exact nested minimax (oracle.exact_min_over_codes) on 240
     binary avg-red solves at M 4-7, the 48 interior solves at 0.9 x r_max
-    still missed a rootless optimum 4 times, by up to 0.416 bits.  gg needs
-    none of them (solve_gg says why).
+    still missed a rootless optimum 4 times, by up to 0.416 bits.  It is
+    built only at or above _rootless_radius, below which every code has a
+    root (solve_avg_redundancy says why that makes it dead there), and gg
+    needs none of it (solve_gg says why).
     """
     m = mu.m
     return [huffman([(1.0 - t) * p + t / m for p in mu.probs], arity)
             for t in (i / 20.0 for i in range(21))]
+
+
+def _rootless_radius(mu: Distribution, arity: int) -> float:
+    """-log m_D: below this radius every code for mu keeps its tilt root.
+
+    A code l loses its root at R exactly when R >= -log mu(A_l), A_l being
+    the argmax set of tilted._face_limit: the symbols whose log mu_i + l_i
+    log D lie within ARGMAX_LOG_TOL of their maximum.  Two members differ in
+    x_i = log_D mu_i by an integer, up to ARGMAX_LOG_TOL / log D, so the
+    fractional parts of A_l lie on one arc of the circle [0, 1) no longer
+    than that.  Sorted, with neighbours closer than _CLASS_TOL joined into
+    one class and the last class joined to the first across 1 -> 0, every
+    such arc falls inside one class, so mu(A_l) <= m_D, the largest mass of
+    a class, whatever l is.  For a generic mu each class is one symbol and
+    the radius is -log max mu; where every x_i has one fractional part, as
+    for dyadic mu at D = 2, m_D is 1 and no radius lies below it.  m_D is
+    raised by M 2^-51 relative: a float sum of n positive terms, in any
+    order, lies within about (n - 1) 2^-53 relative of the exact sum, so the
+    mass that _face_limit computes for A_l stays below the raised m_D.
+    """
+    x = np.asarray(mu.log_probs) / math.log(arity)
+    frac = x - np.floor(x)
+    order = np.argsort(frac)
+    frac = frac[order]
+    label = np.concatenate(([0], np.cumsum(np.diff(frac) > _CLASS_TOL)))
+    if frac[0] + 1.0 - frac[-1] <= _CLASS_TOL:
+        label[label == label[-1]] = 0
+    mass = float(np.bincount(label, weights=mu.as_array()[order]).max())
+    return -math.log(mass * (1.0 + mu.m * 2.0**-51))
 
 
 def _reaches_above(
@@ -305,10 +342,13 @@ def _solve(
         return _best_candidate(objective, mu, radius, [limit_code], tol, regime, None)
 
     # the tilt root search of tilted_root, keeping every candidate code a
-    # probe meets (an ordered set) after the limit code, and for avg-red
-    # after the hedged codes too; the closest probe's code is scored first
+    # probe meets (an ordered set) after the limit code, and for avg-red at
+    # or above _rootless_radius after the hedged codes too (below it every
+    # code has a root and they are dead: solve_avg_redundancy); the closest
+    # probe's code is scored first
     probes: list[tuple[float, float]] = []
-    hedged = _hedged_codes(mu, arity) if objective == "avg-red" else ()
+    hedged = (_hedged_codes(mu, arity)
+              if objective == "avg-red" and radius >= _rootless_radius(mu, arity) else ())
     candidates = dict.fromkeys((*hedged, limit_code))
     p = mu.as_array()
     met: Optional[CodeLengths] = None  # the last probe's code, checked before a build
@@ -342,7 +382,26 @@ def solve_avg_redundancy(
     tol: float = 1e-9,
     strict_boundary: bool = False,
 ) -> RobustCodeResult:
-    """Best prefix code for the worst average redundancy inside the ball."""
+    """Best prefix code for the worst average redundancy inside the ball.
+
+    Below _rootless_radius the candidates are those of gg, the limit code
+    and the codes the probes meet, and no hedged code is needed:
+    - There every code keeps its tilt root (_rootless_radius says why).
+    - For a code with ratios r = mu D^l and any beta > 0, Donsker and
+      Varadhan's bound beta <nu, log r> <= D(nu||mu) + log sum_i mu_i
+      r_i^beta gives D(nu||mu) + <nu, log r> <= (1 + 1/beta) R + log sum_i
+      mu_i r_i^beta / beta on the ball, with equality at the code's root.
+      So a rooted code's supremum (in nats) is the least of these bounds
+      over beta.
+    - As for gg (solve_gg), the least over rooted codes is then the least
+      over beta of the same bound minimised over codes, which exponential
+      Huffman on mu^(beta+1) attains (Campbell 1965), and the probes walk
+      that envelope.
+    In floating point a hedged code can still tie the winner, its supremum
+    reading lower by no more than the root tolerance moves one.  At or above
+    the radius the hedged codes join the candidates, a heuristic for
+    rootless optima (_hedged_codes).
+    """
     return _solve(ball, arity, tol, "avg-red", strict_boundary)
 
 

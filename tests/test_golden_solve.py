@@ -3,8 +3,11 @@
 golden_solve.json holds solve_avg_redundancy and solve_gg runs at M = 16,
 64 and 128, with radii at 0.1, 0.25 and 0.5 times the centre's existence
 threshold.  The CLI golden file stops at four symbols; these cases run the
-exponential Huffman probes, hedged candidates and tilt roots of large
-alphabets.  Each case stores its centre and radius, and the repr of beta,
+exponential Huffman probes and tilt roots of large alphabets.  Every
+avg-red case lies below solver._rootless_radius, so it offers no hedged
+candidate; the file was written when those cases still offered them, and
+passing it unedited shows that they never won there.  Each case stores its
+centre and radius, and the repr of beta,
 the lengths, the worst case, the achieved utility and every probe of the
 trace.  Regenerate the file only for a change that means to alter these
 results, and say so:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import klcodes
-from klcodes.core import Distribution, DivergenceBall, kl_divergence, validate_distribution
+from klcodes.core import (
+    CodeLengths,
+    Distribution,
+    DivergenceBall,
+    kl_divergence,
+    validate_distribution,
+)
 from klcodes.errors import (
     BoundaryRegimeError,
     DomainError,
@@ -339,7 +345,9 @@ def test_trace_bracket_straddles_radius():
 def test_a_search_without_a_bracket_scores_its_candidates(monkeypatch):
     # a search that finds no bracket is scored like any other, first
     # candidate first: both solvers return the exact least supremum over the
-    # same candidates, with the one probe in the trace
+    # same candidates, with the one probe in the trace; avg-red offers its
+    # hedged codes first only at or above the rootless radius, which is
+    # 0.1054 for SKEWED and log 2 for the five-symbol centre
     from klcodes import solver
 
     def unbracketed(evaluate, radius, tol, suggest=None):
@@ -347,16 +355,18 @@ def test_a_search_without_a_bracket_scores_its_candidates(monkeypatch):
         return None
 
     monkeypatch.setattr(solver, "_root_in_beta", unbracketed)
-    radius = 0.09
-    limit_code = existence_threshold(SKEWED)[2]
-    divergence, probed = g_of_beta(SKEWED, 2, 1.0)
-    for solve, objective in ((solve_avg_redundancy, "avg-red"), (solve_gg, "gg")):
-        result = solve(DivergenceBall(SKEWED, radius))
-        assert result.trace.probes == ((1.0, divergence),)
-        hedged = solver._hedged_codes(SKEWED, 2) if objective == "avg-red" else ()
-        candidates = list(dict.fromkeys((*hedged, limit_code, probed)))
-        assert result == _score_every_candidate(objective, SKEWED, radius, candidates, 1e-9,
-                                                "interior", result.trace)
+    five = validate_distribution([0.5, 0.2, 0.15, 0.1, 0.05])
+    for mu, radius, hedging in ((SKEWED, 0.09, False), (five, 1.3, True)):
+        assert (radius >= solver._rootless_radius(mu, 2)) == hedging
+        limit_code = existence_threshold(mu)[2]
+        divergence, probed = g_of_beta(mu, 2, 1.0)
+        for solve, objective in ((solve_avg_redundancy, "avg-red"), (solve_gg, "gg")):
+            result = solve(DivergenceBall(mu, radius))
+            assert result.trace.probes == ((1.0, divergence),)
+            hedged = solver._hedged_codes(mu, 2) if hedging and objective == "avg-red" else ()
+            candidates = list(dict.fromkeys((*hedged, limit_code, probed)))
+            assert result == _score_every_candidate(objective, mu, radius, candidates, 1e-9,
+                                                    "interior", result.trace)
 
 
 def test_g_of_beta_matches_public_composition():
@@ -463,12 +473,13 @@ def test_every_scored_candidate_asks_the_solvers_tilted_root(monkeypatch):
     # every candidate is either scored once, through the tilted_root bound in
     # the solver module (exact_avg_sup only ever for a scored one), or
     # rejected; a rejected candidate's full supremum is strictly above the
-    # winner's
+    # winner's.  Interior avg-red builds and offers its hedged codes if and
+    # only if the radius is at or above the rootless radius
     from klcodes import solver
 
-    seen, exact, offered = [], [], []
+    seen, exact, offered, hedging = [], [], [], []
     original_root, original_sup = solver.tilted_root, solver.exact_avg_sup
-    original_best = solver._best_candidate
+    original_best, original_hedged = solver._best_candidate, solver._hedged_codes
 
     def counted_root(mu, lengths, radius, tol=1e-12):
         seen.append(lengths)
@@ -482,31 +493,43 @@ def test_every_scored_candidate_asks_the_solvers_tilted_root(monkeypatch):
         offered[:] = candidates
         return original_best(objective, mu, radius, candidates, *args)
 
+    def counted_hedged(mu, arity):
+        hedging.append(mu)
+        return original_hedged(mu, arity)
+
     monkeypatch.setattr(solver, "tilted_root", counted_root)
+    monkeypatch.setattr(solver, "_hedged_codes", counted_hedged)
     monkeypatch.setattr(solver, "exact_avg_sup", counted_sup)
     monkeypatch.setattr(solver, "_best_candidate", recorded_best)
     mu = validate_distribution([0.5, 0.2, 0.15, 0.1, 0.05])
     r_max, _, limit_code = existence_threshold(mu)
     rejected = 0
-    for solve, objective, radius in ((solve_avg_redundancy, "avg-red", 0.5 * r_max),
+    # the rootless radius, log 2, lies between 0.4 and 0.5 r_max
+    for solve, objective, radius in ((solve_avg_redundancy, "avg-red", 0.4 * r_max),
+                                     (solve_avg_redundancy, "avg-red", 0.5 * r_max),
                                      (solve_gg, "gg", 0.5 * r_max),
                                      (solve_avg_redundancy, "avg-red", r_max),
                                      (solve_gg, "gg", r_max)):
         seen.clear()
         exact.clear()
+        hedging.clear()
         result = solve(DivergenceBall(mu, radius))
+        above = result.regime == "interior" and radius >= solver._rootless_radius(mu, 2)
+        assert len(hedging) == (objective == "avg-red" and above)
         scored = list(seen)
         assert len(scored) == len(set(scored)) and set(scored) <= set(offered)
         assert set(exact) <= set(scored)
         assert limit_code in offered and result.lengths in scored
-        if objective == "gg":
+        if result.regime == "boundary" and objective == "avg-red":
+            assert scored[0] == limit_code
+        elif objective == "gg" or not above:
             # the limit code, then the codes the traced probes meet
             probed = {g_of_beta(mu, 2, beta)[1] for beta, _ in result.trace.probes}
             assert offered[0] == limit_code and set(offered) == {limit_code} | probed
-        elif result.regime == "interior":
-            assert set(solver._hedged_codes(mu, 2)) <= set(offered)
         else:
-            assert scored[0] == limit_code
+            # the hedged codes first, in order
+            hedged = list(dict.fromkeys(original_hedged(mu, 2)))
+            assert offered[:len(hedged)] == hedged
         for lengths in set(offered) - set(scored):
             value = solver._candidate_sup(objective, mu, radius, lengths, 1e-9)[0]
             assert value > result.achieved_utility
@@ -653,13 +676,14 @@ def _reference_root_in_beta(evaluate, radius, tol):
 
 def _reference_interior(objective, ball, arity, tol=1e-9):
     # the interior solve with the reference search driving g_of_beta; every
-    # probe code is kept, after the limit code and, for avg-red, after the
-    # hedged codes
+    # probe code is kept, after the limit code and, for avg-red at or above
+    # the rootless radius, after the hedged codes
     from klcodes import solver
 
     mu, radius = ball.center, ball.radius
     limit_code = existence_threshold(mu, arity)[2]
-    hedged = solver._hedged_codes(mu, arity) if objective == "avg-red" else ()
+    rootless = objective == "avg-red" and radius >= solver._rootless_radius(mu, arity)
+    hedged = solver._hedged_codes(mu, arity) if rootless else ()
     candidates = dict.fromkeys((*hedged, limit_code))
     probes = []
 
@@ -838,3 +862,117 @@ def test_probes_that_meet_the_previous_code_build_no_tree(monkeypatch, solve):
     assert result.regime == "interior" and repr(result) == expected
     assert len(probes) == len(result.trace.probes)
     assert 0 < len(builds) < len(probes)
+
+
+def test_hedged_codes_change_nothing_below_the_rootless_radius(monkeypatch):
+    # below the rootless radius every code keeps its tilt root, so an avg-red
+    # solve that builds and offers the hedged codes anyway returns the same
+    # repr (lengths, beta, worst case and value), or else a hedged code in a
+    # rounding tie: each supremum is read at a root within 1e-12 nats of the
+    # shell, which moves it by up to (1 + 1/beta) 1e-12 nats, so a hedged
+    # code may read lower by twice that.  Such ties come near the rootless
+    # radius, where the roots lie at large tilts
+    from klcodes import solver
+
+    rng = np.random.default_rng(28)
+    compared = 0
+    for m in (3, 4, 5, 8, 13, 32, 64, 128, 256):
+        for arity in range(2, 10):
+            alpha = 0.3 if (m + arity) % 2 else 1.0
+            p = np.maximum(rng.dirichlet(np.full(m, alpha)), 1e-6)
+            mu = validate_distribution((p / p.sum()).tolist())
+            gate = solver._rootless_radius(mu, arity)
+            assert 0.0 < gate <= existence_threshold(mu, arity)[0]
+            for fraction in (0.1, 0.6, 0.99, 1.0 - 1e-6, None):
+                # None: the largest float below the rootless radius
+                radius = float(np.nextafter(gate, 0.0)) if fraction is None else fraction * gate
+                ball = DivergenceBall(mu, radius)
+                gated = solve_avg_redundancy(ball, arity)
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver, "_rootless_radius", lambda mu, arity: -math.inf)
+                    hedged = solve_avg_redundancy(ball, arity)
+                assert gated.regime == "interior"
+                compared += 1
+                if repr(gated) == repr(hedged):
+                    continue
+                margin = 2e-12 * (1.0 + 1.0 / gated.beta) / math.log(arity)
+                assert hedged.lengths in solver._hedged_codes(mu, arity), (m, arity, radius)
+                assert 0.0 <= gated.achieved_utility - hedged.achieved_utility <= margin
+    assert compared == 360
+
+
+def _pair_centre(rng, arity, frac, offset):
+    # x = log_D mu is frac - 2 at symbol 0 and frac - 3 + offset at symbol 1;
+    # four generic entries share the rest of the mass
+    log_d = math.log(arity)
+    head = [math.exp((frac - 2.0) * log_d), math.exp((frac - 3.0 + offset) * log_d)]
+    rest = (1.0 - sum(head)) * rng.dirichlet(np.ones(4))
+    return validate_distribution(head + rest.tolist())
+
+
+def _kraft_valid(rng, m, arity):
+    # random lengths, lengthened at random until they satisfy Kraft
+    l = rng.integers(1, 9, size=m)
+    while np.sum(float(arity) ** -l) > 1.0:
+        l[rng.integers(m)] += 1
+    return CodeLengths(tuple(int(k) for k in l), arity)
+
+
+def test_no_code_has_an_argmax_set_heavier_than_the_rootless_class(monkeypatch):
+    # mu(A_l) <= m_D: -log of the mass that tilted._face_limit gives a
+    # code's argmax set is never below the rootless radius.  The centres
+    # include exact ties (one fractional part throughout, so the radius is
+    # at most 0 and avg-red still builds its hedged codes), pairs of symbols
+    # whose log ratios tie within ARGMAX_LOG_TOL, and such a pair across
+    # the wrap of the fractional parts from 1 back to 0
+    from klcodes import solver
+    from klcodes.huffman import max_huffman
+    from klcodes.tilted import ARGMAX_LOG_TOL, _face_limit, _log_ratios
+
+    rng = np.random.default_rng(9)
+    tied = validate_distribution([0.4, 0.2, 0.2, 0.1, 0.1])
+    checked = paired = 0
+    for arity in range(2, 10):
+        step = ARGMAX_LOG_TOL / math.log(arity)
+        centres = [(_pair_centre(rng, arity, frac, offset), True)
+                   for frac, offset in ((0.37, 0.4 * step), (0.37, -0.9 * step),
+                                        (1e-13, -2e-13), (1.0 - 1e-13, 2e-13))]
+        for m in (3, 9, 40):
+            p = np.maximum(rng.dirichlet(np.ones(m)), 1e-6)
+            centres.append((validate_distribution((p / p.sum()).tolist()), False))
+        if arity == 2:
+            centres += [(DYADIC, False), (tied, False)]
+        for mu, pair in centres:
+            gate = solver._rootless_radius(mu, arity)
+            codes = [max_huffman(mu.probs, arity), *solver._hedged_codes(mu, arity)]
+            codes += [_kraft_valid(rng, mu.m, arity) for _ in range(20)]
+            if pair:
+                # symbols 0 and 1 tie at the top: Shannon lengths elsewhere
+                shannon = [math.ceil(-math.log(x) / math.log(arity)) for x in mu.probs]
+                codes.append(CodeLengths((3, 4, *shannon[2:]), arity))
+            p = mu.as_array()
+            for lengths in codes:
+                members, mass = _face_limit(p, _log_ratios(mu, lengths))
+                assert gate <= -math.log(mass), (arity, mu.probs, lengths)
+                checked += 1
+            if pair:
+                assert members[0] and members[1], (arity, mu.probs)
+                paired += 1
+    assert paired == 32 and checked > 2000
+
+    # exact ties: no radius lies below the rootless radius, so every
+    # interior avg-red solve builds the hedged codes
+    assert solver._rootless_radius(DYADIC, 2) <= 0.0
+    assert solver._rootless_radius(tied, 2) <= 0.0
+    built = []
+    original = solver._hedged_codes
+
+    def counted(mu, arity):
+        built.append(mu)
+        return original(mu, arity)
+
+    monkeypatch.setattr(solver, "_hedged_codes", counted)
+    r_max = existence_threshold(tied)[0]
+    for fraction in (0.01, 0.5, 0.99):
+        assert solve_avg_redundancy(DivergenceBall(tied, fraction * r_max)).regime == "interior"
+    assert len(built) == 3
