@@ -190,6 +190,17 @@ def run_code(args, mu: Distribution) -> tuple[dict, NmlResult | None]:
         nml = nml_tv(mu, args.tv)
         return _nml_payload(objective, "tv", args.tv, nml), nml
 
+    if objective == "shannon-nominal":
+        lengths = shannon_lengths(mu, arity)
+        result = RobustCodeResult(
+            lengths=lengths,
+            beta=None,
+            worst_case=mu,
+            achieved_utility=avg_redundancy(lengths, mu),
+            regime="zero_radius",
+        )
+        return _code_payload(objective, result, []), None
+
     radius = _radius(args)
     ball = DivergenceBall(mu, radius)
 
@@ -202,17 +213,6 @@ def run_code(args, mu: Distribution) -> tuple[dict, NmlResult | None]:
         nml = nml_distribution(ball)
         result = pointwise_code(ball, nml, arity)
         return _code_payload(objective, result, list(nml.roots_residual)), nml
-
-    if objective == "shannon-nominal":
-        lengths = shannon_lengths(mu, arity)
-        result = RobustCodeResult(
-            lengths=lengths,
-            beta=None,
-            worst_case=mu,
-            achieved_utility=avg_redundancy(lengths, mu),
-            regime="zero_radius",
-        )
-        return _code_payload(objective, result, []), None
 
     solve = solve_avg_redundancy if objective == "avg-red" else solve_gg
     result = solve(ball, arity, args.tol, strict_boundary=args.strict_boundary)
@@ -263,8 +263,8 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
     checks.add("utility_recompute", abs(recomputed - payload["achieved_utility"]) <= 1e-9,
                f"residual={_fmt(abs(recomputed - payload['achieved_utility']))}")
 
-    radius = _radius(args)
     if args.objective in ("avg-red", "gg"):
+        radius = _radius(args)
         # a tilt-rooted worst case must sit on the ball boundary; the report
         # carries its divergence residual exactly then (with beta);
         # flat-code winners (no beta) peak at an inside vertex instead
@@ -286,6 +286,7 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
                 gap = abs(report.optimum_value - payload["achieved_utility"])
                 checks.add("oracle_minimax", gap <= 5e-3, f"gap={_fmt(gap)}")
     elif args.objective == "pointwise":
+        radius = _radius(args)
         # the solve the code was built from; its saturated set and raw roots
         # are not in the report
         for name, ok in _nml_checks(mu, radius, nml).items():

@@ -8,7 +8,8 @@ the one sanctioned exception is the analytic tilted worst case, which the
 ball-dependent objectives score alongside the samples (through
 tilted.objective_utility, the formula the solver reports) because a sampled
 supremum alone is only a lower bound.  exact_min_over_codes goes further
-on purpose and takes tilted's exact suprema (its docstring says why).
+on purpose and scores each code with the solver's per-code exact
+supremum, solver._candidate_sup (its docstring says why).
 
 For the same reason the bisection loops here (the ball crossings of
 ball_sample and brute_binary_root) stay written out rather than calling the
@@ -42,7 +43,8 @@ from .core import (
     pair_divergence,
 )
 from .errors import DomainError, LimitExceededError
-from .tilted import exact_avg_sup, gg_utility, nu_infinity, objective_utility, tilted_root
+from .solver import _candidate_sup
+from .tilted import nu_infinity, objective_utility, tilted_root
 
 ENUM_MAX_M = 10
 ENUM_MAX_LEN = 10
@@ -350,11 +352,10 @@ def exact_min_over_codes(
     """Exact nested minimax: the least exact supremum over every enumerated code.
 
     utility is "avg-red" or "gg".  Unlike brute_min_over_codes, each code's
-    inner supremum is exact rather than sampled: gg is linear in nu, so its
-    supremum is at the code's tilted point at the radius when that exists
-    and at its limit point otherwise; avg-red's is exact_avg_sup's.  Those
-    suprema are the solver's own routines, so this checks the solver's
-    outer search over codes; the sampled oracle checks the suprema.
+    inner supremum is exact rather than sampled: it is the solver's own
+    per-code scorer, solver._candidate_sup, at the root tolerance 1e-12.
+    So this checks the solver's outer search over codes; the sampled oracle
+    checks the suprema.
     """
     if utility not in ("avg-red", "gg"):
         raise DomainError(f"unknown ball utility {utility!r}")
@@ -364,13 +365,7 @@ def exact_min_over_codes(
     scored = []
     for vector in _enumerated(mu.m, arity, l_max):
         lengths = CodeLengths(sorted_assignment(mu.probs, vector), arity=arity)
-        if utility == "avg-red":
-            value = exact_avg_sup(mu, lengths, ball.radius)[0]
-        elif ball.radius == 0.0:
-            value = gg_utility(lengths, mu, mu)
-        else:
-            value = gg_utility(lengths, _analytic_worst(mu, lengths, ball.radius), mu)
-        scored.append((value, vector))
+        scored.append((_candidate_sup(utility, mu, ball.radius, lengths, 1e-12)[0], vector))
     return _report(scored)
 
 

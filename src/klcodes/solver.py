@@ -159,20 +159,25 @@ def _candidate_sup(
 ):
     """Exact supremum of the objective over the ball for one fixed code.
 
-    Returns (value, worst distribution, beta or None).  The tilted root gives
-    the supremum when it exists.  Without a root the limit point is exact for
-    the linear GG objective, and the convex average objective is maximized
-    over the vertices, edge crossings and tie-class crossing of
-    exact_avg_sup.
+    Returns (value, worst distribution, beta or None).  At radius 0 the ball
+    is mu alone.  The tilted root gives the supremum when it exists.
+    Without a root the limit point is exact for the linear GG objective, and
+    the convex average objective is maximized over the vertices, edge
+    crossings and tie-class crossing of exact_avg_sup.  The solver scores
+    every candidate through it, and so does the exact oracle
+    (oracle.exact_min_over_codes) every enumerated code.
     """
-    point = tilted_root(mu, lengths, radius, tol=min(tol, 1e-12))
+    tol = min(tol, 1e-12)
+    if radius == 0.0:
+        return objective_utility(objective, lengths, mu, mu), mu, None
+    point = tilted_root(mu, lengths, radius, tol=tol)
     if point is not None:
         value = objective_utility(objective, lengths, point.distribution, mu)
         return value, point.distribution, point.beta
     if objective == "gg":
         limit = nu_infinity(mu, lengths).distribution
         return gg_utility(lengths, limit, mu), limit, None
-    value, worst = exact_avg_sup(mu, lengths, radius, tol=min(tol, 1e-12))
+    value, worst = exact_avg_sup(mu, lengths, radius, tol=tol)
     return value, worst, None
 
 
@@ -317,15 +322,11 @@ def _solve(
     if any(p == 0.0 for p in mu.probs):
         raise ZeroProbabilityError("nominal distribution must be strictly positive")
 
+    # a single candidate is scored at radius 0 (plain Huffman, on mu alone)
+    # and at the boundary, apart from gg below -log min mu (the limit code)
     if radius == 0.0:
-        lengths = huffman(mu.probs, arity)
-        return RobustCodeResult(
-            lengths=lengths,
-            beta=None,
-            worst_case=mu,
-            achieved_utility=objective_utility(objective, lengths, mu, mu),
-            regime="zero_radius",
-        )
+        return _best_candidate(objective, mu, radius, [huffman(mu.probs, arity)], tol,
+                               "zero_radius", None)
 
     r_max, _, limit_code = existence_threshold(mu, arity)
     boundary = radius >= r_max

@@ -430,13 +430,16 @@ def exact_avg_sup(
       few ulps of terms no larger than 1 + max l + (-log min mu) / log D
       in base-D units (R lies below -log min mu, or no vertex is outside).
     Both are below 1e-12 (1 + max l + (-log min mu) / log D), so a skipped
-    crossing is strictly below the winner, and the final max, taken over
-    the computed points in visiting order (vertices, edges in (j, k)
-    order, tie class), returns the value and the witness (the first of any
-    tie) that computing every crossing gives.  None of this depends on M,
-    so every alphabet size is exact; a rootless code costs an O(M^2) bound
-    pass plus the scalar crossings that survive the prune, which can take
-    seconds at M in the hundreds.  At radius 0 the ball is mu alone.
+    crossing is strictly below the winner.  The scored points go into one
+    list, each tagged with its place in the visiting order (vertices, edges
+    in (j, k) order, tie class), and the final max by value, then earliest
+    place, returns the value and the witness (the first of any tie) that
+    computing every crossing gives.  An in-ball vertex k is worth l_k, its
+    redundancy, and its unit-vector witness is built only if it wins.  None
+    of this depends on M, so every alphabet size is exact; a rootless code
+    costs an O(M^2) bound pass plus the scalar crossings that survive the
+    prune, which can take seconds at M in the hundreds.  At radius 0 the
+    ball is mu alone.
     """
     _check_tol(tol)
     if radius == 0.0:
@@ -449,14 +452,14 @@ def exact_avg_sup(
     log_r = _log_ratios(mu, lengths)
     l = lengths.as_array()
     log_d = math.log(lengths.arity)
-    unit = np.eye(m)
     q = p.tolist()
     # far[k]: vertex k lies outside the ball (False off the support)
     far = [x > 0.0 and -math.log(x) > radius for x in q]
-    # scored extreme points, kept apart by kind for the visiting order
-    vertices = [(_redundancy(unit[k], l, log_d), unit[k])
-                for k in range(m) if p[k] > 0.0 and not far[k]]
-    tie = []
+    # scored extreme points (value, place, witness), place being the
+    # visiting order: vertex k at k, edge crossing ends[i] at m + i, the tie
+    # class last.  An in-ball vertex is worth its length, its redundancy,
+    # and its witness (None here) is built only if it wins.
+    scored = [(float(l[k]), k, None) for k in range(m) if q[k] > 0.0 and not far[k]]
     members = _face_limit(p, log_r)[0]
     if np.count_nonzero(members) >= 3:
         # no root: the redundancy is constant on the tie class's shell,
@@ -467,10 +470,10 @@ def exact_avg_sup(
             center = center / center.sum()
 
             def blend(t: float) -> np.ndarray:
-                return (1.0 - t) * center + t * unit[k_min]
+                return (1.0 - t) * center + t * (np.arange(m) == k_min)
 
             nu = blend(_crossing(lambda t: array_divergence(blend(t), p), 0.0, 1.0, radius))
-            tie.append((_redundancy(nu, l, log_d), nu))
+            scored.append((_redundancy(nu, l, log_d), math.inf, nu))
 
     # each shell crossing (bound, j, k, t_center, end), in (j, k) order,
     # toward end 1.0 (vertex j) or 0.0 (vertex k).  An edge whose centre,
@@ -489,8 +492,7 @@ def exact_avg_sup(
             ends += [((radius + max(log_q[v], on_centre)) / log_d, j, k, t_center, end)
                      for v, end in ((j, 1.0), (k, 0.0)) if far[v]]
     margin = 1e-9 * (1.0 + float(l.max()) - math.log(min(x for x in q if x > 0.0)) / log_d)
-    best = max((value for value, _ in vertices + tie), default=-math.inf)
-    edges = {}
+    best = max((value for value, _, _ in scored), default=-math.inf)
     for i in sorted(range(len(ends)), key=lambda i: ends[i][0], reverse=True):
         bound, j, k, t_center, end = ends[i]
         if bound + margin < best:
@@ -500,14 +502,15 @@ def exact_avg_sup(
         nu = np.zeros(m)
         nu[j] = t
         nu[k] = 1.0 - t
-        edges[i] = (_redundancy(nu, l, log_d), nu)
-        best = max(best, edges[i][0])
+        scored.append((_redundancy(nu, l, log_d), m + i, nu))
+        best = max(best, scored[-1][0])
 
-    points = vertices + [edges[i] for i in sorted(edges)] + tie
-    if not points:
+    if not scored:
         raise DomainError("no feasible extreme point found")
-    # max keeps the first of tied values
-    best, witness = max(points, key=lambda pair: pair[0])
+    # the largest value, the earliest place among ties; a vertex wins as its unit vector
+    best, place, witness = max(scored, key=lambda point: (point[0], -point[1]))
+    if witness is None:
+        witness = np.arange(m) == place
     return best, Distribution(tuple(witness))
 
 

@@ -23,9 +23,9 @@ suprema of nml_distribution, their largest residual |d(raw_k || mu_k) -
 R| recomputed with core.binary_divergence, and whether every root lies
 in (mu_k, min(1, mu_k + sqrt(R/2))].  Grid E is the avg-red supremum
 alone: one generator default_rng([seed, M, arity]) per seed 0-9, M in
-3..16 and arity 2 or 3 draws a Dirichlet alpha 1 centre, then an alpha
-0.3 one, then an unrelated Dirichlet alpha 1 draw; exact_avg_sup is
-called directly on three codes per centre (its plain Huffman code, its
+3..16, 24, 32 and 48 and arity 2 or 3 draws a Dirichlet alpha 1 centre,
+then an alpha 0.3 one, then an unrelated Dirichlet alpha 1 draw;
+exact_avg_sup is called directly on three codes per centre (its plain Huffman code, its
 limit code and the unrelated draw's Huffman code) at 0.9, 1, 1.3 and
 2 x r_max, and a record keeps the value and the repr of the value and
 the witness's probabilities.  Run it on two trees and compare the dumps
@@ -140,7 +140,7 @@ def main(path):
                                     "arity": arity, "f": radius, "objective": "pointwise",
                                     **pointwise_record(DivergenceBall(mu, radius), arity)})
     for seed in range(10):
-        for m in range(3, 17):
+        for m in (*range(3, 17), 24, 32, 48):
             for arity in (2, 3):
                 rng = np.random.default_rng([seed, m, arity])
                 centres = [(alpha, centre(rng, m, alpha)) for alpha in (1.0, 0.3)]

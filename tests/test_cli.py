@@ -54,6 +54,17 @@ def test_code_shannon_nominal(capsys):
     assert payload["codewords"] == ["0", "10", "11"]
 
 
+def test_shannon_nominal_needs_no_radius(capsys):
+    # the objective never reads a radius, so leaving it out is no malformed input
+    path = instance("skewed3.json")
+    argv = ["code", path, "--objective", "shannon-nominal"]
+    status, out, err = run(capsys, argv)
+    assert status == 0 and err == ""
+    assert out == run(capsys, argv + ["--radius", "0"])[1]
+    status, out, _ = run(capsys, ["verify", path, "--objective", "shannon-nominal"])
+    assert status == 0 and "FAIL" not in out
+
+
 def test_code_avg_red_zero_radius(capsys):
     status, out, _ = run(
         capsys,

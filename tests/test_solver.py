@@ -143,6 +143,19 @@ def test_solve_gg_zero_radius():
     )
 
 
+@pytest.mark.parametrize("objective, utility", [("avg-red", avg_redundancy),
+                                                ("gg", lambda l, nu: gg_utility(l, nu, SKEWED))])
+def test_candidate_scorer_at_radius_zero_is_the_value_at_mu(objective, utility):
+    # the ball is mu alone: the value there, mu itself and no tilt
+    from klcodes import solver
+
+    for lengths in (huffman(SKEWED.probs), CodeLengths((2, 2, 1)), CodeLengths((1, 3, 3))):
+        for tol in (1e-9, 1e-12):
+            value, worst, beta = solver._candidate_sup(objective, SKEWED, 0.0, lengths, tol)
+            assert value == utility(lengths, SKEWED)
+            assert worst is SKEWED and beta is None
+
+
 def test_solve_gg_dyadic_any_radius_is_exact():
     for radius in (0.05, 0.5, 3.0):
         result = solve_gg(DivergenceBall(DYADIC, radius))
