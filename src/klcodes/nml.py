@@ -8,10 +8,11 @@ equation d(p || mu_k) = R, where d is the binary relative entropy.  The
 roots are found by Newton's method inside a bisection safeguard, started
 from the small-radius closed form mu_k + sqrt(2 R mu_k (1 - mu_k)), for
 all coordinates at once in one numpy kernel (_pi_roots); solve_pi_k is its
-one-coordinate call.  The kernel takes its logarithms with numpy, which
-can differ from math.log in the last bit, so a root may differ in its last
-bits from a scalar loop written with math.log.  Every returned value
-carries a recomputed residual certificate, never the approximation itself.
+one-coordinate call and returns the root alone.  The kernel takes its
+logarithms with numpy, which can differ from math.log in the last bit, so
+a root may differ in its last bits from a scalar loop written with
+math.log.  Every returned value carries a recomputed residual
+certificate, never the approximation itself.
 
 The total-variation ball admits the same reduction with the trivial
 suprema min(1, mu_k + T/2).
@@ -148,19 +149,16 @@ def _pi_roots(m: np.ndarray, radius: float, tol: float):
     return p, np.abs(value), steps + keep
 
 
-def solve_pi_k(
-    m: float,
-    radius: float,
-    tol: float = 1e-13,
-    return_info: bool = False,
-):
+def solve_pi_k(m: float, radius: float, tol: float = 1e-13) -> float:
     """Larger root of d(p || m) = radius on (m, 1), safeguarded to tolerance tol.
 
     Newton steps that would leave the current bracket are replaced by
     bisection, so convergence is unconditional; the objective is increasing
     and convex on (m, 1).  At most 60 steps are taken.  This is the
     one-entry case of the kernel nml_distribution runs on every unsaturated
-    coordinate at once, so both return the same bits.
+    coordinate at once, so both return the same bits; the root's residual
+    and step count are read from nml_distribution's roots_residual and
+    iterations.
     """
     if not (0.0 < m < 1.0):
         raise DomainError(f"m must be in (0, 1), got {m}")
@@ -170,11 +168,7 @@ def solve_pi_k(
     if m >= math.exp(-radius):
         raise SaturatedInputError(f"m={m} saturates at radius {radius}")
 
-    roots, residuals, steps = _pi_roots(np.array([m], dtype=float), radius, tol)
-    p = float(roots[0])
-    if return_info:
-        return p, {"residual": float(residuals[0]), "iterations": int(steps[0])}
-    return p
+    return float(_pi_roots(np.array([m], dtype=float), radius, tol)[0][0])
 
 
 def nml_distribution(ball: DivergenceBall, tol: float = 1e-13) -> NmlResult:

@@ -49,6 +49,8 @@ from .tilted import nu_infinity, objective_utility, tilted_root
 ENUM_MAX_M = 10
 ENUM_MAX_LEN = 10
 CERT_TOL = 1e-10
+# random simplex points that ball_sample crosses the shell toward
+N_BOUNDARY = 64
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,6 @@ def _analytic_worst(mu: Distribution, lengths: CodeLengths, radius: float) -> Di
 def ball_sample(
     ball: DivergenceBall,
     n_interior: int = 20000,
-    n_boundary: int = 64,
     seed: int = 0,
     arity: int = 2,
     l_max: int | None = None,
@@ -133,7 +134,7 @@ def ball_sample(
     """Deterministic certified sample of the divergence ball.
 
     Combines (a) Dirichlet draws kept when they land inside; (b) segments
-    from the center toward each vertex and toward n_boundary random points
+    from the center toward each vertex and toward N_BOUNDARY random points
     of the simplex, each giving its end when that is inside and its
     boundary crossing otherwise; (c) on each two-symbol edge of the simplex
     whose centre (the center conditioned on those two symbols) is inside,
@@ -196,7 +197,7 @@ def ball_sample(
                 out.append(Distribution(tuple(edge)))
 
     rng = np.random.default_rng(seed)
-    for _ in range(max(0, n_boundary)):
+    for _ in range(N_BOUNDARY):
         out.append(crossing(rng.dirichlet(np.ones(m))))
 
     if n_interior > 0:

@@ -160,10 +160,13 @@ def _candidate_sup(
     """Exact supremum of the objective over the ball for one fixed code.
 
     Returns (value, worst distribution, beta or None).  At radius 0 the ball
-    is mu alone.  The tilted root gives the supremum when it exists.
-    Without a root the limit point is exact for the linear GG objective, and
-    the convex average objective is maximized over the vertices, edge
-    crossings and tie-class crossing of exact_avg_sup.  The solver scores
+    is mu alone.  The tilted root, at tol capped at 1e-12, gives the
+    supremum when it exists.  Without a root the limit point is exact for
+    the linear GG objective, and the convex average objective is maximized
+    over the vertices, edge crossings and tie-class crossing of
+    exact_avg_sup.  A None from tilted_root does not depend on its
+    tolerance, so exact_avg_sup finds no root either; it seeks none again
+    where its face test already shows the code rootless.  The solver scores
     every candidate through it, and so does the exact oracle
     (oracle.exact_min_over_codes) every enumerated code.
     """
@@ -177,7 +180,7 @@ def _candidate_sup(
     if objective == "gg":
         limit = nu_infinity(mu, lengths).distribution
         return gg_utility(lengths, limit, mu), limit, None
-    value, worst = exact_avg_sup(mu, lengths, radius, tol=tol)
+    value, worst = exact_avg_sup(mu, lengths, radius)
     return value, worst, None
 
 

@@ -20,9 +20,10 @@ _tilt to the bracket search _root_in_beta (doubling, then Illinois
 regula falsi), which the solver runs with g_of_beta as its probe; there
 the bracket is refined at the last probe's own root (_own_root, a reader
 of the walk) where that lies inside it.  exact_avg_sup asks tilted_root
-first.  Off the support log p is -inf, so no mask is needed.  The walk
-never reports a point: its other reader is solver._reaches_above, which
-takes lower bounds from it to rule candidates out.
+only where _face_limit leaves a root possible.  Off the support log p is
+-inf, so no mask is needed.  The walk never reports a point: its other
+reader is solver._reaches_above, which takes lower bounds from it to rule
+candidates out.
 
 All exponentials are evaluated in log-domain with max subtraction, and
 each kernel centres the log-ratios on their maximum, since beta can be
@@ -390,18 +391,21 @@ def exact_avg_sup(
     mu: Distribution,
     lengths: CodeLengths,
     radius: float,
-    tol: float = 1e-12,
 ) -> tuple[float, Distribution]:
     """Exact supremum of average redundancy over the ball for a fixed code.
 
     With r = mu / theta the redundancy in nats is f(nu) = D(nu||mu) +
     <nu, log r>, convex in nu, so its maximum lies at a vertex in the ball
     or on the shell D(nu||mu) = R, and on the ball f <= R + <nu, log r>.
-    A root of the support's tilt (tilted_root) maximises <nu, log r> over
-    the ball and lies on the shell, so it is the maximum, and it is
-    returned when it exists.  Without one, each edge keeps both of its
-    shell crossings, which are isolated points, and of the larger faces
-    only the argmax tie class A can carry the maximum:
+    A root of the support's tilt maximises <nu, log r> over the ball and
+    lies on the shell, so it is the maximum, and it is returned when it
+    exists.  It is sought (tilted_root, at its default tolerance) only
+    where R lies below -log mu(A), the limit divergence of the argmax tie
+    class A; at or above it this face test alone shows the code rootless.
+    Whether a root exists never depends on the tolerance, which neither
+    the face test nor the doublings read.  Without a root, each edge keeps
+    both of its shell crossings, which are isolated points, and of the
+    larger faces only the argmax tie class A can carry the maximum:
     - A positive tilt on a proper face F is a KKT point with multiplier
       lambda = 1 + 1/beta > 1: moving eps of mass to a support symbol off F
       lowers the divergence and f by order eps log(1/eps), and re-tilting F
@@ -441,15 +445,18 @@ def exact_avg_sup(
     prune, which can take seconds at M in the hundreds.  At radius 0 the
     ball is mu alone.
     """
-    _check_tol(tol)
     if radius == 0.0:
         return avg_redundancy(lengths, mu), mu
-    point = tilted_root(mu, lengths, radius, tol)
-    if point is not None:
-        return avg_redundancy(lengths, point.distribution), point.distribution
-    m = mu.m
+    if not radius > 0.0:
+        raise DomainError(f"radius must be positive, got {radius}")
     p = mu.as_array()
     log_r = _log_ratios(mu, lengths)
+    members, mass = _face_limit(p, log_r)
+    if radius < -math.log(mass):
+        point = tilted_root(mu, lengths, radius)
+        if point is not None:
+            return avg_redundancy(lengths, point.distribution), point.distribution
+    m = mu.m
     l = lengths.as_array()
     log_d = math.log(lengths.arity)
     q = p.tolist()
@@ -460,7 +467,6 @@ def exact_avg_sup(
     # class last.  An in-ball vertex is worth its length, its redundancy,
     # and its witness (None here) is built only if it wins.
     scored = [(float(l[k]), k, None) for k in range(m) if q[k] > 0.0 and not far[k]]
-    members = _face_limit(p, log_r)[0]
     if np.count_nonzero(members) >= 3:
         # no root: the redundancy is constant on the tie class's shell,
         # the bound R + max log r, so cross it toward the lightest vertex

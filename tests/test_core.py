@@ -23,13 +23,16 @@ from klcodes.errors import (
     DomainError,
     KraftViolationError,
     NegativeProbabilityError,
+    NonFiniteWeightError,
     NotNormalizedError,
     TooFewSymbolsError,
     ZeroProbabilityError,
 )
-from klcodes.huffman import shannon_lengths
+from klcodes.huffman import canonical_codewords, exponential_huffman_log, huffman, shannon_lengths
 from klcodes.nml import robust_shannon_pointwise
-from klcodes.oracle import brute_binary_root
+from klcodes.oracle import brute_binary_root, brute_min_over_codes
+from klcodes.solver import existence_threshold, solve_avg_redundancy
+from klcodes.tilted import avg_redundancy, gg_utility, nu_circ
 
 
 def test_validate_accepts_uniform():
@@ -254,3 +257,56 @@ def test_ceil_log_inv_exact_powers():
     assert ceil_log_inv(0.1, 2) == 4
     # exactly representable ternary boundary stays put
     assert ceil_log_inv(1.0 / 3.0, 3) == 2  # float(1/3) < 1/3 exactly
+    # -log p / log D rounds just above the integer here, so the float guess
+    # overshoots by one and the exact comparison brings it back down
+    for p, arity, expected in ((2.0**-29, 2, 29), (2.0**-31, 2, 31), (4.0**-29, 4, 29)):
+        assert math.ceil(-math.log(p) / math.log(arity)) == expected + 1
+        assert ceil_log_inv(p, arity) == expected
+
+
+_MU3 = Distribution((0.5, 0.3, 0.2))
+_WITH_ZERO = Distribution((0.5, 0.5, 0.0))
+_L11 = CodeLengths((1, 1))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: DivergenceBall(_MU3, -0.1), DomainError),
+    (lambda: CodeLengths(()), DomainError),
+    (lambda: CodeLengths((1.0, 0.0), is_integer=False), DomainError),
+    (lambda: CodeLengths((0.5, 0.5), is_integer=False), KraftViolationError),
+    (lambda: PrefixCode(("0",), _L11), DimensionMismatchError),
+    (lambda: PrefixCode(("0", "1"), CodeLengths((1, 1), arity=11)), DomainError),
+    (lambda: PrefixCode(("0", "10"), _L11), DomainError),
+    (lambda: PrefixCode(("0", "2"), _L11), DomainError),
+    (lambda: binary_divergence(1.5, 0.5), DomainError),
+    (lambda: pinsker_upper(0.0, 0.1), DomainError),
+    (lambda: ceil_log_inv(0.0, 2), DomainError),
+    (lambda: ceil_log_inv(1.5, 2), DomainError),
+    (lambda: brute_binary_root(1.0, 0.1), DomainError),
+    (lambda: huffman([1.0]), TooFewSymbolsError),
+    (lambda: huffman([0.5, -0.1, 0.6]), DomainError),
+    (lambda: exponential_huffman_log([0.0], 1.0), TooFewSymbolsError),
+    (lambda: exponential_huffman_log([0.0, math.nan], 1.0), NonFiniteWeightError),
+    (lambda: canonical_codewords(CodeLengths((1.0, 1.0), is_integer=False)), DomainError),
+    (lambda: brute_min_over_codes("linear_cost"), DomainError),
+    (lambda: brute_min_over_codes("avg-red"), DomainError),
+    (lambda: brute_min_over_codes("exp_cost", weights=[0.5, 0.5]), DomainError),
+    (lambda: existence_threshold(_WITH_ZERO), ZeroProbabilityError),
+    (lambda: solve_avg_redundancy(DivergenceBall(_WITH_ZERO, 0.0)), ZeroProbabilityError),
+    (lambda: nu_circ(_MU3, _L11, 1.0), DimensionMismatchError),
+    (lambda: avg_redundancy(_L11, _MU3), DimensionMismatchError),
+    (lambda: gg_utility(_L11, _MU3, _MU3), DimensionMismatchError),
+], ids=[
+    "ball_negative_radius", "lengths_empty", "real_length_zero", "real_kraft_above_1",
+    "prefix_count", "prefix_arity_above_10", "prefix_length", "prefix_digit",
+    "binary_divergence_p", "pinsker_upper_m", "ceil_log_inv_zero", "ceil_log_inv_above_1",
+    "brute_binary_root_m", "huffman_one_weight", "huffman_negative_weight",
+    "exponential_huffman_log_one_weight", "exponential_huffman_log_nan",
+    "canonical_codewords_real", "brute_min_no_weights", "brute_min_no_ball",
+    "brute_min_exp_cost_no_beta", "existence_threshold_zero_entry",
+    "solve_avg_redundancy_zero_radius_zero_entry", "nu_circ_dimension",
+    "avg_redundancy_dimension", "gg_utility_dimension",
+])
+def test_input_checks_raise_their_documented_error(call, error):
+    with pytest.raises(error):
+        call()

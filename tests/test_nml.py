@@ -19,6 +19,7 @@ from klcodes.errors import (
 )
 from klcodes.huffman import shannon_lengths
 from klcodes.nml import (
+    _pi_roots,
     nml_distribution,
     nml_tv,
     pointwise_utility,
@@ -78,9 +79,11 @@ def test_solve_pi_k_agrees_with_bisection_randomized():
     for _ in range(200):
         radius = float(rng.uniform(1e-4, 2.0))
         m = float(rng.uniform(1e-5, math.exp(-radius) * (1 - 1e-9)))
-        p, info = solve_pi_k(m, radius, return_info=True)
-        assert info["residual"] <= 1e-10
-        assert info["iterations"] <= 25
+        p = solve_pi_k(m, radius)
+        # the residual and step count of that root, from the kernel it calls
+        _, residual, steps = _pi_roots(np.array([m]), radius, 1e-13)
+        assert residual[0] <= 1e-10
+        assert steps[0] <= 25
         assert m < p <= pinsker_upper(m, radius) + 1e-12
         assert p == pytest.approx(brute_binary_root(m, radius), abs=1e-12)
 
@@ -88,7 +91,7 @@ def test_solve_pi_k_agrees_with_bisection_randomized():
 @pytest.mark.parametrize("m", [5, 17, 300, 4096])
 def test_solve_pi_k_and_nml_distribution_share_one_path(m):
     # solve_pi_k is the one-entry call of the kernel nml_distribution runs on
-    # all unsaturated entries at once: same bits, residual and step count
+    # all unsaturated entries at once: same bits
     rng = np.random.default_rng([67, m])
     mu = validate_distribution(rng.dirichlet(np.full(m, 0.5)))
     for radius in (0.01, 0.3, 2.0):
@@ -97,10 +100,9 @@ def test_solve_pi_k_and_nml_distribution_share_one_path(m):
             if k in result.saturated:
                 assert (result.raw[k], result.iterations[k]) == (1.0, 0)
                 continue
-            root, info = solve_pi_k(p, radius, return_info=True)
-            assert root == result.raw[k]
-            assert info["residual"] == result.roots_residual[k] <= 1e-13
-            assert info["iterations"] == result.iterations[k] > 0
+            assert solve_pi_k(p, radius) == result.raw[k]
+            assert result.roots_residual[k] <= 1e-13
+            assert result.iterations[k] > 0
         if max(result.roots_residual) > 0.0:  # tol 0 is met by a root exactly on R only
             with pytest.raises(NoConvergenceError, match="stalled"):
                 nml_distribution(DivergenceBall(mu, radius), tol=0.0)

@@ -67,7 +67,7 @@ def test_ball_sample_includes_reachable_vertices():
 def test_ball_sample_certificates():
     mu = validate_distribution([0.6, 0.3, 0.1])
     ball = DivergenceBall(mu, 0.05)
-    samples = ball_sample(ball, n_interior=2000, n_boundary=16, seed=8)
+    samples = ball_sample(ball, n_interior=2000, seed=8)
     assert len(samples) > 50
     for nu in samples:
         assert kl_divergence(nu, mu) <= 0.05 + 1e-10

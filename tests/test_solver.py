@@ -105,7 +105,7 @@ def test_solve_avg_interior_instance():
         avg_redundancy(result.lengths, result.worst_case), abs=1e-9
     )
     # nested oracle agreement at documented sampling tolerance
-    samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=12)
+    samples = ball_sample(ball, n_interior=20000, seed=12)
     report = brute_min_over_codes("avg-red", ball=ball, l_max=4, samples=samples)
     assert result.achieved_utility == pytest.approx(report.optimum_value, abs=5e-3)
     # the trace records probes on both sides of the radius
@@ -204,7 +204,7 @@ def test_solve_gg_at_the_threshold_matches_the_exhaustive_oracle(seed, m):
     mu = validate_distribution((p / p.sum()).tolist())
     ball = DivergenceBall(mu, existence_threshold(mu)[0])
     result = solve_gg(ball)
-    samples = ball_sample(ball, n_interior=0, n_boundary=0, arity=2)
+    samples = ball_sample(ball, n_interior=0, arity=2)
     report = brute_min_over_codes("gg", ball=ball, arity=2, samples=samples)
     assert result.regime == "boundary" and result.beta is not None
     assert result.achieved_utility == pytest.approx(report.optimum_value, abs=1e-9)
@@ -237,7 +237,7 @@ def test_solve_gg_interior_matches_avg_code():
     assert gg_result.regime == "interior"
     assert gg_result.lengths == solve_avg_redundancy(ball).lengths
     assert abs(kl_divergence(gg_result.worst_case, SKEWED) - 0.05) <= 1e-9
-    samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=16)
+    samples = ball_sample(ball, n_interior=20000, seed=16)
     report = brute_min_over_codes("gg", ball=ball, l_max=4, samples=samples)
     assert gg_result.achieved_utility == pytest.approx(report.optimum_value, abs=5e-3)
 
@@ -294,7 +294,7 @@ def test_flat_code_wins_at_large_interior_radius():
         result.achieved_utility, abs=1e-12
     )
     assert kl_divergence(result.worst_case, mu) <= radius + 1e-10
-    samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=4)
+    samples = ball_sample(ball, n_interior=20000, seed=4)
     report = brute_min_over_codes("avg-red", ball=ball, l_max=5, samples=samples)
     assert result.achieved_utility == pytest.approx(report.optimum_value, abs=1e-9)
 
@@ -310,7 +310,7 @@ def test_nested_minimax_m4():
         radius = float(rng.uniform(0.25, 0.75)) * r_max
         ball = DivergenceBall(mu, radius)
         result = solve_avg_redundancy(ball)
-        samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=done)
+        samples = ball_sample(ball, n_interior=20000, seed=done)
         report = brute_min_over_codes("avg-red", ball=ball, l_max=5, samples=samples)
         assert result.achieved_utility == pytest.approx(report.optimum_value, abs=5e-3)
         done += 1
@@ -339,7 +339,7 @@ def test_ternary_interior_vs_oracle():
     ball = DivergenceBall(mu, 0.5 * r_max)
     result = solve_avg_redundancy(ball, arity=3)
     assert result.regime == "interior"
-    samples = ball_sample(ball, n_interior=20000, n_boundary=64, seed=33, arity=3)
+    samples = ball_sample(ball, n_interior=20000, seed=33, arity=3)
     report = brute_min_over_codes("avg-red", ball=ball, arity=3, samples=samples)
     assert result.achieved_utility == pytest.approx(report.optimum_value, abs=5e-3)
 
@@ -498,9 +498,9 @@ def test_every_scored_candidate_asks_the_solvers_tilted_root(monkeypatch):
         seen.append(lengths)
         return original_root(mu, lengths, radius, tol=tol)
 
-    def counted_sup(mu, lengths, radius, tol=1e-12):
+    def counted_sup(mu, lengths, radius):
         exact.append(lengths)
-        return original_sup(mu, lengths, radius, tol=tol)
+        return original_sup(mu, lengths, radius)
 
     def recorded_best(objective, mu, radius, candidates, *args):
         offered[:] = candidates

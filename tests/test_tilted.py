@@ -451,8 +451,8 @@ def test_exact_avg_sup_dominates_sampling():
         value, witness = exact_avg_sup(mu, lengths, radius)
         assert kl_divergence(witness, mu) <= radius + 1e-9
         assert avg_redundancy(lengths, witness) == pytest.approx(value, abs=1e-12)
-        samples = ball_sample(DivergenceBall(mu, radius), n_interior=4000,
-                              n_boundary=64, seed=trial, l_max=min(m + 1, 7))
+        samples = ball_sample(DivergenceBall(mu, radius), n_interior=4000, seed=trial,
+                              l_max=min(m + 1, 7))
         sampled = max(avg_redundancy(lengths, nu) for nu in samples)
         assert value >= sampled - 1e-8
         point = tilted_root(mu, lengths, radius)
@@ -936,6 +936,45 @@ def test_exact_avg_sup_prune_keeps_every_bit(monkeypatch):
     assert calls < 0.5 * unpruned
 
 
+def _root_first_avg_sup(mu, lengths, radius):
+    """exact_avg_sup as it was: tilted_root asked first, whatever the face
+    test says, then the unpruned rootless reference."""
+    point = tilted_root(mu, lengths, radius)
+    if point is not None:
+        return avg_redundancy(lengths, point.distribution), point.distribution
+    return _unpruned_avg_sup(mu, lengths, radius)[0]
+
+
+@pytest.mark.parametrize("probs, fraction, roots_sought", [
+    ((0.6, 0.3, 0.1), 1.0, 0), ((0.4, 0.3, 0.2, 0.1), 1.0, 0),
+    ((0.6, 0.3, 0.1), 0.5, 1), ((0.4, 0.3, 0.2, 0.1), 0.5, 1),
+], ids=["skewed_at_r_max", "mixed4_at_r_max", "skewed_inside", "mixed4_inside"])
+def test_exact_avg_sup_seeks_no_root_the_face_test_rules_out(monkeypatch, probs, fraction,
+                                                             roots_sought):
+    # each centre's limit code ((1, 2, 2) for SKEWED, (2, 2, 2, 2) for the
+    # mixed4 instance) loses its root at r_max = -log mu(A), its argmax tie
+    # class's mass, so there exact_avg_sup asks tilted_root nothing (it used
+    # to ask once); inside r_max it asks once.  Either way it returns what
+    # the root-first reference returns, bit for bit
+    from klcodes.solver import existence_threshold
+    from klcodes.tilted import exact_avg_sup
+
+    mu = validate_distribution(probs)
+    r_max, _, lengths = existence_threshold(mu)
+    radius = fraction * r_max
+    expected = _root_first_avg_sup(mu, lengths, radius)
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return tilted_root(*args, **kwargs)
+
+    monkeypatch.setattr(tilted, "tilted_root", counted)
+    assert repr(exact_avg_sup(mu, lengths, radius)) == repr(expected)
+    assert calls == roots_sought
+
+
 def test_exact_avg_sup_near_tie_witness_stays_in_the_ball():
     # symbol 0's log-ratio sits 2e-12 below the top one, outside
     # ARGMAX_LOG_TOL: faces such as {0, 1, 5} have roots only near
@@ -1016,8 +1055,7 @@ def test_tilted_point_is_supremum_over_samples():
         point = tilted_root(mu, lengths, radius)
         assert point is not None
         top = avg_redundancy(lengths, point.distribution)
-        for nu in ball_sample(DivergenceBall(mu, radius), n_interior=500,
-                              n_boundary=8, seed=trial):
+        for nu in ball_sample(DivergenceBall(mu, radius), n_interior=500, seed=trial):
             assert avg_redundancy(lengths, nu) <= top + 1e-6
 
 
@@ -1096,12 +1134,13 @@ def test_exact_avg_sup_at_radius_zero_is_the_centre():
 def test_tilted_root_and_exact_avg_sup_reject_a_bad_radius_or_tol(radius, tol):
     # a NaN radius used to pass `radius <= 0.0`: tilted_root returned a point
     # at beta = 512 with divergence 1.204 and exact_avg_sup returned 2.0; a
-    # negative tol ran all 200 Illinois steps
+    # negative tol ran all 200 Illinois steps.  exact_avg_sup takes no tol
     from klcodes.tilted import exact_avg_sup
 
     mu = validate_distribution([0.5, 0.3, 0.2])
     lengths = CodeLengths((1, 2, 2), arity=2)
     with pytest.raises(DomainError):
         tilted_root(mu, lengths, radius, tol)
-    with pytest.raises(DomainError):
-        exact_avg_sup(mu, lengths, radius, tol)
+    if not radius > 0.0:
+        with pytest.raises(DomainError):
+            exact_avg_sup(mu, lengths, radius)
