@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     KraftViolationError,
     NegativeProbabilityError,
+    NonFiniteWeightError,
     NotNormalizedError,
     TooFewSymbolsError,
     ZeroProbabilityError,
@@ -293,6 +294,19 @@ def _check_arity(arity) -> int:
     if arity < 2:
         raise ArityTooSmallError(f"arity must be >= 2, got {arity}")
     return arity
+
+
+def _check_weights(weights, arity) -> tuple[np.ndarray, int]:
+    """Finite nonnegative weights, at least two, as an array; and the checked arity."""
+    arity = _check_arity(arity)
+    w = np.asarray(list(weights), dtype=float)
+    if w.size < 2:
+        raise TooFewSymbolsError(f"need at least 2 weights, got {w.size}")
+    if np.any(~np.isfinite(w)):
+        raise NonFiniteWeightError(f"non-finite weight in {w}")
+    if np.any(w < 0.0):
+        raise DomainError(f"negative weight in {w}")
+    return w, arity
 
 
 def _check_tol(tol: float) -> None:

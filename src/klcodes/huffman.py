@@ -54,9 +54,9 @@ from .core import (
     PrefixCode,
     _check_arity,
     _check_beta,
+    _check_weights,
     ceil_log_inv,
     kraft_integer_ok,
-    log_sum_exp,
 )
 from .errors import (
     AllZeroWeightsError,
@@ -199,18 +199,6 @@ def _sum_ascending(values: list[float]) -> float:
     return total
 
 
-def _check_weights(weights, arity) -> tuple[np.ndarray, int]:
-    arity = _check_arity(arity)
-    w = np.asarray(list(weights), dtype=float)
-    if w.size < 2:
-        raise TooFewSymbolsError(f"need at least 2 weights, got {w.size}")
-    if np.any(~np.isfinite(w)):
-        raise NonFiniteWeightError(f"non-finite weight in {w}")
-    if np.any(w < 0.0):
-        raise DomainError(f"negative weight in {w}")
-    return w, arity
-
-
 def _log_weights(w: np.ndarray) -> list[float]:
     with np.errstate(divide="ignore"):
         return np.log(w).tolist()
@@ -312,25 +300,3 @@ def canonical_codewords(lengths: CodeLengths) -> PrefixCode:
             word.append(digits[digit])
         words[pos] = "".join(reversed(word))
     return PrefixCode(tuple(words), lengths)
-
-
-def expected_cost(lengths: CodeLengths, weights) -> float:
-    """Linear cost sum w_k * l_k."""
-    w = np.asarray(list(weights), dtype=float)
-    return float(np.dot(w, lengths.as_array()))
-
-
-def exp_cost_log(lengths: CodeLengths, weights, beta: float) -> float:
-    """log of the exponential cost sum w_k * D^(beta l_k)."""
-    w = np.asarray(list(weights), dtype=float)
-    with np.errstate(divide="ignore"):
-        terms = np.log(w) + beta * math.log(lengths.arity) * lengths.as_array()
-    return log_sum_exp(terms)
-
-
-def max_cost_log(lengths: CodeLengths, weights) -> float:
-    """log of the minimax cost max_k w_k * D^l_k."""
-    w = np.asarray(list(weights), dtype=float)
-    with np.errstate(divide="ignore"):
-        terms = np.log(w) + math.log(lengths.arity) * lengths.as_array()
-    return float(np.max(terms))

@@ -149,26 +149,25 @@ def _pi_roots(m: np.ndarray, radius: float, tol: float):
     return p, np.abs(value), steps + keep
 
 
-def solve_pi_k(m: float, radius: float, tol: float = 1e-13) -> float:
-    """Larger root of d(p || m) = radius on (m, 1), safeguarded to tolerance tol.
+def solve_pi_k(m: float, radius: float) -> float:
+    """Larger root of d(p || m) = radius on (m, 1), safeguarded to residual 1e-13.
 
     Newton steps that would leave the current bracket are replaced by
     bisection, so convergence is unconditional; the objective is increasing
     and convex on (m, 1).  At most 60 steps are taken.  This is the
     one-entry case of the kernel nml_distribution runs on every unsaturated
-    coordinate at once, so both return the same bits; the root's residual
-    and step count are read from nml_distribution's roots_residual and
-    iterations.
+    coordinate at once, at that call's default tolerance, so both return
+    the same bits; the root's residual and step count are read from
+    nml_distribution's roots_residual and iterations.
     """
     if not (0.0 < m < 1.0):
         raise DomainError(f"m must be in (0, 1), got {m}")
     if not (radius > 0.0):
         raise DomainError(f"radius must be positive, got {radius}")
-    _check_tol(tol)
     if m >= math.exp(-radius):
         raise SaturatedInputError(f"m={m} saturates at radius {radius}")
 
-    return float(_pi_roots(np.array([m], dtype=float), radius, tol)[0][0])
+    return float(_pi_roots(np.array([m], dtype=float), radius, 1e-13)[0][0])
 
 
 def nml_distribution(ball: DivergenceBall, tol: float = 1e-13) -> NmlResult:

@@ -24,6 +24,14 @@ lengths to weight-sorted symbols (shortest to heaviest) is optimal for
 every objective in this package: swapping a shorter length onto a larger
 weight never increases any of them, and for the ball objectives the
 swapped adversary needed by the exchange argument stays inside the ball.
+One loop, _min_over_codes, enumerates, assigns, scores and reports for
+every oracle over codes; only the score differs.  The weight objectives
+score through weight_cost, the one formula of each of them, which the
+tests also use to price the Huffman builders' codes.  The entry points
+check their inputs as the builders do: the arity through
+core._check_arity, weights through core._check_weights, beta through
+core._check_beta, and all-zero pointwise weights raise
+AllZeroWeightsError.
 """
 
 from __future__ import annotations
@@ -37,12 +45,16 @@ from .core import (
     CodeLengths,
     Distribution,
     DivergenceBall,
+    _check_arity,
+    _check_beta,
+    _check_weights,
     array_divergence,
     binary_divergence,
     kl_divergence,
+    log_sum_exp,
     pair_divergence,
 )
-from .errors import DomainError, LimitExceededError
+from .errors import AllZeroWeightsError, DimensionMismatchError, DomainError, LimitExceededError
 from .solver import _candidate_sup
 from .tilted import nu_infinity, objective_utility, tilted_root
 
@@ -145,6 +157,7 @@ def ball_sample(
     exists and at the family limit otherwise.  Every returned point carries
     a recomputed divergence certificate.
     """
+    arity = _check_arity(arity)
     mu = ball.center
     radius = ball.radius
     if radius == 0.0:
@@ -236,7 +249,7 @@ class _SampleTable:
         self.ball = ball
         self.utility = utility
         self.matrix = np.array([nu.probs for nu in samples], dtype=float)
-        log_d = math.log(arity)
+        log_d = math.log(_check_arity(arity))
         if utility == "gg":
             self.shift = np.log(ball.center.as_array()) / log_d
             self.offset = 0.0
@@ -277,6 +290,64 @@ def brute_sup_over_ball(
     return _SampleTable(samples, ball, utility, lengths.arity).sup(lengths)
 
 
+def weight_cost(utility: str, weights, lengths: CodeLengths, beta: float | None = None) -> float:
+    """A code's cost under a weight objective: what brute_min_over_codes minimizes.
+
+    "linear_cost" is sum w_k l_k, "exp_cost" the natural log of
+    sum w_k D^(beta l_k), and "pointwise" max_k (l_k + log_D w_k) over the
+    w_k > 0.  The inputs are checked as brute_min_over_codes checks them,
+    and a length vector of another size raises DimensionMismatchError.
+    """
+    score = _weight_scorer(utility, weights, lengths.arity, beta)
+    if len(weights) != lengths.m:
+        raise DimensionMismatchError(f"{len(weights)} weights for {lengths.m} lengths")
+    return score(lengths.lengths)
+
+
+def _weight_scorer(utility: str, weights, arity: int, beta: float | None):
+    """weight_cost as a function of the lengths alone, the weights' logs taken once."""
+    if utility not in ("linear_cost", "exp_cost", "pointwise"):
+        raise DomainError(f"unknown utility {utility!r}")
+    if weights is None:
+        raise DomainError(f"{utility} needs weights")
+    w, arity = _check_weights(weights, arity)
+    if utility == "exp_cost":
+        if beta is None:
+            raise DomainError("exp_cost needs beta")
+        _check_beta(beta)
+    if utility == "pointwise" and not np.any(w > 0.0):
+        raise AllZeroWeightsError("all weights are zero")
+    log_d = math.log(arity)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+    if utility == "linear_cost":
+        return lambda lengths: float(np.dot(w, np.array(lengths, dtype=float)))
+    if utility == "exp_cost":
+        return lambda lengths: log_sum_exp(log_w + beta * log_d * np.array(lengths, dtype=float))
+    log_w_d = log_w / log_d
+    return lambda lengths: float(np.max(np.array(lengths, dtype=float) + log_w_d))
+
+
+def _min_over_codes(weights, arity: int, l_max: int | None, score) -> OracleReport:
+    """The least score over every enumerated code, and every code within 1e-12 of it.
+
+    Each code's sorted lengths go to the symbols in decreasing weight order
+    (sorted_assignment) before score sees them.
+    """
+    arity = _check_arity(arity)
+    m = len(weights)
+    if l_max is None:
+        l_max = default_l_max(m, arity)
+    scored = [(score(sorted_assignment(weights, vector)), vector)
+              for vector in _enumerated(m, arity, l_max)]
+    best = min(value for value, _ in scored)
+    return OracleReport(
+        optimum_value=best,
+        optimal_length_vectors=tuple(vector for value, vector in scored if value <= best + 1e-12),
+        evaluations=len(scored),
+    )
+
+
 def brute_min_over_codes(
     utility: str,
     *,
@@ -289,59 +360,22 @@ def brute_min_over_codes(
 ) -> OracleReport:
     """Exact minimum over all enumerated codes of the requested objective.
 
-    utility is one of "linear_cost", "exp_cost" (needs beta), "pointwise"
-    (all three take weights), or "avg-red" / "gg" (take a ball; the inner
-    supremum is the sampled-plus-analytic bound of brute_sup_over_ball over
-    samples, ball_sample(ball) when none are given).  Exponential costs are
-    compared in log-domain.
+    utility is "linear_cost", "exp_cost" (needs a finite beta > 0) or
+    "pointwise" (not all weights zero), each taking finite nonnegative
+    weights and scored by weight_cost; or "avg-red" / "gg", taking a ball,
+    whose inner supremum is the sampled-plus-analytic bound of
+    brute_sup_over_ball over samples, ball_sample(ball) when none are
+    given.  Exponential costs are compared in log-domain.
     """
-    if utility in ("linear_cost", "exp_cost", "pointwise"):
-        if weights is None:
-            raise DomainError(f"{utility} needs weights")
-        w = np.asarray(list(weights), dtype=float)
-        m = w.size
-    else:
-        if ball is None:
-            raise DomainError(f"{utility} needs a ball")
-        w = ball.center.as_array()
-        m = ball.center.m
-        if samples is None:
-            samples = ball_sample(ball, arity=arity, l_max=l_max)
-        table = _SampleTable(samples, ball, utility, arity)
-    if l_max is None:
-        l_max = default_l_max(m, arity)
-    if utility == "exp_cost" and beta is None:
-        raise DomainError("exp_cost needs beta")
-
-    log_d = math.log(arity)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w)
-
-    def evaluate(vector: tuple[int, ...]) -> float:
-        assigned = sorted_assignment(w, vector)
-        arr = np.asarray(assigned, dtype=float)
-        if utility == "linear_cost":
-            return float(np.dot(w, arr))
-        if utility == "exp_cost":
-            hi = np.max(log_w + beta * log_d * arr)
-            return float(hi + np.log(np.sum(np.exp(log_w + beta * log_d * arr - hi))))
-        if utility == "pointwise":
-            finite = np.isfinite(log_w)
-            return float(np.max(arr[finite] + log_w[finite] / log_d))
-        return table.sup(CodeLengths(assigned, arity=arity))
-
-    return _report([(evaluate(vector), vector) for vector in _enumerated(m, arity, l_max)])
-
-
-def _report(scored: list[tuple[float, tuple[int, ...]]]) -> OracleReport:
-    """The least value over (value, vector) pairs and every vector within 1e-12 of it."""
-    best = min(value for value, _ in scored)
-    argmin = [vector for value, vector in scored if value <= best + 1e-12]
-    return OracleReport(
-        optimum_value=best,
-        optimal_length_vectors=tuple(argmin),
-        evaluations=len(scored),
-    )
+    if utility not in ("avg-red", "gg"):
+        return _min_over_codes(weights, arity, l_max, _weight_scorer(utility, weights, arity, beta))
+    if ball is None:
+        raise DomainError(f"{utility} needs a ball")
+    if samples is None:
+        samples = ball_sample(ball, arity=arity, l_max=l_max)
+    table = _SampleTable(samples, ball, utility, arity)
+    return _min_over_codes(ball.center.probs, arity, l_max,
+                           lambda assigned: table.sup(CodeLengths(assigned, arity=arity)))
 
 
 def exact_min_over_codes(
@@ -361,13 +395,8 @@ def exact_min_over_codes(
     if utility not in ("avg-red", "gg"):
         raise DomainError(f"unknown ball utility {utility!r}")
     mu = ball.center
-    if l_max is None:
-        l_max = default_l_max(mu.m, arity)
-    scored = []
-    for vector in _enumerated(mu.m, arity, l_max):
-        lengths = CodeLengths(sorted_assignment(mu.probs, vector), arity=arity)
-        scored.append((_candidate_sup(utility, mu, ball.radius, lengths, 1e-12)[0], vector))
-    return _report(scored)
+    return _min_over_codes(mu.probs, arity, l_max, lambda assigned: _candidate_sup(
+        utility, mu, ball.radius, CodeLengths(assigned, arity=arity), 1e-12)[0])
 
 
 def brute_binary_root(m: float, radius: float) -> float:

@@ -11,10 +11,12 @@ their own: moved codes, moved values, moved raw suprema and the largest
 move of one in units in the last place, the largest root residual on
 each side and the after side's count of solves with a root outside
 (mu_k, min(1, mu_k + sqrt(R/2))].  The exact_avg_sup records of grid E
-get one too: per code, moved values and moved witnesses, then every
-moved record.  Last comes every record, of any grid, whose exception
-moved: the exception on each side, or the value and regime where that
-side returned (grid E records have no regime).
+and the oracle reports of grid O get one each: per code or oracle, the
+identical records, moved values and records whose value stayed but whose
+repr (witness, optimal codes or evaluation count) moved, then every moved
+record.  Last comes every record, of any grid, whose exception moved: the
+exception on each side, or the value and regime where that side returned
+(grid E and O records have no regime).
 """
 
 import json
@@ -65,30 +67,31 @@ def pointwise_table(pairs):
     print()
 
 
-def sup_table(pairs):
+def repr_table(pairs, title):
+    """Per objective: records, identical reprs, moved values, other moves; then every moved record."""
     cells, moved = {}, []
     for a, b in pairs:
         cell = cells.setdefault(a["objective"], dict.fromkeys(
-            ("calls", "identical", "values moved", "witnesses moved", "exception moved"), 0))
-        cell["calls"] += 1
+            ("records", "identical", "values moved", "value kept, repr moved", "exception moved"), 0))
+        cell["records"] += 1
         if "exc" in a or "exc" in b:
             cell["identical" if a.get("exc") == b.get("exc") else "exception moved"] += 1
             continue
         cell["identical"] += a["repr"] == b["repr"]
         cell["values moved"] += a["value"] != b["value"]
-        cell["witnesses moved"] += a["value"] == b["value"] and a["repr"] != b["repr"]
+        cell["value kept, repr moved"] += a["value"] == b["value"] and a["repr"] != b["repr"]
         if a["repr"] != b["repr"]:
             moved.append((a, b))
-    print("| grid E, code | " + " | ".join(next(iter(cells.values()))) + " |")
+    print(f"| {title} | " + " | ".join(next(iter(cells.values()))) + " |")
     print("|---" * (1 + len(next(iter(cells.values())))) + "|")
     for name, cell in cells.items():
         print(f"| {name} | " + " | ".join(str(v) for v in cell.values()) + " |")
     if moved:
-        print("\n| code | seed | M | alpha | D | radius | before | after |")
+        print("\n| objective | seed | M | alpha | D | f | before | after |")
         print("|---" * 8 + "|")
         for a, b in moved:
             print(f"| {a['objective']} | {a['seed']} | {a['m']} | {a['alpha']} | {a['arity']} | "
-                  f"{a['f']} r_max | {a['repr']} | {b['repr']} |")
+                  f"{a['f']} | {a['repr']} | {b['repr']} |")
     print()
 
 
@@ -117,12 +120,13 @@ def main(before_path, after_path):
     pointwise = [(a, b) for a, b in zip(before, after) if a["grid"] == "P"]
     if pointwise:
         pointwise_table(pointwise)
-    sups = [(a, b) for a, b in zip(before, after) if a["grid"] == "E"]
-    if sups:
-        sup_table(sups)
+    for grid, title in (("E", "grid E, code"), ("O", "grid O, oracle")):
+        records = [(a, b) for a, b in zip(before, after) if a["grid"] == grid]
+        if records:
+            repr_table(records, title)
     summary, moved = {}, []
     for a, b in zip(before, after):
-        if a["grid"] in ("P", "E"):
+        if a["grid"] in ("P", "E", "O"):
             continue
         cell = summary.setdefault(f"{a['objective']} {a['grid']} {a.get('regime', a.get('exc'))}",
                                   dict.fromkeys(("solves", "identical", "tie", "rounding",

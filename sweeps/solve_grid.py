@@ -28,19 +28,29 @@ then an alpha 0.3 one, then an unrelated Dirichlet alpha 1 draw;
 exact_avg_sup is called directly on three codes per centre (its plain Huffman code, its
 limit code and the unrelated draw's Huffman code) at 0.9, 1, 1.3 and
 2 x r_max, and a record keeps the value and the repr of the value and
-the witness's probabilities.  Run it on two trees and compare the dumps
-with compare_grids.py.
+the witness's probabilities.  Grid O is the oracles: one generator
+default_rng([seed, M, arity]) per seed 0-4, M in 3..6 and arity 2 or 3
+draws a Dirichlet alpha 1 centre, then an alpha 0.3 one; its
+probabilities are the weights of brute_min_over_codes under linear_cost,
+exp_cost at beta 0.5 and 2, and pointwise, and at 0, 0.3, 0.95 and
+1.3 x r_max both ball objectives run through exact_min_over_codes and
+through brute_min_over_codes on ball_sample(ball, n_interior=300,
+seed=seed).  A record keeps the optimum and the repr of the
+OracleReport.  Run it on two trees and compare the dumps with
+compare_grids.py.
 """
 
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
 from klcodes.core import DivergenceBall, binary_divergence, validate_distribution
 from klcodes.huffman import huffman
 from klcodes.nml import nml_distribution, robust_huffman_pointwise
+from klcodes.oracle import ball_sample, brute_min_over_codes, exact_min_over_codes
 from klcodes.solver import existence_threshold, solve_avg_redundancy, solve_gg
 from klcodes.tilted import exact_avg_sup
 
@@ -49,6 +59,7 @@ FRACTIONS = (1e-4, 0.01, 0.1, 0.3, 0.5, 0.8, 0.95, 0.99, 1.0, "mid")
 POINTWISE_SIZES = (3, 4, 5, 8, 17, 64, 256, 1024, 4096)
 POINTWISE_RADII = (1e-3, 0.01, 0.1, 0.3, 1.0, 3.0)
 SUP_FRACTIONS = (0.9, 1.0, 1.3, 2.0)
+ORACLE_FRACTIONS = (0.0, 0.3, 0.95, 1.3)
 
 
 def centre(rng, m, alpha):
@@ -86,6 +97,31 @@ def sup_record(mu, lengths, radius):
     except Exception as exc:
         return {"exc": type(exc).__name__}
     return {"value": value, "repr": repr((value, witness.probs))}
+
+
+def oracle_record(run):
+    try:
+        report = run()
+    except Exception as exc:
+        return {"exc": type(exc).__name__}
+    return {"value": report.optimum_value, "repr": repr(report)}
+
+
+def oracle_runs(seed, mu, arity):
+    """(objective, f, call) for every oracle run on one centre; f is beta or the radius over r_max."""
+    runs = [(utility, beta, partial(brute_min_over_codes, utility, weights=mu.probs,
+                                    arity=arity, beta=beta))
+            for utility, beta in (("linear_cost", None), ("exp_cost", 0.5), ("exp_cost", 2.0),
+                                  ("pointwise", None))]
+    r_max = existence_threshold(mu, arity)[0]
+    for f in ORACLE_FRACTIONS:
+        ball = DivergenceBall(mu, f * r_max)
+        samples = ball_sample(ball, n_interior=300, seed=seed, arity=arity)
+        for utility in ("avg-red", "gg"):
+            runs.append((f"exact {utility}", f, partial(exact_min_over_codes, utility, ball, arity)))
+            runs.append((f"sampled {utility}", f, partial(brute_min_over_codes, utility, ball=ball,
+                                                          arity=arity, samples=samples)))
+    return runs
 
 
 def main(path):
@@ -154,6 +190,16 @@ def main(path):
                             out.append({"grid": "E", "seed": seed, "m": m, "alpha": alpha,
                                         "arity": arity, "f": f, "objective": f"sup {name}",
                                         **sup_record(mu, lengths, f * r_max)})
+    for seed in range(5):
+        for m in (3, 4, 5, 6):
+            for arity in (2, 3):
+                rng = np.random.default_rng([seed, m, arity])
+                for alpha in (1.0, 0.3):
+                    mu = centre(rng, m, alpha)
+                    for objective, f, run in oracle_runs(seed, mu, arity):
+                        out.append({"grid": "O", "seed": seed, "m": m, "alpha": alpha,
+                                    "arity": arity, "f": f, "objective": objective,
+                                    **oracle_record(run)})
     with open(path, "w") as handle:
         json.dump(out, handle)
 

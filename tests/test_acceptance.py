@@ -22,7 +22,7 @@ from klcodes.core import (
     pinsker_upper,
     validate_distribution,
 )
-from klcodes.huffman import exp_cost_log, exponential_huffman, max_cost_log, max_huffman
+from klcodes.huffman import exponential_huffman, max_huffman
 from klcodes.nml import (
     _pi_roots,
     nml_distribution,
@@ -36,6 +36,7 @@ from klcodes.oracle import (
     brute_binary_root,
     brute_min_over_codes,
     sorted_assignment,
+    weight_cost,
 )
 from klcodes.solver import existence_threshold, g_of_beta, solve_avg_redundancy, solve_gg
 from klcodes.tilted import avg_redundancy, decomposition_terms, nu_circ, nu_infinity
@@ -67,7 +68,7 @@ def test_criterion_01_exponential_huffman_optimality():
         beta = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
         weights = rng.dirichlet(np.ones(m))
         lengths = exponential_huffman(weights, beta, arity)
-        cost = exp_cost_log(lengths, weights, beta)
+        cost = weight_cost("exp_cost", weights, lengths, beta)
         report = brute_min_over_codes("exp_cost", weights=weights, beta=beta, arity=arity)
         if abs(cost - report.optimum_value) > 1e-9 * max(1.0, abs(report.optimum_value)):
             failures.append(f"trial {trial}: cost {cost} vs oracle {report.optimum_value}")
@@ -85,7 +86,7 @@ def test_criterion_02_minimax_pointwise_optimality():
         m = int(rng.integers(2, 9))
         weights = rng.dirichlet(np.ones(m))
         lengths = max_huffman(weights, 2)
-        utility = max_cost_log(lengths, weights) / math.log(2)
+        utility = weight_cost("pointwise", weights, lengths)
         report = brute_min_over_codes("pointwise", weights=weights, arity=2)
         if abs(utility - report.optimum_value) > 1e-9:
             failures.append(f"trial {trial}: {utility} vs {report.optimum_value}")

@@ -26,16 +26,13 @@ from klcodes.huffman import (
     _certifies_exponential,
     _dummy_count,
     canonical_codewords,
-    exp_cost_log,
-    expected_cost,
     exponential_huffman,
     exponential_huffman_log,
     huffman,
-    max_cost_log,
     max_huffman,
     shannon_lengths,
 )
-from klcodes.oracle import brute_min_over_codes, default_l_max
+from klcodes.oracle import brute_min_over_codes, default_l_max, weight_cost
 
 
 def test_huffman_uniform_four():
@@ -44,7 +41,7 @@ def test_huffman_uniform_four():
 
 def test_huffman_cost_frozen():
     lengths = huffman([0.4, 0.3, 0.2, 0.1])
-    assert expected_cost(lengths, [0.4, 0.3, 0.2, 0.1]) == pytest.approx(1.9, abs=1e-12)
+    assert weight_cost("linear_cost", [0.4, 0.3, 0.2, 0.1], lengths) == pytest.approx(1.9, abs=1e-12)
 
 
 def test_huffman_ternary_single_level():
@@ -102,16 +99,16 @@ def test_exponential_huffman_rejects_nonfinite():
 def test_max_huffman_uniform():
     lengths = max_huffman([0.25] * 4)
     assert lengths.lengths == (2, 2, 2, 2)
-    assert max_cost_log(lengths, [0.25] * 4) == pytest.approx(math.log(1.0), abs=1e-12)
+    assert weight_cost("pointwise", [0.25] * 4, lengths) == pytest.approx(math.log2(1.0), abs=1e-12)
 
 
 def test_max_huffman_frozen_anchors():
     lengths = max_huffman([0.6, 0.3, 0.1])
-    assert max_cost_log(lengths, [0.6, 0.3, 0.1]) / math.log(2) == pytest.approx(
+    assert weight_cost("pointwise", [0.6, 0.3, 0.1], lengths) == pytest.approx(
         math.log2(1.2), abs=1e-12
     )
     lengths = max_huffman([0.4, 0.3, 0.2, 0.1])
-    assert max_cost_log(lengths, [0.4, 0.3, 0.2, 0.1]) / math.log(2) == pytest.approx(
+    assert weight_cost("pointwise", [0.4, 0.3, 0.2, 0.1], lengths) == pytest.approx(
         math.log2(1.6), abs=1e-12
     )
 
@@ -129,7 +126,7 @@ def test_exponential_optimality_randomized():
         beta = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
         w = rng.dirichlet(np.ones(m))
         lengths = exponential_huffman(w, beta, arity)
-        cost = exp_cost_log(lengths, w, beta)
+        cost = weight_cost("exp_cost", w, lengths, beta)
         report = brute_min_over_codes("exp_cost", weights=w, beta=beta, arity=arity)
         assert cost == pytest.approx(report.optimum_value, rel=1e-9, abs=1e-9)
 
@@ -141,7 +138,7 @@ def test_max_optimality_randomized():
         w = rng.dirichlet(np.ones(m))
         lengths = max_huffman(w)
         report = brute_min_over_codes("pointwise", weights=w, arity=2)
-        assert max_cost_log(lengths, w) / math.log(2) == pytest.approx(
+        assert weight_cost("pointwise", w, lengths) == pytest.approx(
             report.optimum_value, abs=1e-9
         )
 
@@ -382,7 +379,7 @@ def test_huffman_ties_cost_matches_log_domain_reference():
             w = _reference_weights(rng, m, "ties")
             logw = [float(x) for x in np.log(w)]
             reference = _reference_depths(logw, arity, log_sum_exp)
-            assert expected_cost(huffman(w, arity), w) == pytest.approx(
+            assert weight_cost("linear_cost", w, huffman(w, arity)) == pytest.approx(
                 float(np.dot(w, reference)), rel=1e-12, abs=0.0)
 
 

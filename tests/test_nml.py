@@ -58,14 +58,13 @@ def test_solve_pi_k_domain_errors():
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda tol: solve_pi_k(0.1, 0.2, tol=tol),
         lambda tol: nml_distribution(DivergenceBall(validate_distribution([0.6, 0.3, 0.1]), 0.2),
                                      tol=tol),
         # radius 0 needs no root, and still rejects the tolerance
         lambda tol: nml_distribution(DivergenceBall(validate_distribution([0.6, 0.3, 0.1]), 0.0),
                                      tol=tol),
     ],
-    ids=["solve_pi_k", "nml_distribution", "nml_distribution_radius_0"],
+    ids=["nml_distribution", "nml_distribution_radius_0"],
 )
 def test_nml_roots_reject_a_tolerance_below_zero_or_nan(solve, tol):
     # NaN and -1e-12 returned a root unchecked, and -1.0 raised
@@ -106,11 +105,6 @@ def test_solve_pi_k_and_nml_distribution_share_one_path(m):
         if max(result.roots_residual) > 0.0:  # tol 0 is met by a root exactly on R only
             with pytest.raises(NoConvergenceError, match="stalled"):
                 nml_distribution(DivergenceBall(mu, radius), tol=0.0)
-
-
-def test_solve_pi_k_tol_zero_raises():
-    with pytest.raises(NoConvergenceError, match="stalled"):
-        solve_pi_k(0.1, 0.2, tol=0.0)
 
 
 def test_nml_saturation_at_boundary_case():

@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from klcodes.core import DivergenceBall, CodeLengths, kl_divergence, validate_distribution
-from klcodes.errors import DomainError, LimitExceededError
+from klcodes.errors import (
+    AllZeroWeightsError,
+    ArityTooSmallError,
+    DimensionMismatchError,
+    DomainError,
+    LimitExceededError,
+    NonFiniteWeightError,
+)
 from klcodes.oracle import (
     ball_sample,
     brute_binary_root,
     brute_min_over_codes,
     brute_sup_over_ball,
+    default_l_max,
     enumerate_kraft_lengths,
     exact_min_over_codes,
     sorted_assignment,
+    weight_cost,
 )
 from klcodes.solver import existence_threshold, solve_avg_redundancy, solve_gg
 
@@ -196,3 +205,87 @@ def test_exact_min_over_codes_rejects_other_utilities():
     ball = DivergenceBall(validate_distribution([0.5, 0.3, 0.2]), 0.1)
     with pytest.raises(DomainError):
         exact_min_over_codes("pointwise", ball)
+
+
+WEIGHTS = (0.5, 0.3, 0.2)
+BALL = DivergenceBall(validate_distribution(WEIGHTS), 0.1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: brute_min_over_codes("exp_cost", weights=WEIGHTS, beta=math.nan), DomainError),
+    (lambda: brute_min_over_codes("exp_cost", weights=WEIGHTS, beta=math.inf), DomainError),
+    (lambda: brute_min_over_codes("linear_cost", weights=WEIGHTS, arity=1), ArityTooSmallError),
+    (lambda: brute_min_over_codes("gg", ball=BALL, arity=1), ArityTooSmallError),
+    (lambda: brute_min_over_codes("gg", ball=BALL, arity=1, l_max=3), ArityTooSmallError),
+    (lambda: brute_min_over_codes("gg", ball=BALL, arity=1, samples=[BALL.center]),
+     ArityTooSmallError),
+    (lambda: exact_min_over_codes("avg-red", BALL, arity=1), ArityTooSmallError),
+    (lambda: exact_min_over_codes("avg-red", BALL, arity=1, l_max=3), ArityTooSmallError),
+    (lambda: ball_sample(BALL, 10, arity=1), ArityTooSmallError),
+    (lambda: ball_sample(BALL, 10, arity=1, l_max=3), ArityTooSmallError),
+    (lambda: brute_min_over_codes("linear_cost", weights=WEIGHTS, arity=2.0), DomainError),
+    (lambda: exact_min_over_codes("gg", BALL, arity=2.0), DomainError),
+    (lambda: brute_min_over_codes("linear_cost", weights=(math.nan, 0.3, 0.2)),
+     NonFiniteWeightError),
+    (lambda: brute_min_over_codes("pointwise", weights=(-0.5, 0.3, 0.2)), DomainError),
+    (lambda: brute_min_over_codes("pointwise", weights=(0.0, 0.0, 0.0)), AllZeroWeightsError),
+    (lambda: brute_min_over_codes("foo", weights=WEIGHTS), DomainError),
+    (lambda: weight_cost("pointwise", WEIGHTS, CodeLengths((1,))), DimensionMismatchError),
+], ids=["beta_nan", "beta_inf", "arity_1_weights", "arity_1_sampled", "arity_1_sampled_l_max",
+        "arity_1_given_samples", "arity_1_exact", "arity_1_exact_l_max", "arity_1_ball_sample",
+        "arity_1_ball_sample_l_max", "float_arity_weights", "float_arity_exact", "nan_weight",
+        "negative_weight", "all_zero_pointwise", "unknown_utility", "weight_cost_sizes"])
+def test_oracle_entry_points_check_their_inputs(call, error):
+    # the exact class: a bare ZeroDivisionError or ValueError, or a NaN
+    # optimum with an empty optimal set, would hide which input was bad
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("inputs", [{}, {"weights": WEIGHTS}, {"ball": BALL}],
+                         ids=["nothing", "weights", "ball"])
+def test_an_unknown_utility_is_named(inputs):
+    # whatever else is passed, the message names the utility, not a missing input
+    with pytest.raises(DomainError, match="unknown utility 'foo'"):
+        brute_min_over_codes("foo", **inputs)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_weight_objectives_report_the_least_weight_cost(arity):
+    # the shared loop's optimum is the least weight_cost over the enumerated
+    # codes bit for bit, and its optimal set is every code within 1e-12
+    rng = np.random.default_rng([43, arity])
+    for m in range(2, 9):
+        weights = rng.dirichlet(np.ones(m))
+        weights[rng.integers(m)] = 0.0
+        codes = list(enumerate_kraft_lengths(m, arity, default_l_max(m, arity)))
+        for utility, beta in (("linear_cost", None), ("exp_cost", 0.5), ("exp_cost", 2.0),
+                              ("pointwise", None)):
+            report = brute_min_over_codes(utility, weights=weights, arity=arity, beta=beta)
+            costs = [weight_cost(utility, weights,
+                                 CodeLengths(sorted_assignment(weights, vector), arity), beta)
+                     for vector in codes]
+            best = min(costs)
+            assert report.optimum_value == best, (m, utility, beta)
+            assert report.evaluations == len(codes)
+            assert report.optimal_length_vectors == tuple(
+                vector for vector, cost in zip(codes, costs) if cost <= best + 1e-12)
+
+
+@pytest.mark.parametrize("utility", ["avg-red", "gg"])
+def test_both_nested_minimax_oracles_score_the_same_codes(utility):
+    mu = validate_distribution([0.45, 0.25, 0.15, 0.1, 0.05])
+    ball = DivergenceBall(mu, 0.5 * existence_threshold(mu)[0])
+    exact = exact_min_over_codes(utility, ball)
+    sampled = brute_min_over_codes(utility, ball=ball, samples=ball_sample(ball, 200, seed=2))
+    assert exact.evaluations == sampled.evaluations == len(
+        list(enumerate_kraft_lengths(5, 2, default_l_max(5, 2))))
+
+
+def test_all_zero_weights_make_every_code_optimal_under_linear_and_exponential_costs():
+    # every code costs nothing, log 0 = -inf under exp_cost; pointwise raises
+    for utility, beta, value in (("linear_cost", None, 0.0), ("exp_cost", 1.0, -math.inf)):
+        report = brute_min_over_codes(utility, weights=(0.0, 0.0, 0.0), beta=beta)
+        assert report.optimum_value == value
+        assert len(report.optimal_length_vectors) == report.evaluations == 7

@@ -20,8 +20,8 @@ from klcodes.errors import (
     LimitExceededError,
     ZeroProbabilityError,
 )
-from klcodes.huffman import expected_cost, huffman
-from klcodes.oracle import ball_sample, brute_min_over_codes
+from klcodes.huffman import huffman
+from klcodes.oracle import ball_sample, brute_min_over_codes, weight_cost
 from klcodes.solver import existence_threshold, g_of_beta, solve_avg_redundancy, solve_gg
 from klcodes.tilted import avg_redundancy, gg_utility
 
@@ -80,7 +80,7 @@ def test_solve_avg_zero_radius():
     result = solve_avg_redundancy(DivergenceBall(mu, 0.0))
     assert result.regime == "zero_radius"
     assert result.beta is None
-    assert expected_cost(result.lengths, mu.probs) == pytest.approx(1.9, abs=1e-12)
+    assert weight_cost("linear_cost", mu.probs, result.lengths) == pytest.approx(1.9, abs=1e-12)
     assert result.achieved_utility == pytest.approx(avg_redundancy(result.lengths, mu), abs=1e-12)
     assert result.worst_case.probs == mu.probs
 
