@@ -133,7 +133,7 @@ def _code_payload(objective: str, result: RobustCodeResult, residuals: list[floa
         payload["beta"] = result.beta
     payload.update(
         {
-            "lengths": [int(l) for l in result.lengths.lengths],
+            "lengths": list(result.lengths.lengths),
             "arity": result.lengths.arity,
             "codewords": list(result.codewords.codewords),
             "worst_case": list(result.worst_case.probs),
@@ -157,7 +157,7 @@ def run_analyze(args) -> dict:
         "entropy": entropy(mu, arity),
         "r_max": r_max,
         "gg_threshold": -math.log(min(mu.probs)),
-        "limit_lengths": [int(l) for l in limit_code.lengths],
+        "limit_lengths": list(limit_code.lengths),
     }
     if args.radius is not None:
         radius = _radius(args)
@@ -254,6 +254,19 @@ def _nml_checks(mu: Distribution, radius: float, nml: NmlResult) -> dict[str, bo
     }
 
 
+def _oracle_l_max(args, lengths: CodeLengths) -> int | None:
+    """--lmax for an oracle that must enumerate the reported code; CodingError if it cannot.
+
+    An oracle capped below the report's longest codeword never meets the
+    reported code, so its gap would read as a failure of a correct report.
+    """
+    longest = max(lengths.lengths)
+    if args.lmax is not None and args.lmax < longest:
+        raise CodingError(f"--lmax {args.lmax} is below the reported code's longest "
+                          f"codeword ({longest}), so the oracle cannot enumerate it")
+    return args.lmax
+
+
 def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _Checks) -> None:
     lengths = CodeLengths(tuple(payload["lengths"]), arity=payload["arity"])
     checks.add("kraft", kraft_sum(lengths) <= 1.0 + 1e-12,
@@ -282,7 +295,8 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
             # its reported value is an honest sampled supremum only
             if payload["regime"] == "interior" or args.objective == "gg":
                 report = oracle.brute_min_over_codes(args.objective, ball=ball, arity=args.arity,
-                                                     l_max=args.lmax, samples=samples)
+                                                     l_max=_oracle_l_max(args, lengths),
+                                                     samples=samples)
                 gap = abs(report.optimum_value - payload["achieved_utility"])
                 checks.add("oracle_minimax", gap <= 5e-3, f"gap={_fmt(gap)}")
     elif args.objective == "pointwise":
@@ -299,7 +313,8 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
             checks.add("root_range", in_range)
         if mu.m <= 8:
             report = oracle.brute_min_over_codes(
-                "pointwise", weights=nml.normalized.probs, arity=args.arity, l_max=args.lmax
+                "pointwise", weights=nml.normalized.probs, arity=args.arity,
+                l_max=_oracle_l_max(args, lengths),
             )
             gap = abs(report.optimum_value - payload["achieved_utility"])
             checks.add("oracle_pointwise", gap <= 1e-9, f"gap={_fmt(gap)}")

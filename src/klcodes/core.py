@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
 )
 
 NORMALIZATION_TOL = 1e-9
-KRAFT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,39 +87,30 @@ class DivergenceBall:
 
 @dataclass(frozen=True)
 class CodeLengths:
-    """Codeword length vector with arity D.
+    """Codeword length vector of a prefix code with arity D.
 
-    Integer lengths describe realizable prefix codes; real lengths are the
-    idealized relaxation (e.g. -log_D p).  Kraft feasibility is enforced at
-    construction (exactly, in integer arithmetic, when is_integer).
+    The one place a length vector is checked: every entry is a positive
+    integer and the Kraft sum is at most 1, exactly, in integer arithmetic
+    (kraft_integer_ok).  Consumers rely on both and check neither again.
     """
 
-    lengths: tuple[float, ...]
+    lengths: tuple[int, ...]
     arity: int = 2
-    is_integer: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "arity", _check_arity(self.arity))
         lengths = tuple(self.lengths)
         if not lengths:
             raise DomainError("empty length vector")
-        if self.is_integer:
-            try:
-                integers = tuple(map(int, lengths))
-            except (ValueError, OverflowError):  # NaN, inf
-                raise DomainError(f"integer lengths must be finite integers, got {lengths}") from None
-            if integers != lengths or min(integers) < 1:
-                raise DomainError(f"integer lengths must be positive, got {lengths}")
-            lengths = integers
-            if not kraft_integer_ok(lengths, self.arity):
-                raise KraftViolationError(f"Kraft sum exceeds 1 for {lengths}")
-        else:
-            lengths = tuple(float(l) for l in lengths)
-            if any(not (l > 0.0) for l in lengths):
-                raise DomainError(f"lengths must be positive, got {lengths}")
-            if _kraft_sum_raw(lengths, self.arity) > 1.0 + KRAFT_TOL:
-                raise KraftViolationError("Kraft sum exceeds 1")
-        object.__setattr__(self, "lengths", lengths)
+        try:
+            integers = tuple(map(int, lengths))
+        except (ValueError, OverflowError):  # NaN, inf
+            raise DomainError(f"lengths must be finite integers, got {lengths}") from None
+        if integers != lengths or min(integers) < 1:
+            raise DomainError(f"lengths must be positive integers, got {lengths}")
+        if not kraft_integer_ok(integers, self.arity):
+            raise KraftViolationError(f"Kraft sum exceeds 1 for {integers}")
+        object.__setattr__(self, "lengths", integers)
 
     @property
     def m(self) -> int:
@@ -145,7 +135,7 @@ class PrefixCode:
             raise DomainError("codeword digits are single characters; arity must be <= 10")
         digits = set("0123456789"[: self.lengths.arity])
         for w, l in zip(codewords, self.lengths.lengths):
-            if len(w) != int(l):
+            if len(w) != l:
                 raise DomainError(f"codeword {w!r} does not match length {l}")
             if not set(w) <= digits:
                 raise DomainError(f"codeword {w!r} uses digits outside arity {self.lengths.arity}")
@@ -229,12 +219,8 @@ def binary_divergence(p: float, m: float) -> float:
 
 
 def kraft_sum(lengths: CodeLengths) -> float:
-    """Sum of D^(-l_i) over the length vector."""
-    return _kraft_sum_raw(lengths.lengths, lengths.arity)
-
-
-def _kraft_sum_raw(lengths: Iterable[float], arity: int) -> float:
-    return float(sum(float(arity) ** (-float(l)) for l in lengths))
+    """Sum of D^(-l_i) over the length vector, in floats: the figure the CLI reports."""
+    return float(sum(float(lengths.arity) ** (-float(l)) for l in lengths.lengths))
 
 
 def kraft_integer_ok(lengths: Sequence[int], arity: int) -> bool:

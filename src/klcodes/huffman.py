@@ -56,12 +56,9 @@ from .core import (
     _check_beta,
     _check_weights,
     ceil_log_inv,
-    kraft_integer_ok,
 )
 from .errors import (
     AllZeroWeightsError,
-    DomainError,
-    KraftViolationError,
     LimitExceededError,
     NonFiniteWeightError,
     TooFewSymbolsError,
@@ -166,7 +163,7 @@ def _certifies_exponential(log_weights: list[float], beta: float, arity: int,
     _check_beta(beta)
     arity = _check_arity(arity)
     depths = lengths.lengths
-    if not lengths.is_integer or lengths.arity != arity or len(depths) != len(log_weights):
+    if lengths.arity != arity or len(depths) != len(log_weights):
         return False
     # the sum is finite only if every weight is (nan or inf otherwise)
     if not math.isfinite(sum(log_weights)):
@@ -269,20 +266,17 @@ def shannon_lengths(mu: Distribution, arity: int = 2) -> CodeLengths:
 
 
 def canonical_codewords(lengths: CodeLengths) -> PrefixCode:
-    """Canonical prefix code for integer lengths with Kraft sum <= 1.
+    """Canonical prefix code for the lengths, which CodeLengths has checked.
 
-    Symbols are processed by (length, input position) and codewords assigned
+    A vector corrupted past that check spells colliding codewords, which
+    PrefixCode rejects with DomainError.  Symbols are processed by (length, input position) and codewords assigned
     in counting order; the result is returned in input order.  Digits are
     single characters, so an arity above 10 raises LimitExceededError.
     """
-    if not lengths.is_integer:
-        raise DomainError("canonical codewords need integer lengths")
-    ls = [int(l) for l in lengths.lengths]
+    ls = lengths.lengths
     arity = lengths.arity
     if arity > 10:
         raise LimitExceededError("codeword digits are single characters; arity must be <= 10")
-    if not kraft_integer_ok(ls, arity):
-        raise KraftViolationError(f"Kraft sum exceeds 1 for {ls}")
 
     digits = "0123456789"[:arity]
     words: list[str] = [""] * len(ls)

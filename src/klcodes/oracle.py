@@ -31,7 +31,9 @@ tests also use to price the Huffman builders' codes.  The entry points
 check their inputs as the builders do: the arity through
 core._check_arity, weights through core._check_weights, beta through
 core._check_beta, and all-zero pointwise weights raise
-AllZeroWeightsError.
+AllZeroWeightsError.  An l_max so short that no code is enumerated
+(arity^l_max below the symbol count) raises DomainError, never an empty
+minimum.
 """
 
 from __future__ import annotations
@@ -332,7 +334,8 @@ def _min_over_codes(weights, arity: int, l_max: int | None, score) -> OracleRepo
     """The least score over every enumerated code, and every code within 1e-12 of it.
 
     Each code's sorted lengths go to the symbols in decreasing weight order
-    (sorted_assignment) before score sees them.
+    (sorted_assignment) before score sees them.  An l_max that admits no
+    code for m symbols (arity^l_max < m) raises DomainError.
     """
     arity = _check_arity(arity)
     m = len(weights)
@@ -340,6 +343,9 @@ def _min_over_codes(weights, arity: int, l_max: int | None, score) -> OracleRepo
         l_max = default_l_max(m, arity)
     scored = [(score(sorted_assignment(weights, vector)), vector)
               for vector in _enumerated(m, arity, l_max)]
+    if not scored:
+        raise DomainError(f"no code for m={m} symbols at arity {arity} "
+                          f"has every length <= l_max={l_max}")
     best = min(value for value, _ in scored)
     return OracleReport(
         optimum_value=best,

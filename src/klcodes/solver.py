@@ -405,6 +405,14 @@ def solve_avg_redundancy(
     reading lower by no more than the root tolerance moves one.  At or above
     the radius the hedged codes join the candidates, a heuristic for
     rootless optima (_hedged_codes).
+
+    A rooted code's two suprema sit at the same tilt nu on the shell, where
+    avg-red = (D(nu||mu) + <nu, log r>) / log D = gg + R / log D.  Below
+    min(-log m_D, r_max), m_D the largest mass of symbols whose log_D mu_i
+    share a fractional part (_rootless_radius), every code is rooted, so
+    this solve and solve_gg return the same code, their values R / log D
+    apart up to the root tolerance over log D: the paper's "sufficiently
+    small" ball, with its radius made explicit.
     """
     return _solve(ball, arity, tol, "avg-red", strict_boundary)
 
@@ -432,5 +440,9 @@ def solve_gg(
       at least min over beta of Psi(beta), the same expression minimised
       over codes, which exponential Huffman on mu^(beta+1) attains (Campbell
       1965).  That envelope is what the probes walk.
+    Below min(-log m_D, r_max) every code is rooted, and a rooted code's
+    avg-red supremum is its gg supremum plus R / log D, at the same tilt:
+    there solve_avg_redundancy returns this code, its value R / log D above
+    this one (solve_avg_redundancy and _rootless_radius say why).
     """
     return _solve(ball, arity, tol, "gg", strict_boundary)

@@ -74,7 +74,8 @@ def record(solve, ball, arity):
         return {"exc": type(exc).__name__}
     return {"value": r.achieved_utility, "regime": r.regime, "beta": r.beta,
             "lengths": list(r.lengths.lengths),
-            "repr": repr((r.lengths, r.beta, r.worst_case.probs, r.achieved_utility, r.regime)),
+            "repr": repr((r.lengths.lengths, r.lengths.arity, r.beta, r.worst_case.probs,
+                          r.achieved_utility, r.regime)),
             "probes": None if r.trace is None else repr(r.trace.probes)}
 
 

@@ -92,7 +92,7 @@ def test_code_pointwise_matches_library(capsys):
         payload = json.loads(out)
         ball = DivergenceBall(cli.load_distribution(instance(name)), 0.05)
         expected = robust_huffman_pointwise(ball)
-        assert payload["lengths"] == [int(l) for l in expected.lengths.lengths]
+        assert payload["lengths"] == list(expected.lengths.lengths)
         assert payload["achieved_utility"] == pytest.approx(expected.achieved_utility, abs=1e-15)
         assert payload["diagnostics"]["residuals"] == list(nml_distribution(ball).roots_residual)
 
@@ -573,6 +573,30 @@ def test_verify_lmax_below_one_exits_2(capsys, lmax):
     assert status == 2
     assert out == ""
     assert "lmax" in err
+
+
+@pytest.mark.parametrize("probs, radius, objective, lmax", [
+    ([0.6, 0.2, 0.1, 0.1], "0.05", "pointwise", 2),
+    ([0.6, 0.2, 0.1, 0.1], "0.05", "gg", 2),
+    ([0.6, 0.2, 0.1, 0.1], "0.05", "avg-red", 2),
+    ([0.5, 0.3, 0.2], "0.1", "gg", 1),
+    ([0.5, 0.3, 0.2], "0.1", "pointwise", 1),
+], ids=["m4_pointwise", "m4_gg", "m4_avg_red", "m3_gg_no_code", "m3_pointwise_no_code"])
+def test_verify_lmax_below_the_reported_code_exits_2(capsys, tmp_path, probs, radius, objective,
+                                                     lmax):
+    # an oracle capped below the longest reported codeword never meets the
+    # reported code: a correct report read as FAIL (exit 5), or, when the cap
+    # admits no code at all, the empty minimum crashed; one more length passes
+    path = tmp_path / "centre.json"
+    path.write_text(json.dumps({"probs": probs}))
+    argv = ["verify", str(path), "--objective", objective, "--radius", radius, "--samples", "200"]
+    status, out, err = run(capsys, argv + ["--lmax", str(lmax)])
+    assert status == 2
+    assert out == ""
+    assert f"--lmax {lmax} is below the reported code's longest codeword ({lmax + 1})" in err
+    status, out, _ = run(capsys, argv + ["--lmax", str(lmax + 1)])
+    assert status == 0
+    assert "oracle_" in out
 
 
 def test_verify_negative_samples_exits_2(capsys):

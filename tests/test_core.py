@@ -28,7 +28,7 @@ from klcodes.errors import (
     TooFewSymbolsError,
     ZeroProbabilityError,
 )
-from klcodes.huffman import canonical_codewords, exponential_huffman_log, huffman, shannon_lengths
+from klcodes.huffman import exponential_huffman_log, huffman, shannon_lengths
 from klcodes.nml import robust_shannon_pointwise
 from klcodes.oracle import brute_binary_root, brute_min_over_codes
 from klcodes.solver import existence_threshold, solve_avg_redundancy
@@ -272,8 +272,7 @@ _L11 = CodeLengths((1, 1))
 @pytest.mark.parametrize("call, error", [
     (lambda: DivergenceBall(_MU3, -0.1), DomainError),
     (lambda: CodeLengths(()), DomainError),
-    (lambda: CodeLengths((1.0, 0.0), is_integer=False), DomainError),
-    (lambda: CodeLengths((0.5, 0.5), is_integer=False), KraftViolationError),
+    (lambda: CodeLengths((1.5, 1)), DomainError),
     (lambda: PrefixCode(("0",), _L11), DimensionMismatchError),
     (lambda: PrefixCode(("0", "1"), CodeLengths((1, 1), arity=11)), DomainError),
     (lambda: PrefixCode(("0", "10"), _L11), DomainError),
@@ -287,7 +286,6 @@ _L11 = CodeLengths((1, 1))
     (lambda: huffman([0.5, -0.1, 0.6]), DomainError),
     (lambda: exponential_huffman_log([0.0], 1.0), TooFewSymbolsError),
     (lambda: exponential_huffman_log([0.0, math.nan], 1.0), NonFiniteWeightError),
-    (lambda: canonical_codewords(CodeLengths((1.0, 1.0), is_integer=False)), DomainError),
     (lambda: brute_min_over_codes("linear_cost"), DomainError),
     (lambda: brute_min_over_codes("avg-red"), DomainError),
     (lambda: brute_min_over_codes("exp_cost", weights=[0.5, 0.5]), DomainError),
@@ -297,12 +295,12 @@ _L11 = CodeLengths((1, 1))
     (lambda: avg_redundancy(_L11, _MU3), DimensionMismatchError),
     (lambda: gg_utility(_L11, _MU3, _MU3), DimensionMismatchError),
 ], ids=[
-    "ball_negative_radius", "lengths_empty", "real_length_zero", "real_kraft_above_1",
+    "ball_negative_radius", "lengths_empty", "lengths_fractional",
     "prefix_count", "prefix_arity_above_10", "prefix_length", "prefix_digit",
     "binary_divergence_p", "pinsker_upper_m", "ceil_log_inv_zero", "ceil_log_inv_above_1",
     "brute_binary_root_m", "huffman_one_weight", "huffman_negative_weight",
     "exponential_huffman_log_one_weight", "exponential_huffman_log_nan",
-    "canonical_codewords_real", "brute_min_no_weights", "brute_min_no_ball",
+    "brute_min_no_weights", "brute_min_no_ball",
     "brute_min_exp_cost_no_beta", "existence_threshold_zero_entry",
     "solve_avg_redundancy_zero_radius_zero_entry", "nu_circ_dimension",
     "avg_redundancy_dimension", "gg_utility_dimension",

@@ -17,7 +17,6 @@ from klcodes.errors import (
     AllZeroWeightsError,
     ArityTooSmallError,
     DomainError,
-    KraftViolationError,
     NonFiniteWeightError,
     ZeroProbabilityError,
 )
@@ -214,12 +213,10 @@ def test_shannon_lengths_kraft_randomized():
         m = int(rng.integers(2, 12))
         mu = validate_distribution(rng.dirichlet(np.ones(m)))
         lengths = shannon_lengths(mu)
-        assert kraft_integer_ok([int(l) for l in lengths.lengths], 2)
+        assert kraft_integer_ok(lengths.lengths, 2)
 
 
 def test_canonical_codewords_examples():
-    from klcodes.core import CodeLengths
-
     assert canonical_codewords(CodeLengths((1, 2, 2))).codewords == ("0", "10", "11")
     assert canonical_codewords(CodeLengths((2, 2, 2, 2))).codewords == ("00", "01", "10", "11")
     code = canonical_codewords(CodeLengths((1, 2, 3)))
@@ -228,12 +225,14 @@ def test_canonical_codewords_examples():
 
 
 def test_canonical_codewords_rejects_violation():
-    from klcodes.core import CodeLengths
-
-    lengths = CodeLengths((1, 2, 2), arity=2)
-    object.__setattr__(lengths, "lengths", (1, 1, 2))  # corrupt past validation
-    with pytest.raises(KraftViolationError):
-        canonical_codewords(lengths)
+    # CodeLengths is the one Kraft check; a vector corrupted past it spells
+    # colliding codewords, which PrefixCode rejects
+    for arity, corrupt in ((2, (1, 1, 2)), (2, (1, 1, 1)), (2, (1, 2, 2, 2)), (2, (2, 2, 2, 2, 2)),
+                           (3, (1, 1, 1, 1)), (3, (1, 1, 2, 2, 2, 2)), (3, (2,) * 10)):
+        lengths = CodeLengths((1,) * arity, arity=arity)
+        object.__setattr__(lengths, "lengths", corrupt)
+        with pytest.raises(DomainError):
+            canonical_codewords(lengths)
 
 
 def test_default_l_max_covers_worst_depth():

@@ -231,10 +231,21 @@ BALL = DivergenceBall(validate_distribution(WEIGHTS), 0.1)
     (lambda: brute_min_over_codes("pointwise", weights=(0.0, 0.0, 0.0)), AllZeroWeightsError),
     (lambda: brute_min_over_codes("foo", weights=WEIGHTS), DomainError),
     (lambda: weight_cost("pointwise", WEIGHTS, CodeLengths((1,))), DimensionMismatchError),
+    # an l_max that admits no code: 2^1 < 3 and 3^1 < 4 codewords
+    (lambda: brute_min_over_codes("linear_cost", weights=WEIGHTS, l_max=1), DomainError),
+    (lambda: brute_min_over_codes("pointwise", weights=(0.4, 0.3, 0.2, 0.1), arity=3, l_max=1),
+     DomainError),
+    (lambda: brute_min_over_codes("gg", ball=BALL, l_max=1), DomainError),
+    (lambda: brute_min_over_codes("avg-red", ball=BALL, l_max=1, samples=[BALL.center]),
+     DomainError),
+    (lambda: exact_min_over_codes("avg-red", BALL, l_max=1), DomainError),
+    (lambda: exact_min_over_codes("gg", BALL, l_max=1), DomainError),
 ], ids=["beta_nan", "beta_inf", "arity_1_weights", "arity_1_sampled", "arity_1_sampled_l_max",
         "arity_1_given_samples", "arity_1_exact", "arity_1_exact_l_max", "arity_1_ball_sample",
         "arity_1_ball_sample_l_max", "float_arity_weights", "float_arity_exact", "nan_weight",
-        "negative_weight", "all_zero_pointwise", "unknown_utility", "weight_cost_sizes"])
+        "negative_weight", "all_zero_pointwise", "unknown_utility", "weight_cost_sizes",
+        "no_code_linear_cost", "no_code_pointwise_arity_3", "no_code_sampled_gg",
+        "no_code_sampled_avg_red", "no_code_exact_avg_red", "no_code_exact_gg"])
 def test_oracle_entry_points_check_their_inputs(call, error):
     # the exact class: a bare ZeroDivisionError or ValueError, or a NaN
     # optimum with an empty optimal set, would hide which input was bad

@@ -257,6 +257,41 @@ def test_gg_and_avg_red_codes_agree_in_small_balls(arity, low, high):
             assert solve_gg(ball, arity).lengths == solve_avg_redundancy(ball, arity).lengths
 
 
+def test_avg_red_is_gg_plus_radius_below_the_rootless_radius():
+    # below min(-log m_D, r_max) every code keeps its tilt root, and at a
+    # root nu both suprema sit at the same tilt, where avg-red - gg is
+    # D(nu||mu) / log D exactly.  So the two solves return one code, and
+    # avg-red - gg - R / log D is (D(nu||mu) - R) / log D: within the root
+    # tolerance 1e-12 over log D, plus rounding.  The divergence and the two
+    # values are each a float sum of M terms whose sizes add up to at most
+    # S = l_max log D + log M - log min mu nats, so each is off by about
+    # M eps S at most (Higham 2002, 4.2), 4 M eps S with each term's own
+    # log and product.  A rounding tie between two codes holds within
+    # twice that, one offset per code.
+    from klcodes import solver
+
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        m, arity = int(rng.integers(3, 33)), int(rng.integers(2, 10))
+        p = np.maximum(rng.dirichlet(np.ones(m)), 1e-4)
+        mu = validate_distribution((p / p.sum()).tolist())
+        gate = min(solver._rootless_radius(mu, arity), existence_threshold(mu, arity)[0])
+        radius = float(rng.uniform(0.01, 0.999)) * gate
+        ball = DivergenceBall(mu, radius)
+        avg, gg = solve_avg_redundancy(ball, arity), solve_gg(ball, arity)
+        log_d = math.log(arity)
+        longest = max(avg.lengths.lengths + gg.lengths.lengths)
+        size = longest * log_d + math.log(m) - math.log(min(mu.probs))
+        bound = (1e-12 + 4 * m * 2.0**-53 * size) / log_d
+        assert avg.regime == gg.regime == "interior" and avg.beta and gg.beta
+        if avg.lengths != gg.lengths:
+            for objective, code, value in (("gg", avg.lengths, gg.achieved_utility),
+                                           ("avg-red", gg.lengths, avg.achieved_utility)):
+                other = solver._candidate_sup(objective, mu, radius, code, 1e-12)[0]
+                assert abs(other - value) <= 2 * bound, (m, arity, radius)
+        assert abs(avg.achieved_utility - gg.achieved_utility - radius / log_d) <= bound, (m, arity)
+
+
 def test_regime_consistency():
     r_max, _, _ = existence_threshold(SKEWED, 2)
     for radius, expected in ((0.0, "zero_radius"), (r_max * 0.5, "interior"),

@@ -38,14 +38,6 @@ SKEWED = validate_distribution([0.6, 0.3, 0.1])
 L122 = CodeLengths((1, 2, 2), arity=2)
 
 
-def ideal_lengths(mu: Distribution, arity: int = 2) -> CodeLengths:
-    return CodeLengths(
-        tuple(-math.log(p) / math.log(arity) for p in mu.probs),
-        arity=arity,
-        is_integer=False,
-    )
-
-
 def random_distribution(rng, m):
     return Distribution(tuple(rng.dirichlet(np.ones(m))))
 
@@ -60,10 +52,16 @@ def random_lengths(rng, m, arity=2):
 
 
 def test_nu_circ_fixed_point_at_ideal_lengths():
-    for beta in (0.2, 1.0, 10.0, 500.0):
-        point = nu_circ(SKEWED, ideal_lengths(SKEWED), beta)
-        assert point.divergence_from_center == pytest.approx(0.0, abs=1e-12)
-        assert point.distribution.probs == pytest.approx(SKEWED.probs, abs=1e-12)
+    # centres whose ideal lengths -log_D mu_i are integers: the ratios
+    # mu_i D^l_i are all 1, so every tilt of mu is mu itself
+    for mu, lengths in (
+        (Distribution((0.5, 0.25, 0.25)), CodeLengths((1, 2, 2), arity=2)),
+        (Distribution((1 / 3, 1 / 3, 1 / 3)), CodeLengths((1, 1, 1), arity=3)),
+    ):
+        for beta in (0.2, 1.0, 10.0, 500.0):
+            point = nu_circ(mu, lengths, beta)
+            assert point.divergence_from_center == pytest.approx(0.0, abs=1e-12)
+            assert point.distribution.probs == pytest.approx(mu.probs, abs=1e-12)
 
 
 def test_nu_circ_beta_one_frozen():
