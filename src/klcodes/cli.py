@@ -441,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="longest codeword the oracle enumerates (1 to 10)")
     verify.add_argument("--samples", type=_at_least(int, 0, "samples"), default=20000,
                         help="interior points of the oracle's ball sample")
-    verify.add_argument("--seed", type=int, default=0, help="seed of the ball sample")
+    verify.add_argument("--seed", type=_at_least(int, 0, "seed"), default=0,
+                        help="seed of the ball sample")
     verify.add_argument("--result", default=None,
                         help="previously emitted JSON report to re-verify")
     return parser

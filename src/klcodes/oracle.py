@@ -14,10 +14,16 @@ supremum, solver._candidate_sup (its docstring says why).
 For the same reason the bisection loops here (the ball crossings of
 ball_sample and brute_binary_root) stay written out rather than calling the
 root finders of tilted and nml.  They share only the divergence formulas of
-core.  Their tie rules also differ on purpose: a segment crossing moves its
+core.  The segment crossings toward the vertices and the random simplex
+points run as one batched bisection (_shell_crossings) with the scalar
+loop's midpoint, tie rule and stop width, so every segment takes the same
+44 halvings and stops where a loop per segment would; the edge crossings
+stay scalar.  The tie rules differ on purpose: a segment crossing moves its
 inside end when the divergence equals the radius, the edge crossings move
 the outside end.  A shared loop would have to pick one rule, which moves
 sampled points and with them every oracle figure built on the samples.
+ball_sample roots each enumerated code once: the list it returns carries
+each rooted code's analytic point, and the sampled oracles read it there.
 
 Enumeration yields non-decreasing vectors only.  Assigning the sorted
 lengths to weight-sorted symbols (shortest to heaviest) is optimal for
@@ -138,6 +144,51 @@ def _analytic_worst(mu: Distribution, lengths: CodeLengths, radius: float) -> Di
     return point.distribution if point is not None else nu_infinity(mu, lengths).distribution
 
 
+def _shell_crossings(p: np.ndarray, targets: np.ndarray, radius: float) -> list[Distribution]:
+    """Each target row if it is inside the ball, else where the segment toward it leaves.
+
+    The divergence along nu(t) = (1-t) p + t target is 0 at t=0 and convex,
+    so one bisection of t on [0, 1] finds the crossing; it runs for every
+    outside target at once.  Each step is the scalar loop's: the midpoint
+    0.5*(lo + hi), the inside end moving when the divergence is <= radius,
+    and the stop at width 1e-13.  Halvings of [0, 1] are exact, so every
+    segment stops after the same 44 steps (2^-44 < 1e-13 < 2^-43).  A row's
+    divergence sums the same terms in the same order as array_divergence:
+    the symbols p supports, plus an infinite term where a target puts mass
+    that p does not.
+    """
+    ends = np.array([array_divergence(target, p) for target in targets])
+    outside = ends > radius
+    far = targets[outside]
+    support = p > 0.0
+    q, toward = p[support], far[:, support]
+    leak = np.where(far[:, ~support].any(axis=1), math.inf, 0.0)
+    lo, hi = np.zeros(len(far)), np.ones(len(far))
+    for _ in range(44):
+        mid = 0.5 * (lo + hi)
+        blend = (1.0 - mid)[:, None] * q + mid[:, None] * toward
+        inside = np.sum(blend * np.log(blend / q), axis=1) + leak <= radius
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    blend = (1.0 - lo)[:, None] * p + lo[:, None] * far
+    points = targets.copy()
+    points[outside] = blend / blend.sum(axis=1, keepdims=True)
+    return [Distribution(tuple(point)) for point in points]
+
+
+class _Sample(list):
+    """ball_sample's points, carrying the analytic worst case of each code it rooted.
+
+    worst maps an assigned CodeLengths to _analytic_worst at ball, so a
+    _SampleTable over this sample and ball roots no code a second time.
+    """
+
+    def __init__(self, points, ball: DivergenceBall, worst: dict):
+        super().__init__(points)
+        self.ball = ball
+        self.worst = worst
+
+
 def ball_sample(
     ball: DivergenceBall,
     n_interior: int = 20000,
@@ -150,47 +201,33 @@ def ball_sample(
     Combines (a) Dirichlet draws kept when they land inside; (b) segments
     from the center toward each vertex and toward N_BOUNDARY random points
     of the simplex, each giving its end when that is inside and its
-    boundary crossing otherwise; (c) on each two-symbol edge of the simplex
-    whose centre (the center conditioned on those two symbols) is inside,
-    the boundary crossing from that centre toward each of its two vertices
-    that lies outside the ball, where the suprema of saturated codes
-    concentrate; and (d) the tilted worst-case point of every small
-    enumerable code, at the tilt whose divergence equals the radius when it
-    exists and at the family limit otherwise.  Every returned point carries
-    a recomputed divergence certificate.
+    boundary crossing otherwise, all crossings found by one batched
+    bisection (_shell_crossings) with the scalar loop's midpoint, tie rule
+    and stop, so every segment takes 44 steps; (c) on each two-symbol edge
+    of the simplex whose centre (the center conditioned on those two
+    symbols) is inside, the boundary crossing from that centre toward each
+    of its two vertices that lies outside the ball, where the suprema of
+    saturated codes concentrate; and (d) the tilted worst-case point of
+    every small enumerable code, at the tilt whose divergence equals the
+    radius when it exists and at the family limit otherwise.  Every
+    returned point carries a recomputed divergence certificate.  The
+    returned list also carries each rooted code's analytic point, which
+    brute_sup_over_ball and brute_min_over_codes read instead of rooting
+    that code again.  A negative n_interior or seed raises DomainError.
     """
     arity = _check_arity(arity)
+    if n_interior < 0:
+        raise DomainError(f"n_interior must be >= 0, got {n_interior}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     mu = ball.center
     radius = ball.radius
     if radius == 0.0:
         return [mu]
     p = mu.as_array()
     m = mu.m
-    out: list[Distribution] = [mu]
 
-    def segment_divergence(target: np.ndarray, t: float) -> float:
-        return array_divergence((1.0 - t) * p + t * target, p)
-
-    def crossing(target: np.ndarray) -> Distribution:
-        # divergence along nu(t) = (1-t) mu + t target is 0 at t=0, convex
-        end = segment_divergence(target, 1.0)
-        if end <= radius:
-            return Distribution(tuple(target))
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-13:
-            mid = 0.5 * (lo + hi)
-            if segment_divergence(target, mid) <= radius:
-                lo = mid
-            else:
-                hi = mid
-        blend = (1.0 - lo) * p + lo * target
-        return Distribution(tuple(blend / blend.sum()))
-
-    for k in range(m):
-        vertex = np.zeros(m)
-        vertex[k] = 1.0
-        out.append(crossing(vertex))
-
+    edges: list[Distribution] = []
     for j in range(m):
         for k in range(m):
             if j == k or p[j] == 0.0 or p[k] == 0.0:
@@ -209,11 +246,12 @@ def ball_sample(
                 edge = np.zeros(m)
                 edge[j] = 0.5 * (lo + hi)
                 edge[k] = 1.0 - edge[j]
-                out.append(Distribution(tuple(edge)))
+                edges.append(Distribution(tuple(edge)))
 
     rng = np.random.default_rng(seed)
-    for _ in range(N_BOUNDARY):
-        out.append(crossing(rng.dirichlet(np.ones(m))))
+    targets = np.vstack([np.eye(m)] + [rng.dirichlet(np.ones(m)) for _ in range(N_BOUNDARY)])
+    crossings = _shell_crossings(p, targets, radius)
+    out: list[Distribution] = [mu, *crossings[:m], *edges, *crossings[m:]]
 
     if n_interior > 0:
         draws = rng.dirichlet(np.ones(m), size=n_interior)
@@ -229,12 +267,14 @@ def ball_sample(
     # one root-find per code: stride over large enumerations (still a valid
     # lower-bound sample, just a sparser curve coverage)
     stride = max(1, len(codes) // 200)
+    worst: dict[CodeLengths, Distribution] = {}
     for sorted_lengths in codes[::stride]:
         lengths = CodeLengths(sorted_assignment(p, sorted_lengths), arity=arity)
-        out.append(_analytic_worst(mu, lengths, radius))
+        worst[lengths] = _analytic_worst(mu, lengths, radius)
+        out.append(worst[lengths])
 
     certified = [nu for nu in out if kl_divergence(nu, mu) <= radius + CERT_TOL]
-    return certified
+    return _Sample(certified, ball, worst)
 
 
 class _SampleTable:
@@ -248,9 +288,16 @@ class _SampleTable:
     def __init__(self, samples: list[Distribution], ball: DivergenceBall, utility: str, arity: int):
         if utility not in ("avg-red", "gg"):
             raise DomainError(f"unknown ball utility {utility!r}")
+        if not samples:
+            raise DomainError("the sample is empty")
+        self.matrix = np.array([nu.probs for nu in samples], dtype=float)
+        if self.matrix.shape[1] != ball.center.m:
+            raise DimensionMismatchError(
+                f"sample points over {self.matrix.shape[1]} symbols, a ball over {ball.center.m}")
         self.ball = ball
         self.utility = utility
-        self.matrix = np.array([nu.probs for nu in samples], dtype=float)
+        # the analytic points ball_sample found, when it sampled this ball
+        self.worst = samples.worst if isinstance(samples, _Sample) and samples.ball == ball else {}
         log_d = math.log(_check_arity(arity))
         if utility == "gg":
             self.shift = np.log(ball.center.as_array()) / log_d
@@ -266,14 +313,20 @@ class _SampleTable:
         """The code's largest value over the samples and its analytic worst case.
 
         The analytic point (its tilted point at the radius, else its limit)
-        is scored by tilted.objective_utility; at radius 0 the ball is its
-        centre and the samples alone decide.
+        is scored by tilted.objective_utility; it is rooted here only when
+        the sample did not root this code.  At radius 0 the ball is its
+        centre and the samples alone decide.  A length vector over another
+        number of symbols raises DimensionMismatchError.
         """
-        value = float(np.max(self.matrix @ (lengths.as_array() + self.shift) + self.offset))
         mu, radius = self.ball.center, self.ball.radius
+        if lengths.m != mu.m:
+            raise DimensionMismatchError(f"{lengths.m} lengths for a ball over {mu.m} symbols")
+        value = float(np.max(self.matrix @ (lengths.as_array() + self.shift) + self.offset))
         if radius == 0.0:
             return value
-        worst = _analytic_worst(mu, lengths, radius)
+        worst = self.worst.get(lengths)
+        if worst is None:
+            worst = _analytic_worst(mu, lengths, radius)
         return max(value, objective_utility(self.utility, lengths, worst, mu))
 
 
@@ -287,7 +340,9 @@ def brute_sup_over_ball(
 
     The analytic tilted point of this code (or its limit, exact for the
     linear GG objective) is scored too, so the bound is tight wherever the
-    tilted model applies.
+    tilted model applies.  An empty sample raises DomainError, and sample
+    points or lengths over another number of symbols than the ball
+    DimensionMismatchError.
     """
     return _SampleTable(samples, ball, utility, lengths.arity).sup(lengths)
 

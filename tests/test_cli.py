@@ -7,7 +7,9 @@ import re
 import pytest
 
 from klcodes import cli, oracle
+from klcodes.core import Distribution
 from klcodes.errors import NoConvergenceError
+from klcodes.solver import existence_threshold
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
@@ -765,3 +767,39 @@ def test_main_reuses_one_parser_with_a_fresh_parsers_outcomes(capsys):
     assert [status for status, _, _ in reused] == [2, 0, 0, 0]
     assert reused[1] == reused[3]
     assert reused[2][1].startswith("usage: klcodes code")
+
+
+@pytest.mark.parametrize("objective", ["avg-red", "gg"])
+def test_verify_roots_each_enumerated_code_once(capsys, tmp_path, monkeypatch, objective):
+    # the sampled oracle reads each code's analytic point from its sample:
+    # one tilted_root per enumerated code, and nothing carried to the next verify
+    calls = []
+    root = oracle.tilted_root
+    monkeypatch.setattr(oracle, "tilted_root", lambda *a: calls.append(a) or root(*a))
+    mu = Distribution((0.4, 0.3, 0.2, 0.1))
+    path = tmp_path / "centre.json"
+    path.write_text(json.dumps({"probs": list(mu.probs)}))
+    radius = repr(0.5 * existence_threshold(mu)[0])
+    codes = len(list(oracle.enumerate_kraft_lengths(4, 2, oracle.default_l_max(4, 2))))
+    assert codes == 22
+    for _ in range(2):
+        calls.clear()
+        status, out, _ = run(capsys, ["verify", str(path), "--objective", objective,
+                                      "--radius", radius, "--samples", "200"])
+        assert status == 0
+        assert "oracle_minimax" in out
+        assert len(calls) == codes
+
+
+@pytest.mark.parametrize("objective", ["avg-red", "gg", "pointwise"])
+def test_verify_negative_seed_exits_2(capsys, tmp_path, objective):
+    # rejected where the flag is parsed, at M=4 (where the oracle samples)
+    # and M=5 (where it does not) alike
+    path = tmp_path / "centre.json"
+    path.write_text(json.dumps({"probs": [0.3, 0.25, 0.2, 0.15, 0.1]}))
+    for source in (instance("mixed4.csv"), str(path)):
+        status, out, err = run(capsys, ["verify", source, "--objective", objective,
+                                        "--radius", "0.05", "--samples", "200", "--seed", "-1"])
+        assert status == 2
+        assert out == ""
+        assert "seed must be >= 0, got -1" in err

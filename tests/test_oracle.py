@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from klcodes.core import DivergenceBall, CodeLengths, kl_divergence, validate_distribution
+from klcodes import oracle
+from klcodes.core import (
+    CodeLengths,
+    Distribution,
+    DivergenceBall,
+    array_divergence,
+    kl_divergence,
+    validate_distribution,
+)
 from klcodes.errors import (
     AllZeroWeightsError,
     ArityTooSmallError,
@@ -24,6 +32,7 @@ from klcodes.oracle import (
     weight_cost,
 )
 from klcodes.solver import existence_threshold, solve_avg_redundancy, solve_gg
+from klcodes.tilted import tilted_root
 
 
 def test_enumerate_tiny_binary():
@@ -240,12 +249,23 @@ BALL = DivergenceBall(validate_distribution(WEIGHTS), 0.1)
      DomainError),
     (lambda: exact_min_over_codes("avg-red", BALL, l_max=1), DomainError),
     (lambda: exact_min_over_codes("gg", BALL, l_max=1), DomainError),
+    (lambda: ball_sample(BALL, -1), DomainError),
+    (lambda: ball_sample(BALL, 10, seed=-1), DomainError),
+    (lambda: brute_sup_over_ball(CodeLengths((1, 2, 3, 3)), BALL, "gg", [BALL.center]),
+     DimensionMismatchError),
+    (lambda: brute_sup_over_ball(CodeLengths((1, 2, 2)), BALL, "avg-red", []), DomainError),
+    (lambda: brute_min_over_codes("gg", ball=BALL, samples=[]), DomainError),
+    (lambda: brute_min_over_codes("avg-red", ball=BALL,
+                                  samples=[validate_distribution((0.5, 0.5))]),
+     DimensionMismatchError),
 ], ids=["beta_nan", "beta_inf", "arity_1_weights", "arity_1_sampled", "arity_1_sampled_l_max",
         "arity_1_given_samples", "arity_1_exact", "arity_1_exact_l_max", "arity_1_ball_sample",
         "arity_1_ball_sample_l_max", "float_arity_weights", "float_arity_exact", "nan_weight",
         "negative_weight", "all_zero_pointwise", "unknown_utility", "weight_cost_sizes",
         "no_code_linear_cost", "no_code_pointwise_arity_3", "no_code_sampled_gg",
-        "no_code_sampled_avg_red", "no_code_exact_avg_red", "no_code_exact_gg"])
+        "no_code_sampled_avg_red", "no_code_exact_avg_red", "no_code_exact_gg",
+        "negative_n_interior", "negative_seed", "sup_lengths_size", "sup_empty_sample",
+        "min_empty_sample", "sample_point_size"])
 def test_oracle_entry_points_check_their_inputs(call, error):
     # the exact class: a bare ZeroDivisionError or ValueError, or a NaN
     # optimum with an empty optimal set, would hide which input was bad
@@ -300,3 +320,85 @@ def test_all_zero_weights_make_every_code_optimal_under_linear_and_exponential_c
         report = brute_min_over_codes(utility, weights=(0.0, 0.0, 0.0), beta=beta)
         assert report.optimum_value == value
         assert len(report.optimal_length_vectors) == report.evaluations == 7
+
+
+def literal_crossings(p, targets, radius):
+    """The segment crossings as one scalar bisection per target: the reference."""
+    points = []
+    for target in targets:
+        def segment_divergence(t):
+            return array_divergence((1.0 - t) * p + t * target, p)
+
+        if segment_divergence(1.0) <= radius:
+            points.append(Distribution(tuple(target)))
+            continue
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            if segment_divergence(mid) <= radius:
+                lo = mid
+            else:
+                hi = mid
+        blend = (1.0 - lo) * p + lo * target
+        points.append(Distribution(tuple(blend / blend.sum())))
+    return points
+
+
+def test_batched_crossings_match_the_scalar_loop(monkeypatch):
+    # every point of the sample, crossings included, is repr-identical to
+    # the sample built with one scalar bisection per segment
+    rng = np.random.default_rng(47)
+    inside_vertices = 0
+    with np.errstate(divide="ignore"):
+        for m in range(2, 11):
+            for arity in (2, 3):
+                p = np.maximum(rng.dirichlet(np.full(m, rng.choice((0.4, 1.0)))), 1e-6)
+                mu = validate_distribution((p / p.sum()).tolist())
+                r_max = existence_threshold(mu, arity)[0]
+                # the shortest caps keep the codes' roots few; crossings ignore them
+                l_max = math.ceil(math.log(m) / math.log(arity)) + 1
+                for fraction in (0.05, 0.5, 1.0, 1.5):
+                    ball = DivergenceBall(mu, fraction * r_max)
+                    inside_vertices += sum(-math.log(q) <= ball.radius for q in mu.probs)
+                    seed = int(rng.integers(100))
+                    batched = ball_sample(ball, 20, seed=seed, arity=arity, l_max=l_max)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(oracle, "_shell_crossings", literal_crossings)
+                        literal = ball_sample(ball, 20, seed=seed, arity=arity, l_max=l_max)
+                    assert repr(list(batched)) == repr(literal), (m, arity, fraction)
+    # the early return of a vertex inside the ball is among the cases
+    assert inside_vertices > 0
+
+
+def test_batched_crossings_at_a_centre_with_zero_entries():
+    # a target with mass off the centre's support crosses at the centre
+    p = np.array([0.2, 0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+    targets = np.vstack([np.eye(10), np.random.default_rng(3).dirichlet(np.ones(10), size=4)])
+    with np.errstate(divide="ignore"):
+        for radius in (0.05, 0.3, 1.0, 3.0):
+            assert (repr(oracle._shell_crossings(p, targets, radius))
+                    == repr(literal_crossings(p, targets, radius)))
+
+
+def test_the_sample_roots_each_code_once(monkeypatch):
+    # the table reads the roots the sample found: scoring every enumerated
+    # code calls tilted_root no more, and a caller's plain list or another
+    # ball roots again and gives the same figures
+    calls = []
+    monkeypatch.setattr(oracle, "tilted_root", lambda *a: calls.append(a) or tilted_root(*a))
+    mu = validate_distribution([0.4, 0.3, 0.2, 0.1])
+    ball = DivergenceBall(mu, 0.5 * existence_threshold(mu)[0])
+    samples = ball_sample(ball, 200, seed=1)
+    codes = len(list(enumerate_kraft_lengths(4, 2, default_l_max(4, 2))))
+    assert len(calls) == codes
+    for utility in ("avg-red", "gg"):
+        carried = brute_min_over_codes(utility, ball=ball, samples=samples)
+        assert len(calls) == codes
+        assert carried == brute_min_over_codes(utility, ball=ball, samples=list(samples))
+        assert len(calls) == 2 * codes
+        del calls[codes:]
+    other = DivergenceBall(mu, 0.25 * existence_threshold(mu)[0])
+    lengths = CodeLengths((1, 2, 3, 3))
+    assert (brute_sup_over_ball(lengths, other, "gg", samples)
+            == brute_sup_over_ball(lengths, other, "gg", list(samples)))
+    assert len(calls) == codes + 2
