@@ -196,7 +196,8 @@ def kl_divergence(nu: Distribution, mu: Distribution) -> float:
 def array_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """sum_k p_k log(p_k / q_k) over p_k > 0, unchecked; kl_divergence validates."""
     nz = p > 0.0
-    return float(np.sum(p[nz] * np.log(p[nz] / q[nz])))
+    p = p[nz]
+    return float((p * np.log(p / q[nz])).sum())
 
 
 def pair_divergence(t: float, a: float, b: float) -> float:
@@ -304,7 +305,7 @@ def _check_tol(tol: float) -> None:
 def log_sum_exp(values: np.ndarray) -> float:
     """log(sum(exp(values))) with max subtraction; tolerates -inf entries."""
     values = np.asarray(values, dtype=float)
-    hi = np.max(values)
+    hi = values.max()
     if hi == -np.inf:
         return -np.inf
-    return float(hi + np.log(np.sum(np.exp(values - hi))))
+    return float(hi + np.log(np.exp(values - hi).sum()))

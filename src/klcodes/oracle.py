@@ -14,16 +14,23 @@ supremum, solver._candidate_sup (its docstring says why).
 For the same reason the bisection loops here (the ball crossings of
 ball_sample and brute_binary_root) stay written out rather than calling the
 root finders of tilted and nml.  They share only the divergence formulas of
-core.  The segment crossings toward the vertices and the random simplex
-points run as one batched bisection (_shell_crossings) with the scalar
-loop's midpoint, tie rule and stop width, so every segment takes the same
-44 halvings and stops where a loop per segment would; the edge crossings
-stay scalar.  The tie rules differ on purpose: a segment crossing moves its
-inside end when the divergence equals the radius, the edge crossings move
-the outside end.  A shared loop would have to pick one rule, which moves
-sampled points and with them every oracle figure built on the samples.
-ball_sample roots each enumerated code once: the list it returns carries
-each rooted code's analytic point, and the sampled oracles read it there.
+core.  The random simplex points are drawn by one rng.dirichlet call,
+which yields the same rows and leaves the generator where one call per
+point would.  The segment ends toward them and toward the vertices are
+tested inside the ball by one masked row sum (_divergences), and the
+crossings of the outside ones run as one batched bisection
+(_shell_crossings) with the scalar loop's midpoint, tie rule and stop
+width, so every segment takes the same 44 halvings and stops where a
+loop per segment would; the edge crossings stay scalar.  The tie rules
+differ on purpose: a segment crossing moves its inside end when the
+divergence equals the radius, the edge crossings move the outside end.
+A shared loop would have to pick one rule, which moves sampled points
+and with them every oracle figure built on the samples.  ball_sample
+keeps its points in one matrix: it stacks their stored probabilities
+once, certifies every row with one _divergences call, and the list it
+returns carries the certified matrix and each rooted code's analytic
+point.  The sampled oracles read both there, so they neither restack
+the points nor root a code a second time.
 
 Enumeration yields non-decreasing vectors only.  Assigning the sorted
 lengths to weight-sorted symbols (shortest to heaviest) is optimal for
@@ -56,9 +63,7 @@ from .core import (
     _check_arity,
     _check_beta,
     _check_weights,
-    array_divergence,
     binary_divergence,
-    kl_divergence,
     log_sum_exp,
     pair_divergence,
 )
@@ -144,21 +149,37 @@ def _analytic_worst(mu: Distribution, lengths: CodeLengths, radius: float) -> Di
     return point.distribution if point is not None else nu_infinity(mu, lengths).distribution
 
 
+def _divergences(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """array_divergence(row, p) of every row at once, +inf for a row with mass off p's support.
+
+    A row sums array_divergence's terms in its order, with a 0 for each
+    symbol the row does not carry.  Adding a zero leaves a partial sum as
+    it is, so the sum is array_divergence's to the bit for a row without
+    zeros, with at most two nonzero terms, or over fewer than 8 symbols
+    (from 8 terms on numpy sums in blocks, where a zero can shift the
+    others between blocks and move the last bit).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(rows > 0.0, rows * np.log(rows / p), 0.0)
+    return terms.sum(axis=1)
+
+
 def _shell_crossings(p: np.ndarray, targets: np.ndarray, radius: float) -> list[Distribution]:
     """Each target row if it is inside the ball, else where the segment toward it leaves.
 
-    The divergence along nu(t) = (1-t) p + t target is 0 at t=0 and convex,
-    so one bisection of t on [0, 1] finds the crossing; it runs for every
-    outside target at once.  Each step is the scalar loop's: the midpoint
-    0.5*(lo + hi), the inside end moving when the divergence is <= radius,
-    and the stop at width 1e-13.  Halvings of [0, 1] are exact, so every
-    segment stops after the same 44 steps (2^-44 < 1e-13 < 2^-43).  A row's
-    divergence sums the same terms in the same order as array_divergence:
-    the symbols p supports, plus an infinite term where a target puts mass
-    that p does not.
+    Whether a target is inside is one _divergences call over every row; a
+    vertex row has one nonzero term and a random target no zero, so each
+    is array_divergence's to the bit.  The divergence along nu(t) = (1-t) p
+    + t target is 0 at t=0 and convex, so one bisection of t on [0, 1]
+    finds the crossing; it runs for every outside target at once.  Each
+    step is the scalar loop's: the midpoint 0.5*(lo + hi), the inside end
+    moving when the divergence is <= radius, and the stop at width 1e-13.
+    Halvings of [0, 1] are exact, so every segment stops after the same 44
+    steps (2^-44 < 1e-13 < 2^-43).  A row's divergence sums the same terms
+    in the same order as array_divergence: the symbols p supports, plus an
+    infinite term where a target puts mass that p does not.
     """
-    ends = np.array([array_divergence(target, p) for target in targets])
-    outside = ends > radius
+    outside = _divergences(targets, p) > radius
     far = targets[outside]
     support = p > 0.0
     q, toward = p[support], far[:, support]
@@ -173,20 +194,24 @@ def _shell_crossings(p: np.ndarray, targets: np.ndarray, radius: float) -> list[
     blend = (1.0 - lo)[:, None] * p + lo[:, None] * far
     points = targets.copy()
     points[outside] = blend / blend.sum(axis=1, keepdims=True)
-    return [Distribution(tuple(point)) for point in points]
+    return [Distribution(tuple(point)) for point in points.tolist()]
 
 
 class _Sample(list):
-    """ball_sample's points, carrying the analytic worst case of each code it rooted.
+    """ball_sample's points, carrying their matrix and the analytic worst case of each rooted code.
 
-    worst maps an assigned CodeLengths to _analytic_worst at ball, so a
-    _SampleTable over this sample and ball roots no code a second time.
+    matrix stacks the points' stored probabilities, one row per point, as
+    ball_sample certified them.  worst maps an assigned CodeLengths to
+    _analytic_worst at ball.  A _SampleTable over this sample and ball
+    reads both, so it neither rebuilds the matrix nor roots a code a
+    second time.
     """
 
-    def __init__(self, points, ball: DivergenceBall, worst: dict):
+    def __init__(self, points, ball: DivergenceBall, worst: dict, matrix: np.ndarray):
         super().__init__(points)
         self.ball = ball
         self.worst = worst
+        self.matrix = matrix
 
 
 def ball_sample(
@@ -200,20 +225,25 @@ def ball_sample(
 
     Combines (a) Dirichlet draws kept when they land inside; (b) segments
     from the center toward each vertex and toward N_BOUNDARY random points
-    of the simplex, each giving its end when that is inside and its
-    boundary crossing otherwise, all crossings found by one batched
-    bisection (_shell_crossings) with the scalar loop's midpoint, tie rule
-    and stop, so every segment takes 44 steps; (c) on each two-symbol edge
+    of the simplex, drawn by one rng.dirichlet call, each giving its end
+    when that is inside and its boundary crossing otherwise, all ends
+    tested at once and all crossings found by one batched bisection
+    (_shell_crossings) with the scalar loop's midpoint, tie rule and stop,
+    so every segment takes 44 steps; (c) on each two-symbol edge
     of the simplex whose centre (the center conditioned on those two
     symbols) is inside, the boundary crossing from that centre toward each
     of its two vertices that lies outside the ball, where the suprema of
     saturated codes concentrate; and (d) the tilted worst-case point of
     every small enumerable code, at the tilt whose divergence equals the
     radius when it exists and at the family limit otherwise.  Every
-    returned point carries a recomputed divergence certificate.  The
-    returned list also carries each rooted code's analytic point, which
-    brute_sup_over_ball and brute_min_over_codes read instead of rooting
-    that code again.  A negative n_interior or seed raises DomainError.
+    returned point carries a recomputed divergence certificate: the
+    points' stored probabilities are stacked into one matrix, and one
+    vectorized divergence (_divergences, array_divergence's terms in its
+    order) keeps the rows within radius + CERT_TOL.  The returned list
+    also carries that certified matrix and each rooted code's analytic
+    point, which brute_sup_over_ball and brute_min_over_codes read
+    instead of stacking the points or rooting that code again.  A
+    negative n_interior or seed raises DomainError.
     """
     arity = _check_arity(arity)
     if n_interior < 0:
@@ -246,20 +276,17 @@ def ball_sample(
                 edge = np.zeros(m)
                 edge[j] = 0.5 * (lo + hi)
                 edge[k] = 1.0 - edge[j]
-                edges.append(Distribution(tuple(edge)))
+                edges.append(Distribution(tuple(edge.tolist())))
 
     rng = np.random.default_rng(seed)
-    targets = np.vstack([np.eye(m)] + [rng.dirichlet(np.ones(m)) for _ in range(N_BOUNDARY)])
+    targets = np.vstack([np.eye(m), rng.dirichlet(np.ones(m), size=N_BOUNDARY)])
     crossings = _shell_crossings(p, targets, radius)
     out: list[Distribution] = [mu, *crossings[:m], *edges, *crossings[m:]]
 
     if n_interior > 0:
         draws = rng.dirichlet(np.ones(m), size=n_interior)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(draws > 0.0, draws * np.log(draws / p), 0.0)
-        divergences = terms.sum(axis=1)
-        for row in draws[divergences <= radius]:
-            out.append(Distribution(tuple(row)))
+        inside = draws[_divergences(draws, p) <= radius]
+        out += [Distribution(tuple(row)) for row in inside.tolist()]
 
     if l_max is None:
         l_max = default_l_max(m, arity)
@@ -273,8 +300,9 @@ def ball_sample(
         worst[lengths] = _analytic_worst(mu, lengths, radius)
         out.append(worst[lengths])
 
-    certified = [nu for nu in out if kl_divergence(nu, mu) <= radius + CERT_TOL]
-    return _Sample(certified, ball, worst)
+    matrix = np.array([nu.probs for nu in out])
+    keep = _divergences(matrix, p) <= radius + CERT_TOL
+    return _Sample([nu for nu, kept in zip(out, keep.tolist()) if kept], ball, worst, matrix[keep])
 
 
 class _SampleTable:
@@ -282,7 +310,9 @@ class _SampleTable:
 
     utility is "avg-red" or "gg".  Row i of matrix @ (l + shift) + offset
     is a code's value at sample i: shift is log_D mu for gg and offset the
-    negative entropy of each sample for avg-red.
+    negative entropy of each sample for avg-red.  gg is scored on mu's
+    support: a sample inside the ball has no mass off it, so shift is 0
+    there rather than log 0, whose product with that zero mass is NaN.
     """
 
     def __init__(self, samples: list[Distribution], ball: DivergenceBall, utility: str, arity: int):
@@ -290,17 +320,20 @@ class _SampleTable:
             raise DomainError(f"unknown ball utility {utility!r}")
         if not samples:
             raise DomainError("the sample is empty")
-        self.matrix = np.array([nu.probs for nu in samples], dtype=float)
+        # the matrix and analytic points ball_sample found, when it sampled this ball
+        own = isinstance(samples, _Sample) and samples.ball == ball
+        self.matrix = samples.matrix if own else np.array([nu.probs for nu in samples], dtype=float)
         if self.matrix.shape[1] != ball.center.m:
             raise DimensionMismatchError(
                 f"sample points over {self.matrix.shape[1]} symbols, a ball over {ball.center.m}")
         self.ball = ball
         self.utility = utility
-        # the analytic points ball_sample found, when it sampled this ball
-        self.worst = samples.worst if isinstance(samples, _Sample) and samples.ball == ball else {}
+        self.worst = samples.worst if own else {}
         log_d = math.log(_check_arity(arity))
         if utility == "gg":
-            self.shift = np.log(ball.center.as_array()) / log_d
+            p = ball.center.as_array()
+            with np.errstate(divide="ignore"):
+                self.shift = np.where(p > 0.0, np.log(p), 0.0) / log_d
             self.offset = 0.0
         else:
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -63,6 +63,7 @@ from .tilted import (
     _own_root,
     _root_in_beta,
     _tilt,
+    _tilt_terms,
     _tilt_walk,
     exact_avg_sup,
     gg_utility,
@@ -147,7 +148,8 @@ def g_of_beta(
         lengths = met
     else:
         lengths = exponential_huffman_log(log_xi, beta, arity)
-    return _tilt(mu.as_array(), _log_ratios(mu, lengths), beta)[0], lengths
+    p = mu.as_array()
+    return _tilt(p, _tilt_terms(p, _log_ratios(mu, lengths)), beta)[0], lengths
 
 
 def _candidate_sup(

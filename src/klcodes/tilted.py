@@ -11,19 +11,23 @@ nondecreasing in beta, which is what makes it usable as the worst case
 inside a relative-entropy ball: the beta whose divergence equals the radius
 pins the adversary exactly.
 
-Two kernels serve the family on the support p > 0, both taking raw
-log-ratios: _tilt, the exact point and its divergence, and _tilt_walk,
-the closed form D(beta) = beta <nu, c> - log Z walked by Newton steps
-toward a target divergence.  _face_limit is the beta -> infinity end.
-nu_circ runs _tilt, nu_infinity runs _face_limit, and tilted_root feeds
-_tilt to the bracket search _root_in_beta (doubling, then Illinois
-regula falsi), which the solver runs with g_of_beta as its probe; there
-the bracket is refined at the last probe's own root (_own_root, a reader
-of the walk) where that lies inside it.  exact_avg_sup asks tilted_root
-only where _face_limit leaves a root possible.  Off the support log p is
--inf, so no mask is needed.  The walk never reports a point: its other
-reader is solver._reaches_above, which takes lower bounds from it to rule
-candidates out.
+Two kernels serve the family on the support p > 0: _tilt, the exact
+point and its divergence, and _tilt_walk, the closed form D(beta) =
+beta <nu, c> - log Z walked by Newton steps toward a target divergence.
+_tilt reads a code's beta-free terms, its log-ratios centred on their
+maximum and log p, from _tilt_terms; tilted_root takes them once per
+code and every tilt of its search reuses them, while nu_circ and the
+solver's probe g_of_beta, whose every tilt is of another code, take them
+once per tilt.  _tilt_walk takes the raw log-ratios.  _face_limit is the
+beta -> infinity end.  nu_circ runs _tilt, nu_infinity runs _face_limit,
+and tilted_root feeds _tilt to the bracket search _root_in_beta
+(doubling, then Illinois regula falsi), which the solver runs with
+g_of_beta as its probe; there the bracket is refined at the last probe's
+own root (_own_root, a reader of the walk) where that lies inside it.
+exact_avg_sup asks tilted_root only where _face_limit leaves a root
+possible.  Off the support log p is -inf, so no mask is needed.  The
+walk never reports a point: its other reader is solver._reaches_above,
+which takes lower bounds from it to rule candidates out.
 
 All exponentials are evaluated in log-domain with max subtraction, and
 each kernel centres the log-ratios on their maximum, since beta can be
@@ -86,23 +90,33 @@ def _log_ratios(mu: Distribution, lengths: CodeLengths) -> np.ndarray:
 def nu_circ(mu: Distribution, lengths: CodeLengths, beta: float) -> TiltedPoint:
     """Tilted distribution nu(beta)_i ∝ (mu_i/theta_i)^beta * mu_i."""
     _check_beta(beta)
-    divergence, raw = _tilt(mu.as_array(), _log_ratios(mu, lengths), beta)
+    p = mu.as_array()
+    divergence, raw = _tilt(p, _tilt_terms(p, _log_ratios(mu, lengths)), beta)
     return TiltedPoint(beta=float(beta), distribution=Distribution(tuple(raw.tolist())),
                        divergence_from_center=divergence)
 
 
-def _tilt(p: np.ndarray, log_r: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
+def _tilt_terms(p: np.ndarray, log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_tilt's beta-free terms: log r centred on its maximum, and log p (-inf off the support)."""
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    return log_r - log_r.max(), log_p
+
+
+def _tilt(p: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
+          beta: float) -> tuple[float, np.ndarray]:
     """Divergence from p of the tilt at beta, and its raw point.
 
-    log r is centred on its maximum first, so beta * centred stays at or
+    terms is _tilt_terms(p, log_r), taken once per code and reused at every
+    beta.  log r is centred on its maximum, so beta * centred stays at or
     below 0: uncentred, beta * log r is near 1e12 at beta near 1e12, and
     its rounding alone moves the divergence by about 1e-5.  The divergence
     is that of the point as Distribution would store it, renormalised by
     its fsum unless that is exactly 1.  The point lives on p's support, so
     kl_divergence's checks are moot.
     """
-    with np.errstate(divide="ignore"):
-        logw = beta * (log_r - np.max(log_r)) + np.log(p)
+    centred, log_p = terms
+    logw = beta * centred + log_p
     raw = np.exp(logw - log_sum_exp(logw))
     raw = raw / raw.sum()
     total = math.fsum(raw.tolist())
@@ -541,9 +555,10 @@ def tilted_root(
     log_r = _log_ratios(mu, lengths)
     if radius >= -math.log(_face_limit(p, log_r)[1]):
         return None
+    terms = _tilt_terms(p, log_r)
 
     def evaluate(beta: float):
-        divergence, raw = _tilt(p, log_r, beta)
+        divergence, raw = _tilt(p, terms, beta)
         return divergence, (beta, divergence, raw)
 
     root = _root_in_beta(evaluate, radius, tol)

@@ -14,9 +14,12 @@ each side and the after side's count of solves with a root outside
 and the oracle reports of grid O get one each: per code or oracle, the
 identical records, moved values and records whose value stayed but whose
 repr (witness, optimal codes or evaluation count) moved, then every moved
-record.  Last comes every record, of any grid, whose exception moved: the
-exception on each side, or the value and regime where that side returned
-(grid E and O records have no regime).
+record.  Both tables also count the records whose sample hash
+(sample_sha256, which grid O's sampled records carry) moved, and list
+such a record as moved even where its repr stayed.  Last comes every
+record, of any grid, whose exception moved: the exception on each side,
+or the value and regime where that side returned (grid E and O records
+have no regime).
 """
 
 import json
@@ -72,15 +75,18 @@ def repr_table(pairs, title):
     cells, moved = {}, []
     for a, b in pairs:
         cell = cells.setdefault(a["objective"], dict.fromkeys(
-            ("records", "identical", "values moved", "value kept, repr moved", "exception moved"), 0))
+            ("records", "identical", "values moved", "value kept, repr moved", "sample moved",
+             "exception moved"), 0))
         cell["records"] += 1
         if "exc" in a or "exc" in b:
             cell["identical" if a.get("exc") == b.get("exc") else "exception moved"] += 1
             continue
-        cell["identical"] += a["repr"] == b["repr"]
+        sample_moved = a.get("sample_sha256") != b.get("sample_sha256")
+        cell["identical"] += a["repr"] == b["repr"] and not sample_moved
         cell["values moved"] += a["value"] != b["value"]
         cell["value kept, repr moved"] += a["value"] == b["value"] and a["repr"] != b["repr"]
-        if a["repr"] != b["repr"]:
+        cell["sample moved"] += sample_moved
+        if a["repr"] != b["repr"] or sample_moved:
             moved.append((a, b))
     print(f"| {title} | " + " | ".join(next(iter(cells.values()))) + " |")
     print("|---" * (1 + len(next(iter(cells.values())))) + "|")

@@ -36,10 +36,13 @@ exp_cost at beta 0.5 and 2, and pointwise, and at 0, 0.3, 0.95 and
 1.3 x r_max both ball objectives run through exact_min_over_codes and
 through brute_min_over_codes on ball_sample(ball, n_interior=300,
 seed=seed).  A record keeps the optimum and the repr of the
-OracleReport.  Run it on two trees and compare the dumps with
-compare_grids.py.
+OracleReport, and each sampled record the sha256 of that sample's points
+stacked as one float64 matrix, so a change that moves any sampled bit
+shows even where the optimum does not.  Run it on two trees and compare
+the dumps with compare_grids.py.
 """
 
+import hashlib
 import json
 import math
 import sys
@@ -100,28 +103,40 @@ def sup_record(mu, lengths, radius):
     return {"value": value, "repr": repr((value, witness.probs))}
 
 
-def oracle_record(run):
+def oracle_record(run, sample_hash):
     try:
         report = run()
     except Exception as exc:
         return {"exc": type(exc).__name__}
-    return {"value": report.optimum_value, "repr": repr(report)}
+    out = {"value": report.optimum_value, "repr": repr(report)}
+    return out if sample_hash is None else {**out, "sample_sha256": sample_hash}
+
+
+def sample_sha256(samples):
+    """sha256 of the sample's points as one C-ordered float64 matrix."""
+    return hashlib.sha256(np.array([nu.probs for nu in samples], dtype=float).tobytes()).hexdigest()
 
 
 def oracle_runs(seed, mu, arity):
-    """(objective, f, call) for every oracle run on one centre; f is beta or the radius over r_max."""
+    """(objective, f, call, sample hash) for every oracle run on one centre.
+
+    f is beta or the radius over r_max; the sample hash is None for the
+    runs that use no ball sample.
+    """
     runs = [(utility, beta, partial(brute_min_over_codes, utility, weights=mu.probs,
-                                    arity=arity, beta=beta))
+                                    arity=arity, beta=beta), None)
             for utility, beta in (("linear_cost", None), ("exp_cost", 0.5), ("exp_cost", 2.0),
                                   ("pointwise", None))]
     r_max = existence_threshold(mu, arity)[0]
     for f in ORACLE_FRACTIONS:
         ball = DivergenceBall(mu, f * r_max)
         samples = ball_sample(ball, n_interior=300, seed=seed, arity=arity)
+        digest = sample_sha256(samples)
         for utility in ("avg-red", "gg"):
-            runs.append((f"exact {utility}", f, partial(exact_min_over_codes, utility, ball, arity)))
+            runs.append((f"exact {utility}", f, partial(exact_min_over_codes, utility, ball, arity),
+                         None))
             runs.append((f"sampled {utility}", f, partial(brute_min_over_codes, utility, ball=ball,
-                                                          arity=arity, samples=samples)))
+                                                          arity=arity, samples=samples), digest))
     return runs
 
 
@@ -197,10 +212,10 @@ def main(path):
                 rng = np.random.default_rng([seed, m, arity])
                 for alpha in (1.0, 0.3):
                     mu = centre(rng, m, alpha)
-                    for objective, f, run in oracle_runs(seed, mu, arity):
+                    for objective, f, run, digest in oracle_runs(seed, mu, arity):
                         out.append({"grid": "O", "seed": seed, "m": m, "alpha": alpha,
                                     "arity": arity, "f": f, "objective": objective,
-                                    **oracle_record(run)})
+                                    **oracle_record(run, digest)})
     with open(path, "w") as handle:
         json.dump(out, handle)
 

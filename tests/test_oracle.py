@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from klcodes.oracle import (
     sorted_assignment,
     weight_cost,
 )
-from klcodes.solver import existence_threshold, solve_avg_redundancy, solve_gg
+from klcodes.solver import _candidate_sup, existence_threshold, solve_avg_redundancy, solve_gg
 from klcodes.tilted import tilted_root
 
 
@@ -402,3 +403,55 @@ def test_the_sample_roots_each_code_once(monkeypatch):
     assert (brute_sup_over_ball(lengths, other, "gg", samples)
             == brute_sup_over_ball(lengths, other, "gg", list(samples)))
     assert len(calls) == codes + 2
+
+
+def test_the_certificate_drops_points_outside_the_ball(monkeypatch):
+    # each rooted code's analytic point moved just outside the shell: the
+    # one vectorized certificate drops every one of them, and the matrix
+    # the sample carries is its points' stored probabilities, row for row
+    mu = validate_distribution([0.4, 0.3, 0.2, 0.1])
+    ball = DivergenceBall(mu, 0.5 * existence_threshold(mu)[0])
+    kept = ball_sample(ball, 200, seed=1)
+    outside = []
+    analytic_worst = oracle._analytic_worst
+
+    def beyond(mu, lengths, radius):
+        point = tilted_root(mu, lengths, radius + 1e-9)
+        if point is None:
+            return analytic_worst(mu, lengths, radius)
+        outside.append(point.distribution)
+        return point.distribution
+
+    monkeypatch.setattr(oracle, "_analytic_worst", beyond)
+    sample = ball_sample(ball, 200, seed=1)
+    assert outside and all(kl_divergence(nu, mu) > ball.radius + oracle.CERT_TOL for nu in outside)
+    assert len(sample) == len(kept) - len(outside)
+    assert not any(nu in sample for nu in outside)
+    stacked = np.array([nu.probs for nu in sample])
+    assert sample.matrix.shape == stacked.shape and sample.matrix.tobytes() == stacked.tobytes()
+    table = oracle._SampleTable(sample, ball, "gg", 2)
+    assert table.matrix is sample.matrix
+
+
+def test_ball_sample_at_a_zero_entry_centre_is_silent_and_stays_on_the_support():
+    ball = DivergenceBall(Distribution((0.5, 0.3, 0.2, 0.0)), 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = ball_sample(ball)
+    assert all(nu.probs[3] == 0.0 for nu in sample)
+    assert not sample.matrix[:, 3].any()
+
+
+def test_sampled_gg_at_a_zero_entry_centre_is_finite_and_below_the_exact_optimum():
+    # log 0 off the support used to meet the samples' zero mass there as a NaN
+    ball = DivergenceBall(Distribution((0.5, 0.3, 0.2, 0.0)), 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sampled = brute_min_over_codes("gg", ball=ball)
+        exact = exact_min_over_codes("gg", ball)
+        lengths = CodeLengths((1, 2, 3, 3))
+        sup = brute_sup_over_ball(lengths, ball, "gg", ball_sample(ball))
+        exact_sup = _candidate_sup("gg", ball.center, ball.radius, lengths, 1e-12)[0]
+    assert math.isfinite(sampled.optimum_value)
+    assert sampled.optimum_value <= exact.optimum_value + 1e-12
+    assert math.isfinite(sup) and sup <= exact_sup + 1e-12

@@ -24,6 +24,7 @@ from klcodes.tilted import (
     _own_root,
     _root_in_beta,
     _tilt,
+    _tilt_terms,
     _tilt_walk,
     avg_redundancy,
     decomposition_terms,
@@ -1071,22 +1072,23 @@ def test_tilt_walk_first_divergence_matches_tilt():
                     log_r = _log_ratios(mu, g_of_beta(mu, 2, beta)[1])
                     walked = next(_tilt_walk(p, log_r, beta, 1.0))
                     assert walked[0] == beta
-                    assert abs(walked[1] - _tilt(p, log_r, beta)[0]) <= 1e-11
+                    assert abs(walked[1] - _tilt(p, _tilt_terms(p, log_r), beta)[0]) <= 1e-11
 
 
 def test_own_root_lands_in_its_window_or_reports_no_root():
     p = SKEWED.as_array()
     log_r = _log_ratios(SKEWED, L122)
+    terms = _tilt_terms(p, log_r)
     radius, tol = 0.05, 1e-9
-    beta = _own_root(p, log_r, 1.0, _tilt(p, log_r, 1.0)[0], radius, tol)
+    beta = _own_root(p, log_r, 1.0, _tilt(p, terms, 1.0)[0], radius, tol)
     assert beta is not None
     walked = next(_tilt_walk(p, log_r, beta, radius))[1]
     assert radius <= walked <= radius + 0.5 * tol
-    exact = _tilt(p, log_r, beta)[0]
+    exact = _tilt(p, terms, beta)[0]
     assert radius <= exact <= radius + tol
     # the limit divergence of (1, 2, 2) at SKEWED is -log 0.9, about 0.105
     radius = 0.2
-    assert _own_root(p, log_r, 1.0, _tilt(p, log_r, 1.0)[0], radius, tol) is None
+    assert _own_root(p, log_r, 1.0, _tilt(p, terms, 1.0)[0], radius, tol) is None
 
 
 def test_tilt_walk_stops_where_the_divergence_is_flat():
