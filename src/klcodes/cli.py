@@ -288,7 +288,7 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
             ball = DivergenceBall(mu, radius)
             samples = oracle.ball_sample(ball, n_interior=args.samples, seed=args.seed,
                                          arity=args.arity, l_max=args.lmax)
-            sup = oracle.brute_sup_over_ball(lengths, ball, args.objective, samples)
+            sup = oracle.brute_sup_over_ball(lengths, args.objective, samples)
             checks.add("sampled_dominance", sup <= payload["achieved_utility"] + 1e-6,
                        f"gap={_fmt(sup - payload['achieved_utility'])}")
             # boundary-regime average redundancy makes no minimaxity claim:
@@ -376,15 +376,20 @@ def run_verify(args) -> tuple[str, int]:
     return text, EXIT_OK if checks.all_ok else EXIT_VERIFY
 
 
-def _at_least(convert, low, name: str, finite: bool = False):
-    """An argparse type: the text through convert, at least low and finite if asked.
+def _in_range(convert, low, name: str, finite: bool = False, most=math.inf):
+    """An argparse type: the text through convert, at least low, finite if asked, at most most.
 
-    A value out of range raises CodingError, which main maps to exit 2;
-    text that convert rejects keeps argparse's "invalid float value" (or
-    int) message, since the type carries convert's name.
+    A value below low or infinite where finite is asked raises CodingError,
+    which main maps to exit 2; one above most is valid input beyond the
+    exact range and raises LimitExceededError, exit 6.  Text that convert
+    rejects keeps argparse's "invalid float value" (or int) message, since
+    the type carries convert's name.
     """
     def parse(text: str):
-        if (value := convert(text)) >= low and (value < math.inf or not finite):
+        value = convert(text)
+        if value > most:
+            raise LimitExceededError(f"{name} must be <= {most}, got {value}")
+        if value >= low and (value < math.inf or not finite):
             return value
         raise CodingError(f"{name} must be {'finite and ' if finite else ''}>= {low}, got {value}")
 
@@ -407,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("input", help="distribution file (JSON or CSV)")
-        p.add_argument("--arity", type=_at_least(int, 2, "arity"), default=2, help="code alphabet size D")
-        p.add_argument("--radius", type=_at_least(float, 0, "radius", finite=True), help="ball radius (nats)")
+        p.add_argument("--arity", type=_in_range(int, 2, "arity"), default=2, help="code alphabet size D")
+        p.add_argument("--radius", type=_in_range(float, 0, "radius", finite=True), help="ball radius (nats)")
         p.add_argument("--bits", action="store_true", help="radius is given in bits")
         p.add_argument("--allow-zero", action="store_true",
                        help="drop zero-probability symbols instead of rejecting")
@@ -416,9 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     def solve_options(p):
         p.add_argument("--objective", choices=OBJECTIVES, required=True,
                        help="what to optimise or report")
-        p.add_argument("--tv", type=_at_least(float, 0, "total variation", finite=True),
+        p.add_argument("--tv", type=_in_range(float, 0, "total variation", finite=True),
                        help="total variation for nml-tv")
-        p.add_argument("--tol", type=_at_least(float, 0, "tol"), default=1e-9,
+        p.add_argument("--tol", type=_in_range(float, 0, "tol"), default=1e-9,
                        help="tilt search tolerance (avg-red, gg) or Newton tolerance (nml-only)")
         p.add_argument("--strict-boundary", action="store_true",
                        help="error out instead of returning the boundary-regime code")
@@ -437,11 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run oracle cross-checks")
     common(verify)
     solve_options(verify)
-    verify.add_argument("--lmax", type=_at_least(int, 1, "lmax"), default=None,
-                        help="longest codeword the oracle enumerates (1 to 10)")
-    verify.add_argument("--samples", type=_at_least(int, 0, "samples"), default=20000,
+    verify.add_argument("--lmax", type=_in_range(int, 1, "lmax", most=oracle.ENUM_MAX_LEN),
+                        default=None, help="longest codeword the oracle enumerates (1 to 10)")
+    verify.add_argument("--samples", type=_in_range(int, 0, "samples"), default=20000,
                         help="interior points of the oracle's ball sample")
-    verify.add_argument("--seed", type=_at_least(int, 0, "seed"), default=0,
+    verify.add_argument("--seed", type=_in_range(int, 0, "seed"), default=0,
                         help="seed of the ball sample")
     verify.add_argument("--result", default=None,
                         help="previously emitted JSON report to re-verify")

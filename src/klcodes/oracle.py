@@ -25,18 +25,26 @@ loop per segment would; the edge crossings stay scalar.  The tie rules
 differ on purpose: a segment crossing moves its inside end when the
 divergence equals the radius, the edge crossings move the outside end.
 A shared loop would have to pick one rule, which moves sampled points
-and with them every oracle figure built on the samples.  ball_sample
-keeps its points in one matrix: it stacks their stored probabilities
-once, certifies every row with one _divergences call, and the list it
-returns carries the certified matrix and each rooted code's analytic
-point.  The sampled oracles read both there, so they neither restack
-the points nor root a code a second time.
+and with them every oracle figure built on the samples.
+
+ball_sample returns a BallSample: its ball, the certified points as the
+rows of one float64 matrix, and each rooted code's analytic point.  The
+crossings, edge crossings and interior draws go straight into the matrix,
+each row stored as Distribution would store it (_stored), so no point is
+built as a Distribution; one _divergences call certifies every row.  The
+sampled oracles score a sample through _ball_scorer, the twin of
+_weight_scorer, which reads the ball, the matrix and the analytic points
+there: no code is rooted a second time.  Anything but a BallSample, or a
+sample of another ball than the one an oracle is given, raises
+DomainError rather than being rescored.
 
 Enumeration yields non-decreasing vectors only.  Assigning the sorted
 lengths to weight-sorted symbols (shortest to heaviest) is optimal for
 every objective in this package: swapping a shorter length onto a larger
 weight never increases any of them, and for the ball objectives the
 swapped adversary needed by the exchange argument stays inside the ball.
+sorted_assignment is that rule; _assignment takes the weights' stable
+order once, so a call assigns every enumerated vector through one order.
 One loop, _min_over_codes, enumerates, assigns, scores and reports for
 every oracle over codes; only the score differs.  The weight objectives
 score through weight_cost, the one formula of each of them, which the
@@ -52,6 +60,7 @@ minimum.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,14 +142,17 @@ def _enumerated(m: int, arity: int, l_max: int) -> tuple[tuple[int, ...], ...]:
     return _ENUM_CACHE[key]
 
 
+def _assignment(weights):
+    """sorted_assignment for fixed weights: their stable decreasing order is taken once."""
+    order = np.argsort(-np.asarray(list(weights), dtype=float), kind="stable")
+    # rank[k] is the slot, in decreasing weight order, of symbol k
+    rank = np.argsort(order).tolist()
+    return lambda sorted_lengths: tuple(sorted_lengths[slot] for slot in rank)
+
+
 def sorted_assignment(weights, sorted_lengths) -> tuple[int, ...]:
     """Assign non-decreasing lengths to symbols in decreasing weight order."""
-    weights = np.asarray(list(weights), dtype=float)
-    order = np.argsort(-weights, kind="stable")
-    assigned = [0] * len(sorted_lengths)
-    for slot, length in zip(order, sorted_lengths):
-        assigned[slot] = length
-    return tuple(assigned)
+    return _assignment(weights)(sorted_lengths)
 
 
 def _analytic_worst(mu: Distribution, lengths: CodeLengths, radius: float) -> Distribution:
@@ -164,7 +176,13 @@ def _divergences(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _shell_crossings(p: np.ndarray, targets: np.ndarray, radius: float) -> list[Distribution]:
+def _stored(rows: np.ndarray) -> np.ndarray:
+    """Each row as Distribution stores it: divided by its math.fsum unless that is exactly 1."""
+    totals = np.array([math.fsum(row) for row in rows.tolist()]).reshape(-1, 1)
+    return np.where(totals == 1.0, rows, rows / totals)
+
+
+def _shell_crossings(p: np.ndarray, targets: np.ndarray, radius: float) -> np.ndarray:
     """Each target row if it is inside the ball, else where the segment toward it leaves.
 
     Whether a target is inside is one _divergences call over every row; a
@@ -177,7 +195,8 @@ def _shell_crossings(p: np.ndarray, targets: np.ndarray, radius: float) -> list[
     Halvings of [0, 1] are exact, so every segment stops after the same 44
     steps (2^-44 < 1e-13 < 2^-43).  A row's divergence sums the same terms
     in the same order as array_divergence: the symbols p supports, plus an
-    infinite term where a target puts mass that p does not.
+    infinite term where a target puts mass that p does not.  The rows come
+    back _stored.
     """
     outside = _divergences(targets, p) > radius
     far = targets[outside]
@@ -194,24 +213,38 @@ def _shell_crossings(p: np.ndarray, targets: np.ndarray, radius: float) -> list[
     blend = (1.0 - lo)[:, None] * p + lo[:, None] * far
     points = targets.copy()
     points[outside] = blend / blend.sum(axis=1, keepdims=True)
-    return [Distribution(tuple(point)) for point in points.tolist()]
+    return _stored(points)
 
 
-class _Sample(list):
-    """ball_sample's points, carrying their matrix and the analytic worst case of each rooted code.
+def _check_count(value, name: str) -> int:
+    """value as a Python int >= 0, through operator.index; DomainError otherwise."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise DomainError(f"{name} must be >= 0, got {value}")
+    return value
 
-    matrix stacks the points' stored probabilities, one row per point, as
-    ball_sample certified them.  worst maps an assigned CodeLengths to
-    _analytic_worst at ball.  A _SampleTable over this sample and ball
-    reads both, so it neither rebuilds the matrix nor roots a code a
-    second time.
+
+# eq=False: an ndarray field has no single truth value, so samples compare by identity
+@dataclass(frozen=True, eq=False)
+class BallSample:
+    """A certified sample of a divergence ball, as ball_sample returns it.
+
+    points holds one sampled distribution per row, each within
+    ball.radius + CERT_TOL of ball.center; len() is their count.  worst
+    maps each code ball_sample rooted (an assigned CodeLengths) to its
+    _analytic_worst at the ball, so the sampled oracles do not root it
+    again.
     """
 
-    def __init__(self, points, ball: DivergenceBall, worst: dict, matrix: np.ndarray):
-        super().__init__(points)
-        self.ball = ball
-        self.worst = worst
-        self.matrix = matrix
+    ball: DivergenceBall
+    points: np.ndarray
+    worst: dict[CodeLengths, Distribution]
+
+    def __len__(self) -> int:
+        return len(self.points)
 
 
 def ball_sample(
@@ -220,7 +253,7 @@ def ball_sample(
     seed: int = 0,
     arity: int = 2,
     l_max: int | None = None,
-) -> list[Distribution]:
+) -> BallSample:
     """Deterministic certified sample of the divergence ball.
 
     Combines (a) Dirichlet draws kept when they land inside; (b) segments
@@ -235,29 +268,25 @@ def ball_sample(
     of its two vertices that lies outside the ball, where the suprema of
     saturated codes concentrate; and (d) the tilted worst-case point of
     every small enumerable code, at the tilt whose divergence equals the
-    radius when it exists and at the family limit otherwise.  Every
-    returned point carries a recomputed divergence certificate: the
-    points' stored probabilities are stacked into one matrix, and one
-    vectorized divergence (_divergences, array_divergence's terms in its
-    order) keeps the rows within radius + CERT_TOL.  The returned list
-    also carries that certified matrix and each rooted code's analytic
-    point, which brute_sup_over_ball and brute_min_over_codes read
-    instead of stacking the points or rooting that code again.  A
-    negative n_interior or seed raises DomainError.
+    radius when it exists and at the family limit otherwise.  The center
+    comes first, then the vertex crossings, the edge crossings, the random
+    crossings, the draws and the analytic points, one row each of a matrix
+    in which (a)-(c) are _stored.  One vectorized divergence (_divergences,
+    array_divergence's terms in its order) certifies every row and keeps
+    those within radius + CERT_TOL.  An n_interior or seed that is not an
+    integer, or is negative, raises DomainError.
     """
     arity = _check_arity(arity)
-    if n_interior < 0:
-        raise DomainError(f"n_interior must be >= 0, got {n_interior}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    n_interior = _check_count(n_interior, "n_interior")
+    seed = _check_count(seed, "seed")
     mu = ball.center
     radius = ball.radius
-    if radius == 0.0:
-        return [mu]
     p = mu.as_array()
+    if radius == 0.0:
+        return BallSample(ball, p[None, :], {})
     m = mu.m
 
-    edges: list[Distribution] = []
+    edges = []
     for j in range(m):
         for k in range(m):
             if j == k or p[j] == 0.0 or p[k] == 0.0:
@@ -276,108 +305,86 @@ def ball_sample(
                 edge = np.zeros(m)
                 edge[j] = 0.5 * (lo + hi)
                 edge[k] = 1.0 - edge[j]
-                edges.append(Distribution(tuple(edge.tolist())))
+                edges.append(edge)
 
     rng = np.random.default_rng(seed)
     targets = np.vstack([np.eye(m), rng.dirichlet(np.ones(m), size=N_BOUNDARY)])
     crossings = _shell_crossings(p, targets, radius)
-    out: list[Distribution] = [mu, *crossings[:m], *edges, *crossings[m:]]
-
-    if n_interior > 0:
-        draws = rng.dirichlet(np.ones(m), size=n_interior)
-        inside = draws[_divergences(draws, p) <= radius]
-        out += [Distribution(tuple(row)) for row in inside.tolist()]
+    draws = rng.dirichlet(np.ones(m), size=n_interior)
+    inside = draws[_divergences(draws, p) <= radius]
 
     if l_max is None:
         l_max = default_l_max(m, arity)
     codes = _enumerated(m, arity, l_max)
+    assign = _assignment(p)
     # one root-find per code: stride over large enumerations (still a valid
     # lower-bound sample, just a sparser curve coverage)
     stride = max(1, len(codes) // 200)
     worst: dict[CodeLengths, Distribution] = {}
     for sorted_lengths in codes[::stride]:
-        lengths = CodeLengths(sorted_assignment(p, sorted_lengths), arity=arity)
+        lengths = CodeLengths(assign(sorted_lengths), arity=arity)
         worst[lengths] = _analytic_worst(mu, lengths, radius)
-        out.append(worst[lengths])
 
-    matrix = np.array([nu.probs for nu in out])
-    keep = _divergences(matrix, p) <= radius + CERT_TOL
-    return _Sample([nu for nu, kept in zip(out, keep.tolist()) if kept], ball, worst, matrix[keep])
+    points = np.vstack([p, crossings[:m], _stored(np.array(edges).reshape(-1, m)), crossings[m:],
+                        _stored(inside), *(nu.probs for nu in worst.values())])
+    return BallSample(ball, points[_divergences(points, p) <= radius + CERT_TOL], worst)
 
 
-class _SampleTable:
-    """A ball's sample list flattened to one matrix, so per-code suprema vectorize.
+def _ball_scorer(utility: str, sample: BallSample, arity: int):
+    """A code's largest value over the sample's points and its analytic worst case.
 
-    utility is "avg-red" or "gg".  Row i of matrix @ (l + shift) + offset
-    is a code's value at sample i: shift is log_D mu for gg and offset the
-    negative entropy of each sample for avg-red.  gg is scored on mu's
-    support: a sample inside the ball has no mass off it, so shift is 0
+    The twin of _weight_scorer for "avg-red" and "gg": the returned
+    function takes a CodeLengths.  Row i of points @ (l + shift) + offset
+    is a code's value at point i: shift is log_D mu for gg and offset the
+    negative entropy of each point for avg-red.  gg is scored on mu's
+    support: a point inside the ball has no mass off it, so shift is 0
     there rather than log 0, whose product with that zero mass is NaN.
+    The analytic point (the code's tilted point at the radius, else its
+    limit) is scored by tilted.objective_utility; it is rooted here only
+    when the sample did not root this code.  At radius 0 the ball is its
+    centre and the points alone decide.  A sample that is not a BallSample
+    raises DomainError, and a length vector over another number of symbols
+    than the ball DimensionMismatchError.
     """
+    if utility not in ("avg-red", "gg"):
+        raise DomainError(f"unknown ball utility {utility!r}")
+    log_d = math.log(_check_arity(arity))
+    if not isinstance(sample, BallSample):
+        raise DomainError(f"a sample must be ball_sample's BallSample, not {type(sample).__name__}")
+    mu, radius, points = sample.ball.center, sample.ball.radius, sample.points
+    if utility == "gg":
+        p = mu.as_array()
+        with np.errstate(divide="ignore"):
+            shift = np.where(p > 0.0, np.log(p), 0.0) / log_d
+        offset = 0.0
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = points * np.log(points)
+        plogp[points == 0.0] = 0.0
+        shift, offset = 0.0, plogp.sum(axis=1) / log_d
 
-    def __init__(self, samples: list[Distribution], ball: DivergenceBall, utility: str, arity: int):
-        if utility not in ("avg-red", "gg"):
-            raise DomainError(f"unknown ball utility {utility!r}")
-        if not samples:
-            raise DomainError("the sample is empty")
-        # the matrix and analytic points ball_sample found, when it sampled this ball
-        own = isinstance(samples, _Sample) and samples.ball == ball
-        self.matrix = samples.matrix if own else np.array([nu.probs for nu in samples], dtype=float)
-        if self.matrix.shape[1] != ball.center.m:
-            raise DimensionMismatchError(
-                f"sample points over {self.matrix.shape[1]} symbols, a ball over {ball.center.m}")
-        self.ball = ball
-        self.utility = utility
-        self.worst = samples.worst if own else {}
-        log_d = math.log(_check_arity(arity))
-        if utility == "gg":
-            p = ball.center.as_array()
-            with np.errstate(divide="ignore"):
-                self.shift = np.where(p > 0.0, np.log(p), 0.0) / log_d
-            self.offset = 0.0
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                plogp = self.matrix * np.log(self.matrix)
-            plogp[self.matrix == 0.0] = 0.0
-            self.shift = 0.0
-            self.offset = plogp.sum(axis=1) / log_d
-
-    def sup(self, lengths: CodeLengths) -> float:
-        """The code's largest value over the samples and its analytic worst case.
-
-        The analytic point (its tilted point at the radius, else its limit)
-        is scored by tilted.objective_utility; it is rooted here only when
-        the sample did not root this code.  At radius 0 the ball is its
-        centre and the samples alone decide.  A length vector over another
-        number of symbols raises DimensionMismatchError.
-        """
-        mu, radius = self.ball.center, self.ball.radius
+    def sup(lengths: CodeLengths) -> float:
         if lengths.m != mu.m:
             raise DimensionMismatchError(f"{lengths.m} lengths for a ball over {mu.m} symbols")
-        value = float(np.max(self.matrix @ (lengths.as_array() + self.shift) + self.offset))
+        value = float(np.max(points @ (lengths.as_array() + shift) + offset))
         if radius == 0.0:
             return value
-        worst = self.worst.get(lengths)
-        if worst is None:
-            worst = _analytic_worst(mu, lengths, radius)
-        return max(value, objective_utility(self.utility, lengths, worst, mu))
+        worst = sample.worst.get(lengths) or _analytic_worst(mu, lengths, radius)
+        return max(value, objective_utility(utility, lengths, worst, mu))
+
+    return sup
 
 
-def brute_sup_over_ball(
-    lengths: CodeLengths,
-    ball: DivergenceBall,
-    utility: str,
-    samples: list[Distribution],
-) -> float:
-    """Maximum of "avg-red" or "gg" over the given samples; a lower bound on the sup.
+def brute_sup_over_ball(lengths: CodeLengths, utility: str, sample: BallSample) -> float:
+    """Maximum of "avg-red" or "gg" over the sample's ball; a lower bound on the sup.
 
-    The analytic tilted point of this code (or its limit, exact for the
-    linear GG objective) is scored too, so the bound is tight wherever the
-    tilted model applies.  An empty sample raises DomainError, and sample
-    points or lengths over another number of symbols than the ball
-    DimensionMismatchError.
+    The sample's points are scored, and the analytic tilted point of this
+    code (or its limit, exact for the linear GG objective) too, so the
+    bound is tight wherever the tilted model applies.  A sample that is not
+    a BallSample raises DomainError, and lengths over another number of
+    symbols than the ball DimensionMismatchError.
     """
-    return _SampleTable(samples, ball, utility, lengths.arity).sup(lengths)
+    return _ball_scorer(utility, sample, lengths.arity)(lengths)
 
 
 def weight_cost(utility: str, weights, lengths: CodeLengths, beta: float | None = None) -> float:
@@ -422,15 +429,16 @@ def _min_over_codes(weights, arity: int, l_max: int | None, score) -> OracleRepo
     """The least score over every enumerated code, and every code within 1e-12 of it.
 
     Each code's sorted lengths go to the symbols in decreasing weight order
-    (sorted_assignment) before score sees them.  An l_max that admits no
-    code for m symbols (arity^l_max < m) raises DomainError.
+    (sorted_assignment, the weights' order taken once) before score sees
+    them.  An l_max that admits no code for m symbols (arity^l_max < m)
+    raises DomainError.
     """
     arity = _check_arity(arity)
     m = len(weights)
     if l_max is None:
         l_max = default_l_max(m, arity)
-    scored = [(score(sorted_assignment(weights, vector)), vector)
-              for vector in _enumerated(m, arity, l_max)]
+    assign = _assignment(weights)
+    scored = [(score(assign(vector)), vector) for vector in _enumerated(m, arity, l_max)]
     if not scored:
         raise DomainError(f"no code for m={m} symbols at arity {arity} "
                           f"has every length <= l_max={l_max}")
@@ -450,7 +458,7 @@ def brute_min_over_codes(
     arity: int = 2,
     l_max: int | None = None,
     beta: float | None = None,
-    samples: list[Distribution] | None = None,
+    samples: BallSample | None = None,
 ) -> OracleReport:
     """Exact minimum over all enumerated codes of the requested objective.
 
@@ -459,7 +467,8 @@ def brute_min_over_codes(
     weights and scored by weight_cost; or "avg-red" / "gg", taking a ball,
     whose inner supremum is the sampled-plus-analytic bound of
     brute_sup_over_ball over samples, ball_sample(ball) when none are
-    given.  Exponential costs are compared in log-domain.
+    given; samples of another ball raise DomainError.  Exponential costs
+    are compared in log-domain.
     """
     if utility not in ("avg-red", "gg"):
         return _min_over_codes(weights, arity, l_max, _weight_scorer(utility, weights, arity, beta))
@@ -467,9 +476,11 @@ def brute_min_over_codes(
         raise DomainError(f"{utility} needs a ball")
     if samples is None:
         samples = ball_sample(ball, arity=arity, l_max=l_max)
-    table = _SampleTable(samples, ball, utility, arity)
+    sup = _ball_scorer(utility, samples, arity)
+    if samples.ball != ball:
+        raise DomainError("the samples are of another ball than the one given")
     return _min_over_codes(ball.center.probs, arity, l_max,
-                           lambda assigned: table.sup(CodeLengths(assigned, arity=arity)))
+                           lambda assigned: sup(CodeLengths(assigned, arity=arity)))
 
 
 def exact_min_over_codes(

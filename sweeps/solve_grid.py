@@ -36,8 +36,8 @@ exp_cost at beta 0.5 and 2, and pointwise, and at 0, 0.3, 0.95 and
 1.3 x r_max both ball objectives run through exact_min_over_codes and
 through brute_min_over_codes on ball_sample(ball, n_interior=300,
 seed=seed).  A record keeps the optimum and the repr of the
-OracleReport, and each sampled record the sha256 of that sample's points
-stacked as one float64 matrix, so a change that moves any sampled bit
+OracleReport, and each sampled record the sha256 of that sample's points,
+its one float64 matrix, so a change that moves any sampled bit
 shows even where the optimum does not.  Run it on two trees and compare
 the dumps with compare_grids.py.
 """
@@ -112,9 +112,9 @@ def oracle_record(run, sample_hash):
     return out if sample_hash is None else {**out, "sample_sha256": sample_hash}
 
 
-def sample_sha256(samples):
-    """sha256 of the sample's points as one C-ordered float64 matrix."""
-    return hashlib.sha256(np.array([nu.probs for nu in samples], dtype=float).tobytes()).hexdigest()
+def sample_sha256(sample):
+    """sha256 of the sample's points, one C-ordered float64 matrix."""
+    return hashlib.sha256(sample.points.tobytes()).hexdigest()
 
 
 def oracle_runs(seed, mu, arity):

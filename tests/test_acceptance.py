@@ -181,7 +181,8 @@ def test_criterion_06_tilted_supremum():
         gap = abs(kl_divergence(result.worst_case, mu) - radius)
         if gap > 1e-9:
             failures.append(f"trial {trial}: divergence residual {gap}")
-        for nu in ball_sample(ball, n_interior=1000, seed=trial):
+        for row in ball_sample(ball, n_interior=1000, seed=trial).points.tolist():
+            nu = Distribution(tuple(row))
             if avg_redundancy(result.lengths, nu) > result.achieved_utility + 1e-6:
                 failures.append(f"trial {trial}: sample beats reported supremum")
                 break

@@ -577,6 +577,22 @@ def test_verify_lmax_below_one_exits_2(capsys, lmax):
     assert "lmax" in err
 
 
+@pytest.mark.parametrize("objective", cli.OBJECTIVES)
+@pytest.mark.parametrize("probs", [[0.4, 0.3, 0.2, 0.1], [0.3, 0.2, 0.15, 0.15, 0.1, 0.1]],
+                         ids=["m4", "m6"])
+def test_verify_lmax_above_ten_exits_6(capsys, tmp_path, objective, probs):
+    # beyond the enumerable range for every objective and alphabet, not only
+    # where an enumerating oracle runs: the range is declared with the flag
+    path = tmp_path / "centre.json"
+    path.write_text(json.dumps({"probs": probs}))
+    status, out, err = run(capsys, ["verify", str(path), "--objective", objective,
+                                    "--radius", "0.05", "--tv", "0.1", "--samples", "200",
+                                    "--lmax", str(oracle.ENUM_MAX_LEN + 1)])
+    assert status == 6
+    assert out == ""
+    assert f"lmax must be <= {oracle.ENUM_MAX_LEN}, got {oracle.ENUM_MAX_LEN + 1}" in err
+
+
 @pytest.mark.parametrize("probs, radius, objective, lmax", [
     ([0.6, 0.2, 0.1, 0.1], "0.05", "pointwise", 2),
     ([0.6, 0.2, 0.1, 0.1], "0.05", "gg", 2),

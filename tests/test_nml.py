@@ -183,9 +183,9 @@ def test_raw_dominates_ball_samples():
     mu = validate_distribution([0.5, 0.3, 0.2])
     ball = DivergenceBall(mu, 0.05)
     result = nml_distribution(ball)
-    for nu in ball_sample(ball, n_interior=2000, seed=71):
+    for row in ball_sample(ball, n_interior=2000, seed=71).points.tolist():
         for k in range(mu.m):
-            assert nu.probs[k] <= result.raw[k] + 1e-9
+            assert row[k] <= result.raw[k] + 1e-9
 
 
 def test_nml_tv_examples():

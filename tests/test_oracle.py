@@ -72,13 +72,13 @@ def test_sorted_assignment_matches_weight_order():
 
 def test_ball_sample_zero_radius():
     mu = validate_distribution([0.6, 0.4])
-    assert ball_sample(DivergenceBall(mu, 0.0)) == [mu]
+    assert ball_sample(DivergenceBall(mu, 0.0)).points.tolist() == [list(mu.probs)]
 
 
 def test_ball_sample_includes_reachable_vertices():
     mu = validate_distribution([0.5, 0.5])
     samples = ball_sample(DivergenceBall(mu, math.log(2)), n_interior=100, seed=4)
-    probs = {tuple(round(p, 9) for p in nu.probs) for nu in samples}
+    probs = {tuple(round(p, 9) for p in row) for row in samples.points.tolist()}
     assert (1.0, 0.0) in probs
     assert (0.0, 1.0) in probs
 
@@ -88,8 +88,8 @@ def test_ball_sample_certificates():
     ball = DivergenceBall(mu, 0.05)
     samples = ball_sample(ball, n_interior=2000, seed=8)
     assert len(samples) > 50
-    for nu in samples:
-        assert kl_divergence(nu, mu) <= 0.05 + 1e-10
+    for row in samples.points:
+        assert kl_divergence(Distribution(tuple(row)), mu) <= 0.05 + 1e-10
 
 
 def test_ball_sample_deterministic():
@@ -97,7 +97,42 @@ def test_ball_sample_deterministic():
     ball = DivergenceBall(mu, 0.1)
     one = ball_sample(ball, n_interior=500, seed=21)
     two = ball_sample(ball, n_interior=500, seed=21)
-    assert [nu.probs for nu in one] == [nu.probs for nu in two]
+    assert one.points.tolist() == two.points.tolist()
+
+
+def test_stored_rows_are_what_distribution_stores():
+    # a row divided by its math.fsum unless that is exactly 1, as the
+    # Distribution built from it stores it, bit for bit: random rows with
+    # and without zeros, and vertices, whose sum is exactly 1
+    rng = np.random.default_rng(59)
+    for m in range(2, 11):
+        rows = np.vstack([rng.dirichlet(np.full(m, alpha), size=1000) for alpha in (0.3, 1.0)])
+        rows[::7, rng.integers(m)] = 0.0
+        rows = np.vstack([rows / rows.sum(axis=1, keepdims=True), np.eye(m)])
+        stored = np.array([Distribution(tuple(row)).probs for row in rows.tolist()])
+        assert oracle._stored(rows).tobytes() == stored.tobytes(), m
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_sample_rows_are_distributions_inside_the_ball(arity):
+    # every row builds a Distribution within the certified radius, at
+    # centres with and without a zero entry; len() counts the rows
+    rng = np.random.default_rng([53, arity])
+    for m in range(2, 11):
+        p = np.maximum(rng.dirichlet(np.ones(m)), 1e-6)
+        centres = [validate_distribution((p / p.sum()).tolist())]
+        if m > 2:
+            p[rng.integers(m)] = 0.0
+            centres.append(Distribution(tuple((p / p.sum()).tolist())))
+        l_max = math.ceil(math.log(m) / math.log(arity)) + 1
+        for mu in centres:
+            for radius in (0.0, 0.05, 0.5, 2.0):
+                sample = ball_sample(DivergenceBall(mu, radius), 50, seed=m, arity=arity,
+                                     l_max=l_max)
+                assert len(sample) == sample.points.shape[0] > 0
+                for row in sample.points.tolist():
+                    nu = Distribution(tuple(row))
+                    assert kl_divergence(nu, mu) <= radius + oracle.CERT_TOL, (m, radius)
 
 
 def test_brute_min_linear_cost():
@@ -128,7 +163,7 @@ def test_brute_sup_zero_radius_is_center_value():
     lengths = CodeLengths((1, 2, 2))
     from klcodes.tilted import avg_redundancy
 
-    value = brute_sup_over_ball(lengths, ball, "avg-red", [mu])
+    value = brute_sup_over_ball(lengths, "avg-red", ball_sample(ball))
     assert value == pytest.approx(avg_redundancy(lengths, mu), abs=1e-15)
 
 
@@ -136,7 +171,8 @@ def test_brute_sup_zero_radius_is_center_value():
 def test_brute_sup_rejects_other_utilities(utility):
     mu = validate_distribution([0.6, 0.3, 0.1])
     with pytest.raises(DomainError):
-        brute_sup_over_ball(CodeLengths((1, 2, 2)), DivergenceBall(mu, 0.05), utility, [mu])
+        brute_sup_over_ball(CodeLengths((1, 2, 2)), utility,
+                            ball_sample(DivergenceBall(mu, 0.05), 10))
 
 
 def test_brute_sup_includes_analytic_point():
@@ -147,7 +183,7 @@ def test_brute_sup_includes_analytic_point():
     lengths = CodeLengths((1, 2, 2))
     point = tilted_root(mu, lengths, 0.05)
     analytic = avg_redundancy(lengths, point.distribution)
-    sup = brute_sup_over_ball(lengths, ball, "avg-red", ball_sample(ball, 2000, seed=5))
+    sup = brute_sup_over_ball(lengths, "avg-red", ball_sample(ball, 2000, seed=5))
     assert sup >= analytic - 1e-9
     assert sup <= analytic + 1e-6
 
@@ -227,7 +263,7 @@ BALL = DivergenceBall(validate_distribution(WEIGHTS), 0.1)
     (lambda: brute_min_over_codes("linear_cost", weights=WEIGHTS, arity=1), ArityTooSmallError),
     (lambda: brute_min_over_codes("gg", ball=BALL, arity=1), ArityTooSmallError),
     (lambda: brute_min_over_codes("gg", ball=BALL, arity=1, l_max=3), ArityTooSmallError),
-    (lambda: brute_min_over_codes("gg", ball=BALL, arity=1, samples=[BALL.center]),
+    (lambda: brute_min_over_codes("gg", ball=BALL, arity=1, samples=ball_sample(BALL, 10)),
      ArityTooSmallError),
     (lambda: exact_min_over_codes("avg-red", BALL, arity=1), ArityTooSmallError),
     (lambda: exact_min_over_codes("avg-red", BALL, arity=1, l_max=3), ArityTooSmallError),
@@ -246,18 +282,15 @@ BALL = DivergenceBall(validate_distribution(WEIGHTS), 0.1)
     (lambda: brute_min_over_codes("pointwise", weights=(0.4, 0.3, 0.2, 0.1), arity=3, l_max=1),
      DomainError),
     (lambda: brute_min_over_codes("gg", ball=BALL, l_max=1), DomainError),
-    (lambda: brute_min_over_codes("avg-red", ball=BALL, l_max=1, samples=[BALL.center]),
+    (lambda: brute_min_over_codes("avg-red", ball=BALL, l_max=1, samples=ball_sample(BALL, 10)),
      DomainError),
     (lambda: exact_min_over_codes("avg-red", BALL, l_max=1), DomainError),
     (lambda: exact_min_over_codes("gg", BALL, l_max=1), DomainError),
     (lambda: ball_sample(BALL, -1), DomainError),
     (lambda: ball_sample(BALL, 10, seed=-1), DomainError),
-    (lambda: brute_sup_over_ball(CodeLengths((1, 2, 3, 3)), BALL, "gg", [BALL.center]),
-     DimensionMismatchError),
-    (lambda: brute_sup_over_ball(CodeLengths((1, 2, 2)), BALL, "avg-red", []), DomainError),
-    (lambda: brute_min_over_codes("gg", ball=BALL, samples=[]), DomainError),
-    (lambda: brute_min_over_codes("avg-red", ball=BALL,
-                                  samples=[validate_distribution((0.5, 0.5))]),
+    (lambda: ball_sample(BALL, 2.5), DomainError),
+    (lambda: ball_sample(BALL, 10, seed=1.5), DomainError),
+    (lambda: brute_sup_over_ball(CodeLengths((1, 2, 3, 3)), "gg", ball_sample(BALL, 10)),
      DimensionMismatchError),
 ], ids=["beta_nan", "beta_inf", "arity_1_weights", "arity_1_sampled", "arity_1_sampled_l_max",
         "arity_1_given_samples", "arity_1_exact", "arity_1_exact_l_max", "arity_1_ball_sample",
@@ -265,8 +298,8 @@ BALL = DivergenceBall(validate_distribution(WEIGHTS), 0.1)
         "negative_weight", "all_zero_pointwise", "unknown_utility", "weight_cost_sizes",
         "no_code_linear_cost", "no_code_pointwise_arity_3", "no_code_sampled_gg",
         "no_code_sampled_avg_red", "no_code_exact_avg_red", "no_code_exact_gg",
-        "negative_n_interior", "negative_seed", "sup_lengths_size", "sup_empty_sample",
-        "min_empty_sample", "sample_point_size"])
+        "negative_n_interior", "negative_seed", "float_n_interior", "float_seed",
+        "sup_lengths_size"])
 def test_oracle_entry_points_check_their_inputs(call, error):
     # the exact class: a bare ZeroDivisionError or ValueError, or a NaN
     # optimum with an empty optimal set, would hide which input was bad
@@ -324,7 +357,11 @@ def test_all_zero_weights_make_every_code_optimal_under_linear_and_exponential_c
 
 
 def literal_crossings(p, targets, radius):
-    """The segment crossings as one scalar bisection per target: the reference."""
+    """The segment crossings as one scalar bisection per target: the reference.
+
+    Each point is built as a Distribution, and its stored probabilities are
+    the rows of the matrix returned.
+    """
     points = []
     for target in targets:
         def segment_divergence(t):
@@ -342,7 +379,7 @@ def literal_crossings(p, targets, radius):
                 hi = mid
         blend = (1.0 - lo) * p + lo * target
         points.append(Distribution(tuple(blend / blend.sum())))
-    return points
+    return np.array([nu.probs for nu in points])
 
 
 def test_batched_crossings_match_the_scalar_loop(monkeypatch):
@@ -366,7 +403,8 @@ def test_batched_crossings_match_the_scalar_loop(monkeypatch):
                     with monkeypatch.context() as patch:
                         patch.setattr(oracle, "_shell_crossings", literal_crossings)
                         literal = ball_sample(ball, 20, seed=seed, arity=arity, l_max=l_max)
-                    assert repr(list(batched)) == repr(literal), (m, arity, fraction)
+                    assert (repr(batched.points.tolist())
+                            == repr(literal.points.tolist())), (m, arity, fraction)
     # the early return of a vertex inside the ball is among the cases
     assert inside_vertices > 0
 
@@ -377,14 +415,14 @@ def test_batched_crossings_at_a_centre_with_zero_entries():
     targets = np.vstack([np.eye(10), np.random.default_rng(3).dirichlet(np.ones(10), size=4)])
     with np.errstate(divide="ignore"):
         for radius in (0.05, 0.3, 1.0, 3.0):
-            assert (repr(oracle._shell_crossings(p, targets, radius))
-                    == repr(literal_crossings(p, targets, radius)))
+            assert (repr(oracle._shell_crossings(p, targets, radius).tolist())
+                    == repr(literal_crossings(p, targets, radius).tolist()))
 
 
 def test_the_sample_roots_each_code_once(monkeypatch):
-    # the table reads the roots the sample found: scoring every enumerated
-    # code calls tilted_root no more, and a caller's plain list or another
-    # ball roots again and gives the same figures
+    # the scorer reads the roots the sample found: scoring every enumerated
+    # code calls tilted_root no more, and a caller's plain list or a sample
+    # of another ball raises rather than being rooted and scored again
     calls = []
     monkeypatch.setattr(oracle, "tilted_root", lambda *a: calls.append(a) or tilted_root(*a))
     mu = validate_distribution([0.4, 0.3, 0.2, 0.1])
@@ -392,23 +430,24 @@ def test_the_sample_roots_each_code_once(monkeypatch):
     samples = ball_sample(ball, 200, seed=1)
     codes = len(list(enumerate_kraft_lengths(4, 2, default_l_max(4, 2))))
     assert len(calls) == codes
+    rows = [Distribution(tuple(row)) for row in samples.points]
     for utility in ("avg-red", "gg"):
-        carried = brute_min_over_codes(utility, ball=ball, samples=samples)
+        brute_min_over_codes(utility, ball=ball, samples=samples)
         assert len(calls) == codes
-        assert carried == brute_min_over_codes(utility, ball=ball, samples=list(samples))
-        assert len(calls) == 2 * codes
-        del calls[codes:]
+        with pytest.raises(DomainError):
+            brute_min_over_codes(utility, ball=ball, samples=rows)
     other = DivergenceBall(mu, 0.25 * existence_threshold(mu)[0])
     lengths = CodeLengths((1, 2, 3, 3))
-    assert (brute_sup_over_ball(lengths, other, "gg", samples)
-            == brute_sup_over_ball(lengths, other, "gg", list(samples)))
-    assert len(calls) == codes + 2
+    with pytest.raises(DomainError):
+        brute_min_over_codes("gg", ball=other, samples=samples)
+    with pytest.raises(DomainError):
+        brute_sup_over_ball(lengths, "gg", rows)
+    assert len(calls) == codes
 
 
 def test_the_certificate_drops_points_outside_the_ball(monkeypatch):
     # each rooted code's analytic point moved just outside the shell: the
-    # one vectorized certificate drops every one of them, and the matrix
-    # the sample carries is its points' stored probabilities, row for row
+    # one vectorized certificate drops every one of them
     mu = validate_distribution([0.4, 0.3, 0.2, 0.1])
     ball = DivergenceBall(mu, 0.5 * existence_threshold(mu)[0])
     kept = ball_sample(ball, 200, seed=1)
@@ -426,11 +465,8 @@ def test_the_certificate_drops_points_outside_the_ball(monkeypatch):
     sample = ball_sample(ball, 200, seed=1)
     assert outside and all(kl_divergence(nu, mu) > ball.radius + oracle.CERT_TOL for nu in outside)
     assert len(sample) == len(kept) - len(outside)
-    assert not any(nu in sample for nu in outside)
-    stacked = np.array([nu.probs for nu in sample])
-    assert sample.matrix.shape == stacked.shape and sample.matrix.tobytes() == stacked.tobytes()
-    table = oracle._SampleTable(sample, ball, "gg", 2)
-    assert table.matrix is sample.matrix
+    rows = sample.points.tolist()
+    assert not any(list(nu.probs) in rows for nu in outside)
 
 
 def test_ball_sample_at_a_zero_entry_centre_is_silent_and_stays_on_the_support():
@@ -438,8 +474,7 @@ def test_ball_sample_at_a_zero_entry_centre_is_silent_and_stays_on_the_support()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sample = ball_sample(ball)
-    assert all(nu.probs[3] == 0.0 for nu in sample)
-    assert not sample.matrix[:, 3].any()
+    assert not sample.points[:, 3].any()
 
 
 def test_sampled_gg_at_a_zero_entry_centre_is_finite_and_below_the_exact_optimum():
@@ -450,7 +485,7 @@ def test_sampled_gg_at_a_zero_entry_centre_is_finite_and_below_the_exact_optimum
         sampled = brute_min_over_codes("gg", ball=ball)
         exact = exact_min_over_codes("gg", ball)
         lengths = CodeLengths((1, 2, 3, 3))
-        sup = brute_sup_over_ball(lengths, ball, "gg", ball_sample(ball))
+        sup = brute_sup_over_ball(lengths, "gg", ball_sample(ball))
         exact_sup = _candidate_sup("gg", ball.center, ball.radius, lengths, 1e-12)[0]
     assert math.isfinite(sampled.optimum_value)
     assert sampled.optimum_value <= exact.optimum_value + 1e-12

@@ -130,7 +130,8 @@ def test_solve_avg_monotone_in_radius():
 def test_solve_avg_dominates_samples():
     ball = DivergenceBall(SKEWED, 0.07)
     result = solve_avg_redundancy(ball)
-    for nu in ball_sample(ball, n_interior=3000, seed=14):
+    for row in ball_sample(ball, n_interior=3000, seed=14).points.tolist():
+        nu = Distribution(tuple(row))
         assert avg_redundancy(result.lengths, nu) <= result.achieved_utility + 1e-6
 
 

@@ -452,7 +452,8 @@ def test_exact_avg_sup_dominates_sampling():
         assert avg_redundancy(lengths, witness) == pytest.approx(value, abs=1e-12)
         samples = ball_sample(DivergenceBall(mu, radius), n_interior=4000, seed=trial,
                               l_max=min(m + 1, 7))
-        sampled = max(avg_redundancy(lengths, nu) for nu in samples)
+        sampled = max(avg_redundancy(lengths, Distribution(tuple(row)))
+                      for row in samples.points.tolist())
         assert value >= sampled - 1e-8
         point = tilted_root(mu, lengths, radius)
         if point is not None:
@@ -1054,8 +1055,8 @@ def test_tilted_point_is_supremum_over_samples():
         point = tilted_root(mu, lengths, radius)
         assert point is not None
         top = avg_redundancy(lengths, point.distribution)
-        for nu in ball_sample(DivergenceBall(mu, radius), n_interior=500, seed=trial):
-            assert avg_redundancy(lengths, nu) <= top + 1e-6
+        for row in ball_sample(DivergenceBall(mu, radius), n_interior=500, seed=trial).points:
+            assert avg_redundancy(lengths, Distribution(tuple(row))) <= top + 1e-6
 
 
 def test_tilt_walk_first_divergence_matches_tilt():
