@@ -107,8 +107,16 @@ def enumerate_kraft_lengths(m: int, arity: int, l_max: int):
     """Yield all non-decreasing Kraft-feasible integer vectors, lexicographically.
 
     Kraft feasibility is checked exactly: a vector consumes
-    sum arity^(l_max - l_i) out of a budget of arity^l_max.
+    sum arity^(l_max - l_i) out of a budget of arity^l_max.  m and l_max
+    go through operator.index, so a non-integer raises DomainError, and the
+    arity through core._check_arity; an m or l_max out of range raises
+    LimitExceededError.
     """
+    try:
+        m, l_max = operator.index(m), operator.index(l_max)
+    except TypeError:
+        raise DomainError(f"m and l_max must be integers, got {m!r} and {l_max!r}") from None
+    arity = _check_arity(arity)
     if not (2 <= m <= ENUM_MAX_M):
         raise LimitExceededError(f"m must be in [2, {ENUM_MAX_M}], got {m}")
     if not (1 <= l_max <= ENUM_MAX_LEN):

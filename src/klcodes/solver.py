@@ -59,11 +59,10 @@ from .huffman import (
 )
 from .tilted import (
     LimitPoint,
-    _log_ratios,
+    _code_terms,
     _own_root,
     _root_in_beta,
     _tilt,
-    _tilt_terms,
     _tilt_walk,
     exact_avg_sup,
     gg_utility,
@@ -148,8 +147,7 @@ def g_of_beta(
         lengths = met
     else:
         lengths = exponential_huffman_log(log_xi, beta, arity)
-    p = mu.as_array()
-    return _tilt(p, _tilt_terms(p, _log_ratios(mu, lengths)), beta)[0], lengths
+    return _tilt(_code_terms(mu, lengths), beta)[0], lengths
 
 
 def _candidate_sup(
@@ -235,8 +233,7 @@ def _rootless_radius(mu: Distribution, arity: int) -> float:
 
 def _reaches_above(
     objective: str,
-    p: np.ndarray,
-    log_p: np.ndarray,
+    mu: Distribution,
     radius: float,
     lengths: CodeLengths,
     beta: float,
@@ -253,11 +250,10 @@ def _reaches_above(
     levels off), the walk's Newton step lands inside the ball from either
     side.
     """
-    l = lengths.as_array()
+    terms = _code_terms(mu, lengths)
     log_d = math.log(lengths.arity)
-    log_r = log_p + l * log_d
-    top = float(np.max(log_r))
-    for _, divergence, mean in _tilt_walk(p, log_r, beta, radius):
+    top = float(np.max(terms[2]))
+    for _, divergence, mean in _tilt_walk(terms, beta, radius):
         if divergence <= radius:
             nats = mean + top if objective == "gg" else divergence + mean + top
             if nats / log_d > limit:
@@ -289,14 +285,12 @@ def _best_candidate(
     """
     candidates = list(candidates)
     start = 0 if first is None else candidates.index(first)
-    p = mu.as_array()
-    log_p = np.log(p)
     best = None
     for position in (start, *(k for k in range(len(candidates)) if k != start)):
         lengths = candidates[position]
         if best is not None:
             limit = best[0] + _SKIP_MARGIN * max(1.0, abs(best[0]))
-            if _reaches_above(objective, p, log_p, radius, lengths, start_beta, limit):
+            if _reaches_above(objective, mu, radius, lengths, start_beta, limit):
                 continue
         value, worst, beta = _candidate_sup(objective, mu, radius, lengths, tol)
         item = (value, beta if beta is not None else math.inf, position, lengths, worst)
@@ -356,7 +350,6 @@ def _solve(
     hedged = (_hedged_codes(mu, arity)
               if objective == "avg-red" and radius >= _rootless_radius(mu, arity) else ())
     candidates = dict.fromkeys((*hedged, limit_code))
-    p = mu.as_array()
     met: Optional[CodeLengths] = None  # the last probe's code, checked before a build
 
     def probe(beta: float) -> Optional[tuple[float, tuple[CodeLengths, float, float]]]:
@@ -374,7 +367,7 @@ def _solve(
 
     def own_root(point: tuple[CodeLengths, float, float]) -> Optional[float]:
         lengths, beta, divergence = point
-        return _own_root(p, _log_ratios(mu, lengths), beta, divergence, radius, tol)
+        return _own_root(_code_terms(mu, lengths), beta, divergence, radius, tol)
 
     closest = _root_in_beta(probe, radius, tol, own_root)
     return _best_candidate(objective, mu, radius, candidates, tol, regime,

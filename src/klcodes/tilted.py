@@ -14,11 +14,8 @@ pins the adversary exactly.
 Two kernels serve the family on the support p > 0: _tilt, the exact
 point and its divergence, and _tilt_walk, the closed form D(beta) =
 beta <nu, c> - log Z walked by Newton steps toward a target divergence.
-_tilt reads a code's beta-free terms, its log-ratios centred on their
-maximum and log p, from _tilt_terms; tilted_root takes them once per
-code and every tilt of its search reuses them, while nu_circ and the
-solver's probe g_of_beta, whose every tilt is of another code, take them
-once per tilt.  _tilt_walk takes the raw log-ratios.  _face_limit is the
+Every kernel reads one record of a code's beta-free terms, _code_terms,
+taken once per code and reused at every beta.  _face_limit is the
 beta -> infinity end.  nu_circ runs _tilt, nu_infinity runs _face_limit,
 and tilted_root feeds _tilt to the bracket search _root_in_beta
 (doubling, then Illinois regula falsi), which the solver runs with
@@ -77,45 +74,41 @@ class LimitPoint:
     argmax_set: frozenset[int]
 
 
-def _log_ratios(mu: Distribution, lengths: CodeLengths) -> np.ndarray:
-    """log(mu_i / theta_i) = log mu_i + l_i log D, with -inf at mu_i = 0."""
+def _code_terms(mu: Distribution, lengths: CodeLengths) -> tuple[np.ndarray, ...]:
+    """A code's beta-free terms, the record every tilt kernel reads: (p, log p, log r, centred).
+
+    p is mu as an array, log r = log(mu_i / theta_i) = log p_i + l_i log D,
+    both logs -inf off the support, and centred is log r minus its maximum.
+    """
     if mu.m != lengths.m:
         raise DimensionMismatchError(f"dimension mismatch {mu.m} vs {lengths.m}")
     p = mu.as_array()
     with np.errstate(divide="ignore"):
-        logp = np.log(p)
-    return logp + lengths.as_array() * math.log(lengths.arity)
+        log_p = np.log(p)
+    log_r = log_p + lengths.as_array() * math.log(lengths.arity)
+    return p, log_p, log_r, log_r - log_r.max()
 
 
 def nu_circ(mu: Distribution, lengths: CodeLengths, beta: float) -> TiltedPoint:
     """Tilted distribution nu(beta)_i ∝ (mu_i/theta_i)^beta * mu_i."""
     _check_beta(beta)
-    p = mu.as_array()
-    divergence, raw = _tilt(p, _tilt_terms(p, _log_ratios(mu, lengths)), beta)
+    divergence, raw = _tilt(_code_terms(mu, lengths), beta)
     return TiltedPoint(beta=float(beta), distribution=Distribution(tuple(raw.tolist())),
                        divergence_from_center=divergence)
 
 
-def _tilt_terms(p: np.ndarray, log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_tilt's beta-free terms: log r centred on its maximum, and log p (-inf off the support)."""
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-    return log_r - log_r.max(), log_p
-
-
-def _tilt(p: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
-          beta: float) -> tuple[float, np.ndarray]:
+def _tilt(terms: tuple[np.ndarray, ...], beta: float) -> tuple[float, np.ndarray]:
     """Divergence from p of the tilt at beta, and its raw point.
 
-    terms is _tilt_terms(p, log_r), taken once per code and reused at every
-    beta.  log r is centred on its maximum, so beta * centred stays at or
-    below 0: uncentred, beta * log r is near 1e12 at beta near 1e12, and
-    its rounding alone moves the divergence by about 1e-5.  The divergence
-    is that of the point as Distribution would store it, renormalised by
-    its fsum unless that is exactly 1.  The point lives on p's support, so
-    kl_divergence's checks are moot.
+    terms is the code's _code_terms record.  log r is centred on its
+    maximum, so beta * centred stays at or below 0: uncentred, beta * log r
+    is near 1e12 at beta near 1e12, and its rounding alone moves the
+    divergence by about 1e-5.  The divergence is that of the point as
+    Distribution would store it, renormalised by its fsum unless that is
+    exactly 1.  The point lives on p's support, so kl_divergence's checks
+    are moot.
     """
-    centred, log_p = terms
+    p, log_p, _, centred = terms
     logw = beta * centred + log_p
     raw = np.exp(logw - log_sum_exp(logw))
     raw = raw / raw.sum()
@@ -124,7 +117,7 @@ def _tilt(p: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
     return array_divergence(nu, p), raw
 
 
-def _tilt_walk(p: np.ndarray, log_r: np.ndarray, beta: float, target: float):
+def _tilt_walk(terms: tuple[np.ndarray, ...], beta: float, target: float):
     """Closed-form tilts from beta toward the target divergence: (beta, divergence, mean).
 
     With c = log r minus its maximum, Z = sum p e^(beta c) and <nu, c> =
@@ -134,7 +127,8 @@ def _tilt_walk(p: np.ndarray, log_r: np.ndarray, beta: float, target: float):
     <nu, c>.  After each tilt comes a Newton step on log D against log beta
     toward the target, kept between halving and quadrupling beta.  The walk
     stops after MAX_DOUBLINGS tilts (read at each call), or where that
-    slope is not positive (D is 0 or flat).  p must be positive.
+    slope is not positive (D is 0 or flat).  terms is the code's
+    _code_terms record, and p must be positive.
     It is not bit-matched to _tilt.  _own_root uses it only to pick a beta
     that a probe then evaluates with _tilt.  solver._best_candidate uses it
     only for lower bounds, and skips a candidate only when such a value
@@ -154,7 +148,7 @@ def _tilt_walk(p: np.ndarray, log_r: np.ndarray, beta: float, target: float):
       1e-8 nats or less, where the root tolerance alone already moves a
       value by that much.
     """
-    centred = log_r - np.max(log_r)
+    p, _, _, centred = terms
     for _ in range(MAX_DOUBLINGS):
         e = np.exp(beta * centred)
         total = float(p @ e)
@@ -170,23 +164,22 @@ def _tilt_walk(p: np.ndarray, log_r: np.ndarray, beta: float, target: float):
         beta = beta * math.exp(min(_LOG_4, max(-_LOG_2, math.log(target / divergence) / slope)))
 
 
-def _own_root(
-    p: np.ndarray, log_r: np.ndarray, beta: float, divergence: float, radius: float, tol: float
-) -> float | None:
+def _own_root(terms: tuple[np.ndarray, ...], beta: float, divergence: float, radius: float,
+              tol: float) -> float | None:
     """A beta where this code's tilt has a closed-form divergence in [radius, radius + tol / 2].
 
-    log_r is the code's log-ratios and divergence its tilt's at beta.  The
-    first of at most MAX_DOUBLINGS tilts of _tilt_walk from beta, aimed at
-    radius + tol / 4, whose divergence lies in that window.  The window
-    leaves tol / 4 on either side for the rounding by which _tilt differs
-    (see _tilt_walk), so the code's tilt evaluated at that beta lies at or
-    above the radius and within tol of it.  None when the code has no root
-    (below the radius at beta, its limit divergence is at most the radius)
+    terms is the code's _code_terms record and divergence its tilt's at
+    beta.  The first of at most MAX_DOUBLINGS tilts of _tilt_walk from beta,
+    aimed at radius + tol / 4, whose divergence lies in that window.  The
+    window leaves tol / 4 on either side for the rounding by which _tilt
+    differs (see _tilt_walk), so the code's tilt evaluated at that beta lies
+    at or above the radius and within tol of it.  None when the code has no
+    root (its divergence at beta lies below the radius and _rootless holds)
     or the walk does not land in the window.  p must be positive.
     """
-    if divergence < radius and radius >= -math.log(_face_limit(p, log_r)[1]):
+    if divergence < radius and _rootless(terms, radius):
         return None
-    for beta, divergence, _ in _tilt_walk(p, log_r, beta, radius + 0.25 * tol):
+    for beta, divergence, _ in _tilt_walk(terms, beta, radius + 0.25 * tol):
         if radius <= divergence <= radius + 0.5 * tol:
             return beta
     return None
@@ -235,6 +228,8 @@ def gg_utility(lengths: CodeLengths, nu: Distribution, mu: Distribution) -> floa
 
 def pointwise_utility(lengths: CodeLengths, dist: Distribution) -> float:
     """Worst pointwise redundancy max_k (l_k + log_D p_k)."""
+    if dist.m != lengths.m:
+        raise DimensionMismatchError(f"dimension mismatch {dist.m} vs {lengths.m}")
     p = dist.as_array()
     l = lengths.as_array()
     nz = p > 0.0
@@ -268,9 +263,8 @@ def decomposition_terms(
     reproduces avg_redundancy(lengths, nu).
     """
     _check_beta(beta)
-    p = mu.as_array()
-    with np.errstate(divide="ignore"):
-        logw = beta * _log_ratios(mu, lengths) + np.log(p)
+    _, log_p, log_r, _ = _code_terms(mu, lengths)
+    logw = beta * log_r + log_p
     log_partition = log_sum_exp(logw)
     term1 = (beta + 1.0) / beta * kl_divergence(nu, mu)  # absolute-continuity check
     # D(nu||nu(beta)) from log nu(beta) = logw - log_partition: at large beta
@@ -284,25 +278,35 @@ def decomposition_terms(
 
 def nu_infinity(mu: Distribution, lengths: CodeLengths) -> LimitPoint:
     """Limit of the tilted family: mu restricted to argmax(mu_i/theta_i)."""
-    p = mu.as_array()
-    members, mass = _face_limit(p, _log_ratios(mu, lengths))
+    terms = _code_terms(mu, lengths)
+    members, mass = _face_limit(terms)
     return LimitPoint(
-        distribution=Distribution(tuple(np.where(members, p / mass, 0.0))),
+        distribution=Distribution(tuple(np.where(members, terms[0] / mass, 0.0))),
         # -log(1.0) is -0.0: a limit that keeps all the mass reports 0.0
         divergence_from_center=max(0.0, -math.log(mass)),
         argmax_set=frozenset(int(i) for i in np.nonzero(members)[0]),
     )
 
 
-def _face_limit(p: np.ndarray, log_r: np.ndarray) -> tuple[np.ndarray, float]:
-    """The beta -> infinity end of the tilt: its argmax mask and that set's mass.
+def _face_limit(terms: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
+    """The beta -> infinity end of the code's tilt: its argmax mask and that set's mass.
 
     Log-ratio ties within ARGMAX_LOG_TOL all join the argmax set, so exact
     ties split by float noise are not dropped.  The limit's divergence from
     p is -log(mass).
     """
+    p, _, log_r, _ = terms
     members = log_r >= np.max(log_r) - ARGMAX_LOG_TOL
     return members, float(p[members].sum())
+
+
+def _rootless(terms: tuple[np.ndarray, ...], radius: float) -> bool:
+    """Whether the code's tilt has no root at radius: radius >= -log of its face mass.
+
+    That is the limit divergence, which the family's nondecreasing
+    divergence approaches from below.  tilted_root and _own_root both test it.
+    """
+    return radius >= -math.log(_face_limit(terms)[1])
 
 
 def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
@@ -463,9 +467,9 @@ def exact_avg_sup(
         return avg_redundancy(lengths, mu), mu
     if not radius > 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
-    p = mu.as_array()
-    log_r = _log_ratios(mu, lengths)
-    members, mass = _face_limit(p, log_r)
+    terms = _code_terms(mu, lengths)
+    p, _, log_r, _ = terms
+    members, mass = _face_limit(terms)
     if radius < -math.log(mass):
         point = tilted_root(mu, lengths, radius)
         if point is not None:
@@ -551,14 +555,12 @@ def tilted_root(
     if not radius > 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
     _check_tol(tol)
-    p = mu.as_array()
-    log_r = _log_ratios(mu, lengths)
-    if radius >= -math.log(_face_limit(p, log_r)[1]):
+    terms = _code_terms(mu, lengths)
+    if _rootless(terms, radius):
         return None
-    terms = _tilt_terms(p, log_r)
 
     def evaluate(beta: float):
-        divergence, raw = _tilt(p, terms, beta)
+        divergence, raw = _tilt(terms, beta)
         return divergence, (beta, divergence, raw)
 
     root = _root_in_beta(evaluate, radius, tol)

@@ -20,6 +20,10 @@ such a record as moved even where its repr stayed.  Last comes every
 record, of any grid, whose exception moved: the exception on each side,
 or the value and regime where that side returned (grid E and O records
 have no regime).
+
+The exit status is 1 when any record differs between the two dumps, in
+its value, repr, probes, raw suprema, sample hash, exception or any other
+field, and 0 when every record is identical.
 """
 
 import json
@@ -166,7 +170,8 @@ def main(before_path, after_path):
               f"{radius} | {a['value']:.10f} | {b['value']:.10f} | {change:.3g} | "
               f"{beta[0]} | {beta[1]} |")
     exception_table(list(zip(before, after)))
+    return int(before != after)
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:3])
+    sys.exit(main(*sys.argv[1:3]))

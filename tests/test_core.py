@@ -32,7 +32,7 @@ from klcodes.huffman import exponential_huffman_log, huffman, shannon_lengths
 from klcodes.nml import robust_shannon_pointwise
 from klcodes.oracle import brute_binary_root, brute_min_over_codes
 from klcodes.solver import existence_threshold, solve_avg_redundancy
-from klcodes.tilted import avg_redundancy, gg_utility, nu_circ
+from klcodes.tilted import avg_redundancy, gg_utility, nu_circ, pointwise_utility
 
 
 def test_validate_accepts_uniform():
@@ -294,6 +294,7 @@ _L11 = CodeLengths((1, 1))
     (lambda: nu_circ(_MU3, _L11, 1.0), DimensionMismatchError),
     (lambda: avg_redundancy(_L11, _MU3), DimensionMismatchError),
     (lambda: gg_utility(_L11, _MU3, _MU3), DimensionMismatchError),
+    (lambda: pointwise_utility(_L11, _MU3), DimensionMismatchError),
 ], ids=[
     "ball_negative_radius", "lengths_empty", "lengths_fractional",
     "prefix_count", "prefix_arity_above_10", "prefix_length", "prefix_digit",
@@ -303,7 +304,7 @@ _L11 = CodeLengths((1, 1))
     "brute_min_no_weights", "brute_min_no_ball",
     "brute_min_exp_cost_no_beta", "existence_threshold_zero_entry",
     "solve_avg_redundancy_zero_radius_zero_entry", "nu_circ_dimension",
-    "avg_redundancy_dimension", "gg_utility_dimension",
+    "avg_redundancy_dimension", "gg_utility_dimension", "pointwise_utility_dimension",
 ])
 def test_input_checks_raise_their_documented_error(call, error):
     with pytest.raises(error):

@@ -292,6 +292,13 @@ BALL = DivergenceBall(validate_distribution(WEIGHTS), 0.1)
     (lambda: ball_sample(BALL, 10, seed=1.5), DomainError),
     (lambda: brute_sup_over_ball(CodeLengths((1, 2, 3, 3)), "gg", ball_sample(BALL, 10)),
      DimensionMismatchError),
+    # the enumerator behind every oracle: integer m and l_max, an arity of at least 2
+    (lambda: list(enumerate_kraft_lengths(3, 2, 2.5)), DomainError),
+    (lambda: list(enumerate_kraft_lengths(3.0, 2, 3)), DomainError),
+    (lambda: list(enumerate_kraft_lengths(3, 1, 4)), ArityTooSmallError),
+    (lambda: brute_min_over_codes("linear_cost", weights=WEIGHTS, l_max=2.5), DomainError),
+    (lambda: exact_min_over_codes("avg-red", BALL, l_max=2.5), DomainError),
+    (lambda: ball_sample(BALL, 10, l_max=2.5), DomainError),
 ], ids=["beta_nan", "beta_inf", "arity_1_weights", "arity_1_sampled", "arity_1_sampled_l_max",
         "arity_1_given_samples", "arity_1_exact", "arity_1_exact_l_max", "arity_1_ball_sample",
         "arity_1_ball_sample_l_max", "float_arity_weights", "float_arity_exact", "nan_weight",
@@ -299,7 +306,8 @@ BALL = DivergenceBall(validate_distribution(WEIGHTS), 0.1)
         "no_code_linear_cost", "no_code_pointwise_arity_3", "no_code_sampled_gg",
         "no_code_sampled_avg_red", "no_code_exact_avg_red", "no_code_exact_gg",
         "negative_n_interior", "negative_seed", "float_n_interior", "float_seed",
-        "sup_lengths_size"])
+        "sup_lengths_size", "enumerate_float_l_max", "enumerate_float_m", "enumerate_arity_1",
+        "float_l_max_weights", "float_l_max_exact", "float_l_max_ball_sample"])
 def test_oracle_entry_points_check_their_inputs(call, error):
     # the exact class: a bare ZeroDivisionError or ValueError, or a NaN
     # optimum with an empty optimal set, would hide which input was bad

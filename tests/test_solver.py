@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import klcodes
+from klcodes import cli
 from klcodes.core import (
     CodeLengths,
     Distribution,
@@ -21,7 +22,7 @@ from klcodes.errors import (
     ZeroProbabilityError,
 )
 from klcodes.huffman import huffman
-from klcodes.oracle import ball_sample, brute_min_over_codes, weight_cost
+from klcodes.oracle import ball_sample, brute_min_over_codes, exact_min_over_codes, weight_cost
 from klcodes.solver import existence_threshold, g_of_beta, solve_avg_redundancy, solve_gg
 from klcodes.tilted import avg_redundancy, gg_utility
 
@@ -976,7 +977,7 @@ def test_no_code_has_an_argmax_set_heavier_than_the_rootless_class(monkeypatch):
     # the wrap of the fractional parts from 1 back to 0
     from klcodes import solver
     from klcodes.huffman import max_huffman
-    from klcodes.tilted import ARGMAX_LOG_TOL, _face_limit, _log_ratios
+    from klcodes.tilted import ARGMAX_LOG_TOL, _code_terms, _face_limit
 
     rng = np.random.default_rng(9)
     tied = validate_distribution([0.4, 0.2, 0.2, 0.1, 0.1])
@@ -999,9 +1000,8 @@ def test_no_code_has_an_argmax_set_heavier_than_the_rootless_class(monkeypatch):
                 # symbols 0 and 1 tie at the top: Shannon lengths elsewhere
                 shannon = [math.ceil(-math.log(x) / math.log(arity)) for x in mu.probs]
                 codes.append(CodeLengths((3, 4, *shannon[2:]), arity))
-            p = mu.as_array()
             for lengths in codes:
-                members, mass = _face_limit(p, _log_ratios(mu, lengths))
+                members, mass = _face_limit(_code_terms(mu, lengths))
                 assert gate <= -math.log(mass), (arity, mu.probs, lengths)
                 checked += 1
             if pair:
@@ -1025,3 +1025,26 @@ def test_no_code_has_an_argmax_set_heavier_than_the_rootless_class(monkeypatch):
     for fraction in (0.01, 0.5, 0.99):
         assert solve_avg_redundancy(DivergenceBall(tied, fraction * r_max)).regime == "interior"
     assert len(built) == 3
+
+
+def _centre_and_radius(case):
+    # mixed4 at R = r_max, where avg-red returns the limit code unsearched,
+    # and a 6-symbol centre at an interior radius (r_max is about 1.767)
+    if case == "mixed4_at_r_max":
+        mu = cli.load_distribution(os.path.join(os.path.dirname(__file__), os.pardir,
+                                                "instances", "mixed4.csv"))
+        return mu, existence_threshold(mu)[0]
+    p = np.array([0.0577, 0.4673, 0.1709, 0.1696, 0.0922, 0.0423])
+    return validate_distribution((p / p.sum()).tolist()), 1.2254
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="avg-red misses the exact nested minimax here")
+@pytest.mark.parametrize("case", ["mixed4_at_r_max", "six_symbols_interior"])
+def test_avg_red_reaches_the_exact_optimum(case):
+    # mixed4: the solver returns (2, 2, 2, 2) at 2.0, the exact optimum is
+    # (1, 2, 3, 3) at 1.897188735381189.  Six symbols: (4, 1, 3, 3, 3, 4) at
+    # 2.2165343495842134 against 2.1095356862886967 over 265 codes
+    ball = DivergenceBall(*_centre_and_radius(case))
+    exact = exact_min_over_codes("avg-red", ball)
+    assert solve_avg_redundancy(ball).achieved_utility <= exact.optimum_value + 1e-9

@@ -19,12 +19,11 @@ from klcodes.solver import g_of_beta
 from klcodes.tilted import (
     ARGMAX_LOG_TOL,
     _crossing,
+    _code_terms,
     _face_limit,
-    _log_ratios,
     _own_root,
     _root_in_beta,
     _tilt,
-    _tilt_terms,
     _tilt_walk,
     avg_redundancy,
     decomposition_terms,
@@ -413,9 +412,9 @@ def test_tilted_root_takes_few_tilts(monkeypatch):
     counts = []
     real_tilt = tilted._tilt
 
-    def counting_tilt(p, centred, beta):
+    def counting_tilt(terms, beta):
         counts[-1] += 1
-        return real_tilt(p, centred, beta)
+        return real_tilt(terms, beta)
 
     monkeypatch.setattr(tilted, "_tilt", counting_tilt)
     for m in (4, 16, 64):
@@ -708,10 +707,9 @@ def _unpruned_avg_sup(mu, lengths, radius):
     of crossings."""
     m = mu.m
     p = mu.as_array()
-    log_r = _log_ratios(mu, lengths)
     unit = np.eye(m)
     points, crossings = _vertex_and_edge_points(p, radius)
-    members = _face_limit(p, log_r)[0]
+    members = _face_limit(_code_terms(mu, lengths))[0]
     if np.count_nonzero(members) >= 3:
         k_min = min(np.flatnonzero(members), key=lambda k: p[k])
         if -math.log(p[k_min]) >= radius:
@@ -734,7 +732,7 @@ def _face_enumeration_sup(mu, lengths, radius, tol=1e-12):
     vertices, edges and then every face of three or more symbols."""
     m = mu.m
     p = mu.as_array()
-    log_r = _log_ratios(mu, lengths)
+    log_r = _code_terms(mu, lengths)[2]
     unit = np.eye(m)
     points = _vertex_and_edge_points(p, radius)[0]
 
@@ -873,7 +871,7 @@ def test_exact_avg_sup_dominates_the_ball_points_it_knows_at_large_m():
             for lengths in (huffman(mu.probs), existence_threshold(mu)[2]):
                 limit = nu_infinity(mu, lengths).divergence_from_center
                 tilts = [nu_circ(mu, lengths, 2.0**k) for k in range(61)]
-                top = float(np.max(_log_ratios(mu, lengths)))
+                top = float(np.max(_code_terms(mu, lengths)[2]))
                 for factor in (1.0, 1.25, 1.5):
                     radius = factor * limit
                     assert tilted_root(mu, lengths, radius) is None
@@ -1068,34 +1066,32 @@ def test_tilt_walk_first_divergence_matches_tilt():
             for floor in (1e-6, 1e-100, 1e-300):
                 raw = np.maximum(rng.dirichlet(np.full(m, alpha)), floor)
                 mu = Distribution(tuple(raw / raw.sum()))
-                p = mu.as_array()
                 for beta in (1e-3, 0.1, 1.0, 30.0, 1e3, 1e6):
-                    log_r = _log_ratios(mu, g_of_beta(mu, 2, beta)[1])
-                    walked = next(_tilt_walk(p, log_r, beta, 1.0))
+                    terms = _code_terms(mu, g_of_beta(mu, 2, beta)[1])
+                    walked = next(_tilt_walk(terms, beta, 1.0))
                     assert walked[0] == beta
-                    assert abs(walked[1] - _tilt(p, _tilt_terms(p, log_r), beta)[0]) <= 1e-11
+                    assert abs(walked[1] - _tilt(terms, beta)[0]) <= 1e-11
 
 
 def test_own_root_lands_in_its_window_or_reports_no_root():
-    p = SKEWED.as_array()
-    log_r = _log_ratios(SKEWED, L122)
-    terms = _tilt_terms(p, log_r)
+    terms = _code_terms(SKEWED, L122)
     radius, tol = 0.05, 1e-9
-    beta = _own_root(p, log_r, 1.0, _tilt(p, terms, 1.0)[0], radius, tol)
+    beta = _own_root(terms, 1.0, _tilt(terms, 1.0)[0], radius, tol)
     assert beta is not None
-    walked = next(_tilt_walk(p, log_r, beta, radius))[1]
+    walked = next(_tilt_walk(terms, beta, radius))[1]
     assert radius <= walked <= radius + 0.5 * tol
-    exact = _tilt(p, terms, beta)[0]
+    exact = _tilt(terms, beta)[0]
     assert radius <= exact <= radius + tol
     # the limit divergence of (1, 2, 2) at SKEWED is -log 0.9, about 0.105
     radius = 0.2
-    assert _own_root(p, log_r, 1.0, _tilt(p, terms, 1.0)[0], radius, tol) is None
+    assert _own_root(terms, 1.0, _tilt(terms, 1.0)[0], radius, tol) is None
 
 
 def test_tilt_walk_stops_where_the_divergence_is_flat():
     # equal log-ratios tilt nowhere: D is 0 at every beta, so no step exists
     p = SKEWED.as_array()
-    steps = list(_tilt_walk(p, np.full(3, 0.7), 2.0, 0.1))
+    log_r = np.full(3, 0.7)
+    steps = list(_tilt_walk((p, np.log(p), log_r, log_r - log_r.max()), 2.0, 0.1))
     assert len(steps) == 1
     assert steps[0][0] == 2.0
     assert steps[0][1] == pytest.approx(0.0, abs=1e-15)
