@@ -222,27 +222,6 @@ def run_code(args, mu: Distribution) -> tuple[dict, NmlResult | None]:
     return _code_payload(objective, result, residuals), None
 
 
-class _Checks:
-    def __init__(self):
-        self.rows: list[tuple[str, bool, str]] = []
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.rows.append((name, bool(ok), detail))
-
-    def render(self) -> str:
-        lines = [
-            f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else "")
-            for name, ok, detail in self.rows
-        ]
-        failed = sum(1 for _, ok, _ in self.rows if not ok)
-        lines.append(f"{len(self.rows) - failed}/{len(self.rows)} checks passed")
-        return "\n".join(lines) + "\n"
-
-    @property
-    def all_ok(self) -> bool:
-        return all(ok for _, ok, _ in self.rows)
-
-
 def _nml_checks(mu: Distribution, radius: float, nml: NmlResult) -> dict[str, bool]:
     """saturation_rule and root_certificates for one solve of the suprema."""
     cutoff = math.exp(-radius) if radius > 0.0 else 1.0
@@ -267,14 +246,14 @@ def _oracle_l_max(args, lengths: CodeLengths) -> int | None:
     return args.lmax
 
 
-def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _Checks) -> None:
+def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, check) -> None:
     lengths = CodeLengths(tuple(payload["lengths"]), arity=payload["arity"])
-    checks.add("kraft", kraft_sum(lengths) <= 1.0 + 1e-12,
-               f"kraft_sum={_fmt(kraft_sum(lengths))}")
+    check("kraft", kraft_sum(lengths) <= 1.0 + 1e-12,
+          f"kraft_sum={_fmt(kraft_sum(lengths))}")
     worst = Distribution(tuple(payload["worst_case"]))
     recomputed = objective_utility(args.objective, lengths, worst, mu)
-    checks.add("utility_recompute", abs(recomputed - payload["achieved_utility"]) <= 1e-9,
-               f"residual={_fmt(abs(recomputed - payload['achieved_utility']))}")
+    check("utility_recompute", abs(recomputed - payload["achieved_utility"]) <= 1e-9,
+          f"residual={_fmt(abs(recomputed - payload['achieved_utility']))}")
 
     if args.objective in ("avg-red", "gg"):
         radius = _radius(args)
@@ -282,42 +261,44 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
         # carries its divergence residual exactly then (with beta);
         # flat-code winners (no beta) peak at an inside vertex instead
         for residual in payload["diagnostics"]["residuals"]:
-            checks.add("worst_case_divergence", residual <= max(args.tol, 1e-9),
-                       f"residual={_fmt(residual)}")
+            check("worst_case_divergence", residual <= max(args.tol, 1e-9),
+                  f"residual={_fmt(residual)}")
         if mu.m <= 4 and args.arity == 2 and radius > 0.0:
+            # boundary-regime average redundancy makes no minimaxity claim:
+            # its reported value is an honest sampled supremum only; a cap
+            # too short for the minimax fails before the ball is sampled
+            minimax = payload["regime"] == "interior" or args.objective == "gg"
+            l_max = _oracle_l_max(args, lengths) if minimax else args.lmax
             ball = DivergenceBall(mu, radius)
             samples = oracle.ball_sample(ball, n_interior=args.samples, seed=args.seed,
-                                         arity=args.arity, l_max=args.lmax)
+                                         arity=args.arity, l_max=l_max)
             sup = oracle.brute_sup_over_ball(lengths, args.objective, samples)
-            checks.add("sampled_dominance", sup <= payload["achieved_utility"] + 1e-6,
-                       f"gap={_fmt(sup - payload['achieved_utility'])}")
-            # boundary-regime average redundancy makes no minimaxity claim:
-            # its reported value is an honest sampled supremum only
-            if payload["regime"] == "interior" or args.objective == "gg":
+            check("sampled_dominance", sup <= payload["achieved_utility"] + 1e-6,
+                  f"gap={_fmt(sup - payload['achieved_utility'])}")
+            if minimax:
                 report = oracle.brute_min_over_codes(args.objective, ball=ball, arity=args.arity,
-                                                     l_max=_oracle_l_max(args, lengths),
-                                                     samples=samples)
+                                                     l_max=l_max, samples=samples)
                 gap = abs(report.optimum_value - payload["achieved_utility"])
-                checks.add("oracle_minimax", gap <= 5e-3, f"gap={_fmt(gap)}")
+                check("oracle_minimax", gap <= 5e-3, f"gap={_fmt(gap)}")
     elif args.objective == "pointwise":
         radius = _radius(args)
         # the solve the code was built from; its saturated set and raw roots
         # are not in the report
         for name, ok in _nml_checks(mu, radius, nml).items():
-            checks.add(name, ok)
+            check(name, ok)
         if radius > 0.0:
             in_range = all(
                 mu.probs[k] < nml.raw[k] <= pinsker_upper(mu.probs[k], radius)
                 for k in range(mu.m) if k not in nml.saturated
             )
-            checks.add("root_range", in_range)
+            check("root_range", in_range)
         if mu.m <= 8:
             report = oracle.brute_min_over_codes(
                 "pointwise", weights=nml.normalized.probs, arity=args.arity,
                 l_max=_oracle_l_max(args, lengths),
             )
             gap = abs(report.optimum_value - payload["achieved_utility"])
-            checks.add("oracle_pointwise", gap <= 1e-9, f"gap={_fmt(gap)}")
+            check("oracle_pointwise", gap <= 1e-9, f"gap={_fmt(gap)}")
         # both codes are scored on the one distribution the Huffman code was
         # built for, the reported worst case
         shannon = shannon_lengths(nml.normalized, args.arity)
@@ -325,15 +306,15 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, checks: _
             h <= s for h, s in zip(lengths.lengths, shannon.lengths)
         )
         shannon_value = objective_utility("pointwise", shannon, worst, mu)
-        checks.add("shannon_dominance",
-                   by_symbol and recomputed <= shannon_value < 1.0,
-                   f"huffman={_fmt(recomputed)} shannon={_fmt(shannon_value)}")
+        check("shannon_dominance",
+              by_symbol and recomputed <= shannon_value < 1.0,
+              f"huffman={_fmt(recomputed)} shannon={_fmt(shannon_value)}")
     elif args.objective == "shannon-nominal":
         expected = tuple(ceil_log_inv(p, args.arity) for p in mu.probs)
-        checks.add("shannon_lengths", tuple(payload["lengths"]) == expected)
+        check("shannon_lengths", tuple(payload["lengths"]) == expected)
 
 
-def _check_stored_report(path: str, fresh: dict, checks: _Checks) -> None:
+def _check_stored_report(path: str, fresh: dict, check) -> None:
     """Compare a stored report with the fresh one, field by field."""
     with open(path, "r", encoding="utf-8") as handle:
         stored = json.load(handle)
@@ -341,39 +322,44 @@ def _check_stored_report(path: str, fresh: dict, checks: _Checks) -> None:
         raise CodingError(f"{path} must hold a JSON report object")
     try:
         if "lengths" in fresh:
-            checks.add("result_lengths", stored.get("lengths") == fresh["lengths"])
-            checks.add("result_codewords", stored.get("codewords") == fresh["codewords"])
-            checks.add(
+            check("result_lengths", stored.get("lengths") == fresh["lengths"])
+            check("result_codewords", stored.get("codewords") == fresh["codewords"])
+            check(
                 "result_utility",
                 abs(stored.get("achieved_utility", math.nan) - fresh["achieved_utility"]) <= 1e-9,
             )
         same = json.dumps(fresh["diagnostics"], sort_keys=True) == json.dumps(
             stored.get("diagnostics"), sort_keys=True
         )
-        checks.add("diagnostics_roundtrip", same)
+        check("diagnostics_roundtrip", same)
         if "worst_case" in fresh:
-            checks.add("result_worst_case", stored.get("worst_case") == fresh["worst_case"])
+            check("result_worst_case", stored.get("worst_case") == fresh["worst_case"])
     except TypeError as exc:
-        checks.add("result_integrity", False, str(exc))
+        check("result_integrity", False, str(exc))
 
 
 def run_verify(args) -> tuple[str, int]:
     mu = load_distribution(args.input, args.allow_zero)
     fresh, nml = run_code(args, mu)
-    checks = _Checks()
+    lines: list[str] = []
+
+    def check(name: str, ok: bool, detail: str = "") -> None:
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
+
     if args.objective == "nml-only":
         rows = _nml_checks(mu, _radius(args), nml)
         for name in ("root_certificates", "saturation_rule"):
-            checks.add(name, rows[name])
+            check(name, rows[name])
     elif args.objective == "nml-tv":
         expected = tuple(min(1.0, p + args.tv / 2.0) for p in mu.probs)
-        checks.add("tv_suprema", tuple(fresh["raw"]) == expected)
+        check("tv_suprema", tuple(fresh["raw"]) == expected)
     else:
-        _check_code_report(args, mu, fresh, nml, checks)
+        _check_code_report(args, mu, fresh, nml, check)
     if args.result is not None:
-        _check_stored_report(args.result, fresh, checks)
-    text = checks.render()
-    return text, EXIT_OK if checks.all_ok else EXIT_VERIFY
+        _check_stored_report(args.result, fresh, check)
+    passed = sum(line.startswith("PASS") for line in lines)
+    text = "\n".join(lines) + f"\n{passed}/{len(lines)} checks passed\n"
+    return text, EXIT_OK if passed == len(lines) else EXIT_VERIFY
 
 
 def _in_range(convert, low, name: str, finite: bool = False, most=math.inf):

@@ -39,7 +39,11 @@ class Distribution:
     """A finite probability mass function over at least two symbols.
 
     The input is renormalized exactly once at construction and treated as
-    exact afterwards.  Zero entries are allowed at the type level; whether
+    exact afterwards.  That holds for one object, not for a copy built from
+    its probs: when their math.fsum is not exactly 1 the copy renormalizes
+    again and may differ in the last bit.  cli._check_code_report is the
+    one reader that rebuilds such a copy (the report's worst_case).  Zero
+    entries are allowed at the type level; whether
     they are acceptable is the caller's policy (see validate_distribution).
     """
 

@@ -59,6 +59,7 @@ minimum.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -140,14 +141,9 @@ def enumerate_kraft_lengths(m: int, arity: int, l_max: int):
     yield from extend(0, 1, 0)
 
 
-_ENUM_CACHE: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
-
-
+@functools.cache
 def _enumerated(m: int, arity: int, l_max: int) -> tuple[tuple[int, ...], ...]:
-    key = (m, arity, l_max)
-    if key not in _ENUM_CACHE:
-        _ENUM_CACHE[key] = tuple(enumerate_kraft_lengths(m, arity, l_max))
-    return _ENUM_CACHE[key]
+    return tuple(enumerate_kraft_lengths(m, arity, l_max))
 
 
 def _assignment(weights):
@@ -242,8 +238,8 @@ class BallSample:
 
     points holds one sampled distribution per row, each within
     ball.radius + CERT_TOL of ball.center; len() is their count.  worst
-    maps each code ball_sample rooted (an assigned CodeLengths) to its
-    _analytic_worst at the ball, so the sampled oracles do not root it
+    maps every code ball_sample enumerated (an assigned CodeLengths) to
+    its _analytic_worst at the ball, so the sampled oracles do not root it
     again.
     """
 
@@ -323,13 +319,9 @@ def ball_sample(
 
     if l_max is None:
         l_max = default_l_max(m, arity)
-    codes = _enumerated(m, arity, l_max)
     assign = _assignment(p)
-    # one root-find per code: stride over large enumerations (still a valid
-    # lower-bound sample, just a sparser curve coverage)
-    stride = max(1, len(codes) // 200)
     worst: dict[CodeLengths, Distribution] = {}
-    for sorted_lengths in codes[::stride]:
+    for sorted_lengths in _enumerated(m, arity, l_max):
         lengths = CodeLengths(assign(sorted_lengths), arity=arity)
         worst[lengths] = _analytic_worst(mu, lengths, radius)
 

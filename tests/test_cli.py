@@ -600,11 +600,16 @@ def test_verify_lmax_above_ten_exits_6(capsys, tmp_path, objective, probs):
     ([0.5, 0.3, 0.2], "0.1", "gg", 1),
     ([0.5, 0.3, 0.2], "0.1", "pointwise", 1),
 ], ids=["m4_pointwise", "m4_gg", "m4_avg_red", "m3_gg_no_code", "m3_pointwise_no_code"])
-def test_verify_lmax_below_the_reported_code_exits_2(capsys, tmp_path, probs, radius, objective,
-                                                     lmax):
+def test_verify_lmax_below_the_reported_code_exits_2(capsys, monkeypatch, tmp_path, probs, radius,
+                                                     objective, lmax):
     # an oracle capped below the longest reported codeword never meets the
     # reported code: a correct report read as FAIL (exit 5), or, when the cap
-    # admits no code at all, the empty minimum crashed; one more length passes
+    # admits no code at all, the empty minimum crashed; one more length passes.
+    # The cap is checked before the ball is sampled, so no sample is drawn
+    samples = []
+    ball_sample = oracle.ball_sample
+    monkeypatch.setattr(oracle, "ball_sample",
+                        lambda *a, **k: samples.append(a) or ball_sample(*a, **k))
     path = tmp_path / "centre.json"
     path.write_text(json.dumps({"probs": probs}))
     argv = ["verify", str(path), "--objective", objective, "--radius", radius, "--samples", "200"]
@@ -612,6 +617,7 @@ def test_verify_lmax_below_the_reported_code_exits_2(capsys, tmp_path, probs, ra
     assert status == 2
     assert out == ""
     assert f"--lmax {lmax} is below the reported code's longest codeword ({lmax + 1})" in err
+    assert samples == []
     status, out, _ = run(capsys, argv + ["--lmax", str(lmax + 1)])
     assert status == 0
     assert "oracle_" in out

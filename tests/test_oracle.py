@@ -453,6 +453,18 @@ def test_the_sample_roots_each_code_once(monkeypatch):
     assert len(calls) == codes
 
 
+def test_the_sample_roots_every_enumerated_code_of_a_large_enumeration():
+    # binary M = 7 enumerates 977 codes at the default l_max; each one is
+    # rooted and keyed by its assigned lengths, none skipped however many
+    mu = validate_distribution([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05])
+    sample = ball_sample(DivergenceBall(mu, 0.5 * existence_threshold(mu)[0]), 0)
+    codes = list(enumerate_kraft_lengths(7, 2, default_l_max(7, 2)))
+    assert len(codes) == 977
+    assert len(sample.worst) == len(codes)
+    assigned = {CodeLengths(sorted_assignment(mu.probs, vector)) for vector in codes}
+    assert set(sample.worst) == assigned
+
+
 def test_the_certificate_drops_points_outside_the_ball(monkeypatch):
     # each rooted code's analytic point moved just outside the shell: the
     # one vectorized certificate drops every one of them

@@ -1085,6 +1085,12 @@ def test_own_root_lands_in_its_window_or_reports_no_root():
     # the limit divergence of (1, 2, 2) at SKEWED is -log 0.9, about 0.105
     radius = 0.2
     assert _own_root(terms, 1.0, _tilt(terms, 1.0)[0], radius, tol) is None
+    # a rooted code with an empty window (tol 0): every tilt of the walk
+    # misses the radius by rounding, so none is returned
+    steps = list(_tilt_walk(terms, 1.0, 0.05))
+    assert len(steps) == tilted.MAX_DOUBLINGS
+    assert all(divergence != 0.05 for _, divergence, _ in steps)
+    assert _own_root(terms, 1.0, _tilt(terms, 1.0)[0], 0.05, 0.0) is None
 
 
 def test_tilt_walk_stops_where_the_divergence_is_flat():
