@@ -222,6 +222,17 @@ def run_code(args, mu: Distribution) -> tuple[dict, NmlResult | None]:
     return _code_payload(objective, result, residuals), None
 
 
+def _root_in_range(m: float, raw: float, radius: float) -> bool:
+    """root_range for one entry: raw lies in (m, pinsker_upper(m, radius)].
+
+    raw may also equal m where the root rounds to m: there m + sqrt(2 R m
+    (1 - m)), the root to first order in R, rounds to m, so m is the
+    correctly rounded root.
+    """
+    above = m < raw or raw == m and m + math.sqrt(2.0 * radius * m * (1.0 - m)) == m
+    return above and raw <= pinsker_upper(m, radius)
+
+
 def _nml_checks(mu: Distribution, radius: float, nml: NmlResult) -> dict[str, bool]:
     """saturation_rule and root_certificates for one solve of the suprema."""
     cutoff = math.exp(-radius) if radius > 0.0 else 1.0
@@ -287,10 +298,8 @@ def _check_code_report(args, mu, payload: dict, nml: NmlResult | None, check) ->
         for name, ok in _nml_checks(mu, radius, nml).items():
             check(name, ok)
         if radius > 0.0:
-            in_range = all(
-                mu.probs[k] < nml.raw[k] <= pinsker_upper(mu.probs[k], radius)
-                for k in range(mu.m) if k not in nml.saturated
-            )
+            in_range = all(_root_in_range(mu.probs[k], nml.raw[k], radius)
+                           for k in range(mu.m) if k not in nml.saturated)
             check("root_range", in_range)
         if mu.m <= 8:
             report = oracle.brute_min_over_codes(

@@ -96,6 +96,10 @@ class CodeLengths:
     The one place a length vector is checked: every entry is a positive
     integer and the Kraft sum is at most 1, exactly, in integer arithmetic
     (kraft_integer_ok).  Consumers rely on both and check neither again.
+    The lengths are also stored once as a read-only float64 array, which
+    as_array returns: nearly every code is read as an array, many of them
+    more than once, and a lazy cache cost more on the first read than the
+    array itself.
     """
 
     lengths: tuple[int, ...]
@@ -115,13 +119,17 @@ class CodeLengths:
         if not kraft_integer_ok(integers, self.arity):
             raise KraftViolationError(f"Kraft sum exceeds 1 for {integers}")
         object.__setattr__(self, "lengths", integers)
+        array = np.asarray(integers, dtype=float)
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
 
     @property
     def m(self) -> int:
         return len(self.lengths)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.lengths, dtype=float)
+        """lengths as one read-only float64 array, built with the instance."""
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -195,6 +203,12 @@ def kl_divergence(nu: Distribution, mu: Distribution) -> float:
     if np.any(q[p > 0.0] == 0.0):
         raise AbsoluteContinuityError("nu puts mass where mu is zero")
     return array_divergence(p, q)
+
+
+def _stored(rows: np.ndarray) -> np.ndarray:
+    """Each row as Distribution stores it: divided by its math.fsum unless that is exactly 1."""
+    totals = np.array([math.fsum(row) for row in rows.tolist()]).reshape(-1, 1)
+    return np.where(totals == 1.0, rows, rows / totals)
 
 
 def array_divergence(p: np.ndarray, q: np.ndarray) -> float:

@@ -182,8 +182,9 @@ def nml_distribution(ball: DivergenceBall, tol: float = 1e-13) -> NmlResult:
     mu = ball.center
     radius = ball.radius
     probs = mu.as_array()
-    if not np.all((probs > 0.0) & (probs < 1.0)):
-        raise ZeroProbabilityError("center must have entries in (0, 1)")
+    # an entry of 1.0 saturates at every radius above 0, so it needs no root
+    if not np.all(probs > 0.0):
+        raise ZeroProbabilityError("center must have positive entries")
     if radius == 0.0:
         return NmlResult(
             raw=mu.probs,

@@ -14,9 +14,10 @@ supremum, solver._candidate_sup (its docstring says why).
 For the same reason the bisection loops here (the ball crossings of
 ball_sample and brute_binary_root) stay written out rather than calling the
 root finders of tilted and nml.  They share only the divergence formulas of
-core.  The random simplex points are drawn by one rng.dirichlet call,
-which yields the same rows and leaves the generator where one call per
-point would.  The segment ends toward them and toward the vertices are
+core and its rule for storing a row as Distribution stores it (_stored).
+The random simplex points are drawn by one rng.dirichlet call, which
+yields the same rows and leaves the generator where one call per point
+would.  The segment ends toward them and toward the vertices are
 tested inside the ball by one masked row sum (_divergences), and the
 crossings of the outside ones run as one batched bisection
 (_shell_crossings) with the scalar loop's midpoint, tie rule and stop
@@ -28,7 +29,8 @@ A shared loop would have to pick one rule, which moves sampled points
 and with them every oracle figure built on the samples.
 
 ball_sample returns a BallSample: its ball, the certified points as the
-rows of one float64 matrix, and each rooted code's analytic point.  The
+rows of one float64 matrix, and each rooted code's analytic point, every
+enumerated code rooted by one lockstep search (tilted.tilted_roots).  The
 crossings, edge crossings and interior draws go straight into the matrix,
 each row stored as Distribution would store it (_stored), so no point is
 built as a Distribution; one _divergences call certifies every row.  The
@@ -73,13 +75,14 @@ from .core import (
     _check_arity,
     _check_beta,
     _check_weights,
+    _stored,
     binary_divergence,
     log_sum_exp,
     pair_divergence,
 )
 from .errors import AllZeroWeightsError, DimensionMismatchError, DomainError, LimitExceededError
 from .solver import _candidate_sup
-from .tilted import nu_infinity, objective_utility, tilted_root
+from .tilted import nu_infinity, objective_utility, tilted_root, tilted_roots
 
 ENUM_MAX_M = 10
 ENUM_MAX_LEN = 10
@@ -180,12 +183,6 @@ def _divergences(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _stored(rows: np.ndarray) -> np.ndarray:
-    """Each row as Distribution stores it: divided by its math.fsum unless that is exactly 1."""
-    totals = np.array([math.fsum(row) for row in rows.tolist()]).reshape(-1, 1)
-    return np.where(totals == 1.0, rows, rows / totals)
-
-
 def _shell_crossings(p: np.ndarray, targets: np.ndarray, radius: float) -> np.ndarray:
     """Each target row if it is inside the ball, else where the segment toward it leaves.
 
@@ -239,8 +236,8 @@ class BallSample:
     points holds one sampled distribution per row, each within
     ball.radius + CERT_TOL of ball.center; len() is their count.  worst
     maps every code ball_sample enumerated (an assigned CodeLengths) to
-    its _analytic_worst at the ball, so the sampled oracles do not root it
-    again.
+    its _analytic_worst at the ball, found for all of them by one
+    tilted_roots call, so the sampled oracles do not root it again.
     """
 
     ball: DivergenceBall
@@ -272,7 +269,10 @@ def ball_sample(
     of its two vertices that lies outside the ball, where the suprema of
     saturated codes concentrate; and (d) the tilted worst-case point of
     every small enumerable code, at the tilt whose divergence equals the
-    radius when it exists and at the family limit otherwise.  The center
+    radius when it exists and at the family limit (nu_infinity) otherwise,
+    as _analytic_worst gives it; every code is rooted by one
+    tilted.tilted_roots call, whose roots are tilted_root's to the bit.
+    The center
     comes first, then the vertex crossings, the edge crossings, the random
     crossings, the draws and the analytic points, one row each of a matrix
     in which (a)-(c) are _stored.  One vectorized divergence (_divergences,
@@ -320,10 +320,10 @@ def ball_sample(
     if l_max is None:
         l_max = default_l_max(m, arity)
     assign = _assignment(p)
-    worst: dict[CodeLengths, Distribution] = {}
-    for sorted_lengths in _enumerated(m, arity, l_max):
-        lengths = CodeLengths(assign(sorted_lengths), arity=arity)
-        worst[lengths] = _analytic_worst(mu, lengths, radius)
+    codes = [CodeLengths(assign(sorted_lengths), arity=arity)
+             for sorted_lengths in _enumerated(m, arity, l_max)]
+    worst = {lengths: nu_infinity(mu, lengths).distribution if root is None else root.distribution
+             for lengths, root in zip(codes, tilted_roots(mu, codes, radius))}
 
     points = np.vstack([p, crossings[:m], _stored(np.array(edges).reshape(-1, m)), crossings[m:],
                         _stored(inside), *(nu.probs for nu in worst.values())])

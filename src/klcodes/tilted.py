@@ -16,15 +16,21 @@ point and its divergence, and _tilt_walk, the closed form D(beta) =
 beta <nu, c> - log Z walked by Newton steps toward a target divergence.
 Every kernel reads one record of a code's beta-free terms, _code_terms,
 taken once per code and reused at every beta.  _face_limit is the
-beta -> infinity end.  nu_circ runs _tilt, nu_infinity runs _face_limit,
-and tilted_root feeds _tilt to the bracket search _root_in_beta
-(doubling, then Illinois regula falsi), which the solver runs with
-g_of_beta as its probe; there the bracket is refined at the last probe's
-own root (_own_root, a reader of the walk) where that lies inside it.
-exact_avg_sup asks tilted_root only where _face_limit leaves a root
-possible.  Off the support log p is -inf, so no mask is needed.  The
-walk never reports a point: its other reader is solver._reaches_above,
-which takes lower bounds from it to rule candidates out.
+beta -> infinity end.  nu_circ runs _tilt, nu_infinity runs _face_limit.
+The root search (doubling, then Illinois regula falsi) is written once,
+as the generator _root_search, which yields each beta and is sent its
+evaluation.  Two drivers run it.  _root_in_beta drives one search: the
+solver's, with g_of_beta as its probe and the bracket refined at the
+last probe's own root (_own_root, a reader of the walk) where that lies
+inside it, and tilted_root's, with _tilt on one code.  tilted_roots
+drives one search per code of a list in lockstep, evaluating every
+pending beta by one _tilt over a record of one code per row, so the
+enumerated codes of a ball (oracle.ball_sample) share each step's numpy
+calls, and each root is tilted_root's to the bit.  exact_avg_sup
+asks tilted_root only where _face_limit leaves a root possible.  Off the
+support log p is -inf, so no mask is needed.  The walk never reports a
+point: its other reader is solver._reaches_above, which takes lower
+bounds from it to rule candidates out.
 
 All exponentials are evaluated in log-domain with max subtraction, and
 each kernel centres the log-ratios on their maximum, since beta can be
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +50,7 @@ from .core import (
     Distribution,
     _check_beta,
     _check_tol,
+    _stored,
     array_divergence,
     kl_divergence,
     log_sum_exp,
@@ -82,11 +90,20 @@ def _code_terms(mu: Distribution, lengths: CodeLengths) -> tuple[np.ndarray, ...
     """
     if mu.m != lengths.m:
         raise DimensionMismatchError(f"dimension mismatch {mu.m} vs {lengths.m}")
+    return _scaled_terms(mu, lengths.as_array() * math.log(lengths.arity))
+
+
+def _scaled_terms(mu: Distribution, scaled: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_code_terms from l log D, scaled: one code, or one code per row (tilted_roots).
+
+    log r and centred then hold one row per code, the record of that code
+    to the bit: every step is elementwise or along the last axis.
+    """
     p = mu.as_array()
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
-    log_r = log_p + lengths.as_array() * math.log(lengths.arity)
-    return p, log_p, log_r, log_r - log_r.max()
+    log_r = log_p + scaled
+    return p, log_p, log_r, log_r - log_r.max(axis=-1, keepdims=True)
 
 
 def nu_circ(mu: Distribution, lengths: CodeLengths, beta: float) -> TiltedPoint:
@@ -97,24 +114,38 @@ def nu_circ(mu: Distribution, lengths: CodeLengths, beta: float) -> TiltedPoint:
                        divergence_from_center=divergence)
 
 
-def _tilt(terms: tuple[np.ndarray, ...], beta: float) -> tuple[float, np.ndarray]:
-    """Divergence from p of the tilt at beta, and its raw point.
+def _tilt(terms: tuple[np.ndarray, ...], beta):
+    """Divergence from p of the tilt at beta, and its raw point, along the last axis.
 
-    terms is the code's _code_terms record.  log r is centred on its
-    maximum, so beta * centred stays at or below 0: uncentred, beta * log r
-    is near 1e12 at beta near 1e12, and its rounding alone moves the
-    divergence by about 1e-5.  The divergence is that of the point as
-    Distribution would store it, renormalised by its fsum unless that is
-    exactly 1.  The point lives on p's support, so kl_divergence's checks
-    are moot.
+    terms is a _code_terms record.  log r is centred on its maximum, so
+    beta * centred stays at or below 0: uncentred, beta * log r is near
+    1e12 at beta near 1e12, and its rounding alone moves the divergence by
+    about 1e-5.  The divergence is that of the point as Distribution would
+    store it, renormalised by its fsum unless that is exactly 1, summed over
+    the point's support as array_divergence sums it.  The point lives on
+    p's support, so kl_divergence's checks are moot.  One code gives a float
+    and a point, its sums numpy scalars: run as a one-row matrix it cost 2-3
+    us more per tilt at M 4-64 (2-core Xeon, numpy 2.4.6).  A record of one code per row (tilted_roots)
+    with a column of one beta per row gives a list of divergences and a
+    matrix of points, each row that code's result to the bit: every step is
+    elementwise or reduces one row, and each row is stored by its own fsum
+    (core._stored).  Rows without a zero are summed at once; a row with a
+    zero sums its support alone, through array_divergence, since from 8
+    symbols on numpy sums in blocks and a zero term can move the last bit.
     """
     p, log_p, _, centred = terms
+    per_row = {"axis": -1, "keepdims": True} if centred.ndim > 1 else {}
     logw = beta * centred + log_p
-    raw = np.exp(logw - log_sum_exp(logw))
-    raw = raw / raw.sum()
-    total = math.fsum(raw.tolist())
-    nu = raw if total == 1.0 else raw / total
-    return array_divergence(nu, p), raw
+    hi = logw.max(**per_row)
+    raw = np.exp(logw - (hi + np.log(np.exp(logw - hi).sum(**per_row))))
+    raw = raw / raw.sum(**per_row)
+    if raw.ndim == 1:
+        total = math.fsum(raw.tolist())
+        return array_divergence(raw if total == 1.0 else raw / total, p), raw
+    nu = _stored(raw)
+    if nu.all():
+        return (nu * np.log(nu / p)).sum(axis=-1).tolist(), raw
+    return [array_divergence(point, p) for point in nu], raw
 
 
 def _tilt_walk(terms: tuple[np.ndarray, ...], beta: float, target: float):
@@ -309,34 +340,35 @@ def _rootless(terms: tuple[np.ndarray, ...], radius: float) -> bool:
     return radius >= -math.log(_face_limit(terms)[1])
 
 
-def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
-    """Tilt whose divergence equals the radius, for a divergence nondecreasing in beta.
+def _root_search(radius: float, tol: float, suggest=None):
+    """The tilt root search for a divergence nondecreasing in beta, as a generator.
 
-    evaluate(beta) returns (divergence, point), and no beta is evaluated
-    twice.  evaluate may instead return None to end the search, which then
-    returns None at once, whether at the first probe, a doubling or a
-    refining step.  The bracket doubles from beta = 1; the search then
-    refines [hi / 2, hi] after a doubling, else [0, 1], where the
-    divergence at 0 is that of mu itself, 0, and needs no evaluation.  Each
-    refining step probes suggest(point) of the last probe, a beta worth
-    probing next or None, when given and strictly inside the open bracket.
-    Otherwise it is an Illinois regula falsi step (Dowell and Jarratt, BIT
-    11, 1971): the secant through the bracket's ends, or the midpoint when
-    rounding puts the secant outside the open bracket; an end that survives
-    two steps in a row has its divergence's offset from the radius halved,
-    so the bracket shrinks from both sides even where the divergence jumps.
-    The search keeps the probe closest to the radius (the last doubling
-    below it included) and stops when that lies within tol or the bracket
-    collapses.  Returns that probe's point, or None when the doublings do
-    not reach the radius: after MAX_DOUBLINGS of them, or once a doubling's
-    divergence equals the previous doubling's bit for bit, where the family
-    has reached its limit in floating point.  For the solver's probes, whose
-    code can change between doublings, that stop rests on an observed
-    property: on seeded centres (M 3-256, arity 2 and 3), once a doubling
-    met the limit code every later doubling up to 2^60 met it too.
+    It yields each beta to evaluate and is sent that beta's evaluation, a
+    (divergence, point) pair; no beta is yielded twice.  None sent instead
+    ends the search, which then returns None at once, whether at the first
+    probe, a doubling or a refining step.  The bracket doubles from beta =
+    1; the search then refines [hi / 2, hi] after a doubling, else [0, 1],
+    where the divergence at 0 is that of mu itself, 0, and needs no
+    evaluation.  Each refining step probes suggest(point) of the last probe,
+    a beta worth probing next or None, when given and strictly inside the
+    open bracket.  Otherwise it is an Illinois regula falsi step (Dowell and
+    Jarratt, BIT 11, 1971): the secant through the bracket's ends, or the
+    midpoint when rounding puts the secant outside the open bracket; an end
+    that survives two steps in a row has its divergence's offset from the
+    radius halved, so the bracket shrinks from both sides even where the
+    divergence jumps.  The search keeps the probe closest to the radius (the
+    last doubling below it included) and stops when that lies within tol or
+    the bracket collapses.  It returns that probe's point, or None when the
+    doublings do not reach the radius: after MAX_DOUBLINGS of them, or once
+    a doubling's divergence equals the previous doubling's bit for bit,
+    where the family has reached its limit in floating point.  For the
+    solver's probes, whose code can change between doublings, that stop
+    rests on an observed property: on seeded centres (M 3-256, arity 2 and
+    3), once a doubling met the limit code every later doubling up to 2^60
+    met it too.  _root_in_beta drives one search, tilted_roots one per code.
     """
     lo, hi = 0.0, 1.0
-    best = evaluate(hi)
+    best = yield hi
     f_lo = -radius
     for _ in range(MAX_DOUBLINGS):
         # a doubling that repeats the previous one's divergence bit for bit
@@ -345,7 +377,7 @@ def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
             break
         lo, below, f_lo = hi, best, best[0] - radius
         hi *= 2.0
-        best = evaluate(hi)
+        best = yield hi
     if best is None or best[0] < radius:
         return None
     last = best
@@ -362,7 +394,7 @@ def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
             step = hi - f_hi * (hi - lo) / (f_hi - f_lo)
             if not lo < step < hi:
                 step = 0.5 * (lo + hi)
-        last = evaluate(step)
+        last = yield step
         if last is None:
             return None
         f = last[0] - radius
@@ -381,6 +413,23 @@ def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
         if hi - lo <= 1e-15 * max(1.0, hi):
             break
     return best[1]
+
+
+def _root_in_beta(evaluate, radius: float, tol: float, suggest=None):
+    """Tilt whose divergence equals the radius: _root_search driven by evaluate.
+
+    evaluate(beta) returns (divergence, point), or None to end the search;
+    the result is the point of the probe the search keeps, or None.  The
+    solver runs it with g_of_beta as its probe and the code's own root as
+    suggest, tilted_root with _tilt on one code.
+    """
+    search = _root_search(radius, tol, suggest)
+    beta = next(search)
+    try:
+        while True:
+            beta = search.send(evaluate(beta))
+    except StopIteration as stop:
+        return stop.value
 
 
 def _crossing(divergence_at, inside: float, outside: float, radius: float) -> float:
@@ -563,7 +612,58 @@ def tilted_root(
         divergence, raw = _tilt(terms, beta)
         return divergence, (beta, divergence, raw)
 
-    root = _root_in_beta(evaluate, radius, tol)
+    return _tilted_point(_root_in_beta(evaluate, radius, tol))
+
+
+def tilted_roots(
+    mu: Distribution,
+    codes: Sequence[CodeLengths],
+    radius: float,
+    tol: float = 1e-12,
+) -> list[TiltedPoint | None]:
+    """tilted_root of every code, the codes searched in lockstep: one result per code, in order.
+
+    The codes share mu, so p and log p, and differ only in l log D: their
+    records are the rows of one _scaled_terms record.  Each code that
+    _rootless does not rule out runs its own _root_search.  At each step
+    the pending searches' betas are evaluated by one _tilt call over their
+    rows, each row that code's own tilt to the bit, and each search is sent
+    its own; a search that returns leaves the batch.  So every result is
+    tilted_root's to the bit, in beta and point, or None where tilted_root's
+    is.  An empty list of codes gives an empty list.  The radius and tol are
+    checked as tilted_root checks them, and a code over another number of
+    symbols than mu raises DimensionMismatchError.
+    """
+    if not radius > 0.0:
+        raise DomainError(f"radius must be positive, got {radius}")
+    _check_tol(tol)
+    for lengths in codes:
+        if lengths.m != mu.m:
+            raise DimensionMismatchError(f"dimension mismatch {mu.m} vs {lengths.m}")
+    roots: list[TiltedPoint | None] = [None] * len(codes)
+    if not roots:
+        return roots
+    p, log_p, log_r, centred = _scaled_terms(
+        mu, np.array([lengths.as_array() * math.log(lengths.arity) for lengths in codes]))
+    searches = {i: _root_search(radius, tol) for i in range(len(codes))
+                if not _rootless((p, log_p, log_r[i], centred[i]), radius)}
+    betas = {i: next(search) for i, search in searches.items()}
+    while betas:
+        lanes = list(betas)
+        divergences, raw = _tilt((p, log_p, None, centred[lanes]),
+                                 np.array(list(betas.values()))[:, None])
+        pending = {}
+        for i, beta, divergence, point in zip(lanes, betas.values(), divergences, raw):
+            try:
+                pending[i] = searches[i].send((divergence, (beta, divergence, point)))
+            except StopIteration as stop:
+                roots[i] = _tilted_point(stop.value)
+        betas = pending
+    return roots
+
+
+def _tilted_point(root) -> TiltedPoint | None:
+    """A search's (beta, divergence, raw point) as a TiltedPoint; None stays None."""
     if root is None:
         return None
     beta, divergence, raw = root

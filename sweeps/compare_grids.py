@@ -16,7 +16,8 @@ identical records, moved values and records whose value stayed but whose
 repr (witness, optimal codes or evaluation count) moved, then every moved
 record.  Both tables also count the records whose sample hash
 (sample_sha256, which grid O's sampled records carry) moved, and list
-such a record as moved even where its repr stayed.  Last comes every
+such a record as moved even where its repr stayed; grid O's records of a
+sample alone carry the hash and no value or repr.  Last comes every
 record, of any grid, whose exception moved: the exception on each side,
 or the value and regime where that side returned (grid E and O records
 have no regime).
@@ -85,12 +86,14 @@ def repr_table(pairs, title):
         if "exc" in a or "exc" in b:
             cell["identical" if a.get("exc") == b.get("exc") else "exception moved"] += 1
             continue
+        # a record of a sample alone holds its hash: no value, no repr
         sample_moved = a.get("sample_sha256") != b.get("sample_sha256")
-        cell["identical"] += a["repr"] == b["repr"] and not sample_moved
-        cell["values moved"] += a["value"] != b["value"]
-        cell["value kept, repr moved"] += a["value"] == b["value"] and a["repr"] != b["repr"]
+        repr_moved = a.get("repr") != b.get("repr")
+        cell["identical"] += not repr_moved and not sample_moved
+        cell["values moved"] += a.get("value") != b.get("value")
+        cell["value kept, repr moved"] += a.get("value") == b.get("value") and repr_moved
         cell["sample moved"] += sample_moved
-        if a["repr"] != b["repr"] or sample_moved:
+        if repr_moved or sample_moved:
             moved.append((a, b))
     print(f"| {title} | " + " | ".join(next(iter(cells.values()))) + " |")
     print("|---" * (1 + len(next(iter(cells.values())))) + "|")
@@ -101,7 +104,8 @@ def repr_table(pairs, title):
         print("|---" * 8 + "|")
         for a, b in moved:
             print(f"| {a['objective']} | {a['seed']} | {a['m']} | {a['alpha']} | {a['arity']} | "
-                  f"{a['f']} | {a['repr']} | {b['repr']} |")
+                  f"{a['f']} | {a.get('repr', a.get('sample_sha256'))} | "
+                  f"{b.get('repr', b.get('sample_sha256'))} |")
     print()
 
 

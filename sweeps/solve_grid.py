@@ -38,8 +38,17 @@ through brute_min_over_codes on ball_sample(ball, n_interior=300,
 seed=seed).  A record keeps the optimum and the repr of the
 OracleReport, and each sampled record the sha256 of that sample's points,
 its one float64 matrix, so a change that moves any sampled bit
-shows even where the optimum does not.  Run it on two trees and compare
-the dumps with compare_grids.py.
+shows even where the optimum does not.  Grid O also holds records of a
+sample's sha256 alone, with no oracle run (objective "sample"): one
+generator default_rng([seed, M, arity]) per seed 0-4, M 7 or 8 and arity
+2 or 3 draws a Dirichlet alpha 1 centre, then an alpha 0.3 one, each
+sampled at 0, 0.3, 0.95 and 1.3 x r_max; and per arity one centre with a
+zero entry, a Dirichlet alpha 1 draw over 7 symbols from
+default_rng([0, 8, arity]) with an eighth symbol of mass 0, sampled at
+0.05, 0.3 and 1 nat (objective "sample, zero entry").  From 8 symbols on
+numpy sums a row with zeros in blocks, so these are the samples whose
+roots depend on summing over the support.  Run it on two trees and
+compare the dumps with compare_grids.py.
 """
 
 import hashlib
@@ -50,7 +59,7 @@ from functools import partial
 
 import numpy as np
 
-from klcodes.core import DivergenceBall, binary_divergence, validate_distribution
+from klcodes.core import Distribution, DivergenceBall, binary_divergence, validate_distribution
 from klcodes.huffman import huffman
 from klcodes.nml import nml_distribution, robust_huffman_pointwise
 from klcodes.oracle import ball_sample, brute_min_over_codes, exact_min_over_codes
@@ -110,6 +119,14 @@ def oracle_record(run, sample_hash):
         return {"exc": type(exc).__name__}
     out = {"value": report.optimum_value, "repr": repr(report)}
     return out if sample_hash is None else {**out, "sample_sha256": sample_hash}
+
+
+def sample_record(ball, seed, arity):
+    try:
+        sample = ball_sample(ball, n_interior=300, seed=seed, arity=arity)
+    except Exception as exc:
+        return {"exc": type(exc).__name__}
+    return {"sample_sha256": sample_sha256(sample)}
 
 
 def sample_sha256(sample):
@@ -216,6 +233,24 @@ def main(path):
                         out.append({"grid": "O", "seed": seed, "m": m, "alpha": alpha,
                                     "arity": arity, "f": f, "objective": objective,
                                     **oracle_record(run, digest)})
+    for seed in range(5):
+        for m in (7, 8):
+            for arity in (2, 3):
+                rng = np.random.default_rng([seed, m, arity])
+                for alpha in (1.0, 0.3):
+                    mu = centre(rng, m, alpha)
+                    r_max = existence_threshold(mu, arity)[0]
+                    for f in ORACLE_FRACTIONS:
+                        out.append({"grid": "O", "seed": seed, "m": m, "alpha": alpha,
+                                    "arity": arity, "f": f, "objective": "sample",
+                                    **sample_record(DivergenceBall(mu, f * r_max), seed, arity)})
+    for arity in (2, 3):
+        p = np.append(np.random.default_rng([0, 8, arity]).dirichlet(np.ones(7)), 0.0)
+        mu = Distribution(tuple((p / p.sum()).tolist()))
+        for radius in (0.05, 0.3, 1.0):
+            out.append({"grid": "O", "seed": 0, "m": 8, "alpha": 1.0, "arity": arity,
+                        "f": radius, "objective": "sample, zero entry",
+                        **sample_record(DivergenceBall(mu, radius), 0, arity)})
     with open(path, "w") as handle:
         json.dump(out, handle)
 

@@ -9,6 +9,7 @@ import pytest
 from klcodes import cli, oracle
 from klcodes.core import Distribution
 from klcodes.errors import NoConvergenceError
+from klcodes.nml import solve_pi_k
 from klcodes.solver import existence_threshold
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
@@ -794,9 +795,12 @@ def test_main_reuses_one_parser_with_a_fresh_parsers_outcomes(capsys):
 @pytest.mark.parametrize("objective", ["avg-red", "gg"])
 def test_verify_roots_each_enumerated_code_once(capsys, tmp_path, monkeypatch, objective):
     # the sampled oracle reads each code's analytic point from its sample:
-    # one tilted_root per enumerated code, and nothing carried to the next verify
-    calls = []
-    root = oracle.tilted_root
+    # one tilted_roots call over the enumerated codes, each code in it once,
+    # no tilted_root of the oracle's, and nothing carried to the next verify
+    batches, calls = [], []
+    roots, root = oracle.tilted_roots, oracle.tilted_root
+    monkeypatch.setattr(oracle, "tilted_roots",
+                        lambda mu, codes, radius: batches.append(codes) or roots(mu, codes, radius))
     monkeypatch.setattr(oracle, "tilted_root", lambda *a: calls.append(a) or root(*a))
     mu = Distribution((0.4, 0.3, 0.2, 0.1))
     path = tmp_path / "centre.json"
@@ -805,12 +809,13 @@ def test_verify_roots_each_enumerated_code_once(capsys, tmp_path, monkeypatch, o
     codes = len(list(oracle.enumerate_kraft_lengths(4, 2, oracle.default_l_max(4, 2))))
     assert codes == 22
     for _ in range(2):
-        calls.clear()
+        batches.clear()
         status, out, _ = run(capsys, ["verify", str(path), "--objective", objective,
                                       "--radius", radius, "--samples", "200"])
         assert status == 0
         assert "oracle_minimax" in out
-        assert len(calls) == codes
+        assert len(batches) == 1 and len(set(batches[0])) == len(batches[0]) == codes
+        assert not calls
 
 
 @pytest.mark.parametrize("objective", ["avg-red", "gg", "pointwise"])
@@ -825,3 +830,41 @@ def test_verify_negative_seed_exits_2(capsys, tmp_path, objective):
         assert status == 2
         assert out == ""
         assert "seed must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("probs", [(1.0, 1e-300), (1.0, 1e-20, 1e-30)])
+@pytest.mark.parametrize("objective", ["pointwise", "nml-only"])
+@pytest.mark.parametrize("radius", ["0.05", "0.3", "30"])
+def test_a_centre_entry_of_one_codes_and_verifies(capsys, tmp_path, probs, objective, radius):
+    # an entry of exactly 1.0 saturates at every radius above 0 and needs no
+    # root, so the centre is valid input, not malformed (exit 2)
+    path = tmp_path / "centre.json"
+    path.write_text(json.dumps({"probs": list(probs)}))
+    for command in ("code", "verify"):
+        status, out, err = run(capsys, [command, str(path), "--objective", objective,
+                                        "--radius", radius])
+        assert status == 0, err
+        assert "FAIL" not in out
+    if objective == "nml-only":
+        payload = json.loads(run(capsys, ["code", str(path), "--objective", objective,
+                                          "--radius", radius])[1])
+        assert 0 in payload["saturated"]
+
+
+@pytest.mark.parametrize("radius", ["1e-40", "1e-300", "1e-31"])
+def test_verify_pointwise_accepts_a_root_that_rounds_to_the_centre(capsys, tmp_path, radius):
+    # below about 1e-32 the root mu_k + sqrt(2 R mu_k (1 - mu_k)) rounds to
+    # mu_k, which the kernel then returns: the correctly rounded root
+    path = tmp_path / "centre.json"
+    path.write_text(json.dumps({"probs": [0.5, 0.3, 0.2]}))
+    status, out, _ = run(capsys, ["verify", str(path), "--objective", "pointwise",
+                                  "--radius", radius])
+    assert status == 0
+    assert "PASS root_range" in out
+
+
+def test_root_range_admits_the_centre_only_where_the_root_rounds_to_it():
+    assert cli._root_in_range(0.3, 0.3, 1e-40)
+    assert not cli._root_in_range(0.3, 0.3, 0.05)
+    assert cli._root_in_range(0.3, solve_pi_k(0.3, 0.05), 0.05)
+    assert not cli._root_in_range(0.3, math.nextafter(0.3, 0.0), 1e-40)

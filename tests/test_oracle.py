@@ -33,7 +33,7 @@ from klcodes.oracle import (
     weight_cost,
 )
 from klcodes.solver import _candidate_sup, existence_threshold, solve_avg_redundancy, solve_gg
-from klcodes.tilted import tilted_root
+from klcodes.tilted import tilted_root, tilted_roots
 
 
 def test_enumerate_tiny_binary():
@@ -428,20 +428,24 @@ def test_batched_crossings_at_a_centre_with_zero_entries():
 
 
 def test_the_sample_roots_each_code_once(monkeypatch):
-    # the scorer reads the roots the sample found: scoring every enumerated
-    # code calls tilted_root no more, and a caller's plain list or a sample
-    # of another ball raises rather than being rooted and scored again
-    calls = []
+    # the sample roots every enumerated code in one tilted_roots call and
+    # the scorer reads those roots: scoring every enumerated code roots
+    # nothing again, and a caller's plain list or a sample of another ball
+    # raises rather than being rooted and scored again
+    batches, calls = [], []
+    monkeypatch.setattr(oracle, "tilted_roots",
+                        lambda mu, codes, radius: batches.append(codes) or tilted_roots(mu, codes, radius))
     monkeypatch.setattr(oracle, "tilted_root", lambda *a: calls.append(a) or tilted_root(*a))
     mu = validate_distribution([0.4, 0.3, 0.2, 0.1])
     ball = DivergenceBall(mu, 0.5 * existence_threshold(mu)[0])
     samples = ball_sample(ball, 200, seed=1)
     codes = len(list(enumerate_kraft_lengths(4, 2, default_l_max(4, 2))))
-    assert len(calls) == codes
+    assert len(batches) == 1 and len(set(batches[0])) == len(batches[0]) == codes
+    assert set(batches[0]) == set(samples.worst)
     rows = [Distribution(tuple(row)) for row in samples.points]
     for utility in ("avg-red", "gg"):
         brute_min_over_codes(utility, ball=ball, samples=samples)
-        assert len(calls) == codes
+        assert len(batches) == 1 and not calls
         with pytest.raises(DomainError):
             brute_min_over_codes(utility, ball=ball, samples=rows)
     other = DivergenceBall(mu, 0.25 * existence_threshold(mu)[0])
@@ -450,7 +454,7 @@ def test_the_sample_roots_each_code_once(monkeypatch):
         brute_min_over_codes("gg", ball=other, samples=samples)
     with pytest.raises(DomainError):
         brute_sup_over_ball(lengths, "gg", rows)
-    assert len(calls) == codes
+    assert len(batches) == 1 and not calls
 
 
 def test_the_sample_roots_every_enumerated_code_of_a_large_enumeration():
@@ -472,16 +476,16 @@ def test_the_certificate_drops_points_outside_the_ball(monkeypatch):
     ball = DivergenceBall(mu, 0.5 * existence_threshold(mu)[0])
     kept = ball_sample(ball, 200, seed=1)
     outside = []
-    analytic_worst = oracle._analytic_worst
 
-    def beyond(mu, lengths, radius):
-        point = tilted_root(mu, lengths, radius + 1e-9)
-        if point is None:
-            return analytic_worst(mu, lengths, radius)
-        outside.append(point.distribution)
-        return point.distribution
+    def beyond(mu, codes, radius):
+        roots = []
+        for root, moved in zip(tilted_roots(mu, codes, radius), tilted_roots(mu, codes, radius + 1e-9)):
+            if moved is not None:
+                outside.append(moved.distribution)
+            roots.append(root if moved is None else moved)
+        return roots
 
-    monkeypatch.setattr(oracle, "_analytic_worst", beyond)
+    monkeypatch.setattr(oracle, "tilted_roots", beyond)
     sample = ball_sample(ball, 200, seed=1)
     assert outside and all(kl_divergence(nu, mu) > ball.radius + oracle.CERT_TOL for nu in outside)
     assert len(sample) == len(kept) - len(outside)

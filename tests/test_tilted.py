@@ -13,8 +13,9 @@ from klcodes.core import (
     validate_distribution,
 )
 from klcodes import tilted
-from klcodes.errors import DomainError
+from klcodes.errors import DimensionMismatchError, DomainError
 from klcodes.huffman import exponential_huffman_log
+from klcodes.oracle import enumerate_kraft_lengths
 from klcodes.solver import g_of_beta
 from klcodes.tilted import (
     ARGMAX_LOG_TOL,
@@ -31,6 +32,7 @@ from klcodes.tilted import (
     nu_circ,
     nu_infinity,
     tilted_root,
+    tilted_roots,
     xi,
 )
 
@@ -1147,3 +1149,62 @@ def test_tilted_root_and_exact_avg_sup_reject_a_bad_radius_or_tol(radius, tol):
     if not radius > 0.0:
         with pytest.raises(DomainError):
             exact_avg_sup(mu, lengths, radius)
+
+
+def _lockstep_balls():
+    """(mu, codes, radius): seeded centres at M 2-9, arities 2-4, radii from 1e-300 past the limit.
+
+    Among the centres are two at M 8 and 9 with entries down to e^-690,
+    whose tilts underflow to exact zeros at large beta, and two with a zero
+    entry.  The radii run below every code's limit (fractions of -log max
+    mu, where the roots' betas grow) and past every code's limit (1.5 x
+    -log min mu, where every code is rootless).
+    """
+    rng = np.random.default_rng(11)
+    centres = [np.maximum(rng.dirichlet(np.ones(m)), 1e-6) for m in range(2, 10)]
+    centres += [np.exp(-rng.uniform(0.0, 690.0, m)) for m in (8, 9)]
+    centres += [np.append(rng.dirichlet(np.ones(m - 1)), 0.0) for m in (5, 9)]
+    for x in centres:
+        mu = Distribution(tuple((x / x.sum()).tolist()))
+        low = -math.log(max(mu.probs))
+        top = -math.log(min(p for p in mu.probs if p > 0.0))
+        for arity in (2, 3, 4):
+            vectors = list(enumerate_kraft_lengths(mu.m, arity, min(mu.m, 6)))
+            picks = rng.choice(len(vectors), size=min(12, len(vectors)), replace=False)
+            codes = [CodeLengths(tuple(rng.permutation(vectors[i]).tolist()), arity) for i in picks]
+            for radius in (1e-300, 1e-12, 0.01, 0.5 * low, 0.99 * low, 0.3 * top, 0.999 * top,
+                           1.5 * top):
+                yield mu, codes, radius
+
+
+def test_tilted_roots_is_tilted_root_code_by_code():
+    # beta, point and divergence to the bit, or None where tilted_root has
+    # no root; the balls reach rootless codes, tilts that underflow to exact
+    # zeros at M >= 8 and centres with a zero entry
+    rooted = rootless = underflowed = zero_entry = 0
+    for mu, codes, radius in _lockstep_balls():
+        assert tilted_roots(mu, [], radius) == []
+        for lengths, root in zip(codes, tilted_roots(mu, codes, radius), strict=True):
+            alone = tilted_root(mu, lengths, radius)
+            if alone is None:
+                assert root is None
+                rootless += 1
+                continue
+            assert repr((root.beta, root.distribution.probs, root.divergence_from_center)) == repr(
+                (alone.beta, alone.distribution.probs, alone.divergence_from_center))
+            rooted += 1
+            if 0.0 in mu.probs:
+                zero_entry += 1
+            elif mu.m >= 8 and 0.0 in alone.distribution.probs:
+                underflowed += 1
+    assert rooted and rootless and underflowed and zero_entry
+
+
+def test_tilted_roots_checks_its_inputs_as_tilted_root_does():
+    codes = [L122, CodeLengths((2, 2, 1), arity=3)]
+    with pytest.raises(DomainError):
+        tilted_roots(SKEWED, codes, 0.0)
+    with pytest.raises(DomainError):
+        tilted_roots(SKEWED, codes, 0.1, tol=-1.0)
+    with pytest.raises(DimensionMismatchError):
+        tilted_roots(SKEWED, [L122, CodeLengths((1, 2, 3, 3))], 0.1)
