@@ -96,10 +96,6 @@ class CodeLengths:
     The one place a length vector is checked: every entry is a positive
     integer and the Kraft sum is at most 1, exactly, in integer arithmetic
     (kraft_integer_ok).  Consumers rely on both and check neither again.
-    The lengths are also stored once as a read-only float64 array, which
-    as_array returns: nearly every code is read as an array, many of them
-    more than once, and a lazy cache cost more on the first read than the
-    array itself.
     """
 
     lengths: tuple[int, ...]
@@ -119,17 +115,13 @@ class CodeLengths:
         if not kraft_integer_ok(integers, self.arity):
             raise KraftViolationError(f"Kraft sum exceeds 1 for {integers}")
         object.__setattr__(self, "lengths", integers)
-        array = np.asarray(integers, dtype=float)
-        array.flags.writeable = False
-        object.__setattr__(self, "_array", array)
 
     @property
     def m(self) -> int:
         return len(self.lengths)
 
     def as_array(self) -> np.ndarray:
-        """lengths as one read-only float64 array, built with the instance."""
-        return self._array
+        return np.asarray(self.lengths, dtype=float)
 
 
 @dataclass(frozen=True)

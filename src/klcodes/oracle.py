@@ -162,10 +162,14 @@ def sorted_assignment(weights, sorted_lengths) -> tuple[int, ...]:
     return _assignment(weights)(sorted_lengths)
 
 
+def _worst_point(mu: Distribution, lengths: CodeLengths, root) -> Distribution:
+    """The code's worst case from its tilt root: the root's point, else the limit as the tilt grows."""
+    return root.distribution if root is not None else nu_infinity(mu, lengths).distribution
+
+
 def _analytic_worst(mu: Distribution, lengths: CodeLengths, radius: float) -> Distribution:
     """The code's tilted point at this radius, else its limit as the tilt grows."""
-    point = tilted_root(mu, lengths, radius)
-    return point.distribution if point is not None else nu_infinity(mu, lengths).distribution
+    return _worst_point(mu, lengths, tilted_root(mu, lengths, radius))
 
 
 def _divergences(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -322,7 +326,7 @@ def ball_sample(
     assign = _assignment(p)
     codes = [CodeLengths(assign(sorted_lengths), arity=arity)
              for sorted_lengths in _enumerated(m, arity, l_max)]
-    worst = {lengths: nu_infinity(mu, lengths).distribution if root is None else root.distribution
+    worst = {lengths: _worst_point(mu, lengths, root)
              for lengths, root in zip(codes, tilted_roots(mu, codes, radius))}
 
     points = np.vstack([p, crossings[:m], _stored(np.array(edges).reshape(-1, m)), crossings[m:],

@@ -61,6 +61,8 @@ from .errors import DimensionMismatchError, DomainError
 ARGMAX_LOG_TOL = 1e-12
 # a tilt root bracket gives up after this many doublings of beta from 1
 MAX_DOUBLINGS = 60
+# tilted_root's default tolerance, at which tilted_roots roots every code
+_ROOT_TOL = 1e-12
 _LOG_2, _LOG_4 = math.log(2.0), math.log(4.0)
 
 
@@ -109,9 +111,7 @@ def _scaled_terms(mu: Distribution, scaled: np.ndarray) -> tuple[np.ndarray, ...
 def nu_circ(mu: Distribution, lengths: CodeLengths, beta: float) -> TiltedPoint:
     """Tilted distribution nu(beta)_i ∝ (mu_i/theta_i)^beta * mu_i."""
     _check_beta(beta)
-    divergence, raw = _tilt(_code_terms(mu, lengths), beta)
-    return TiltedPoint(beta=float(beta), distribution=Distribution(tuple(raw.tolist())),
-                       divergence_from_center=divergence)
+    return _tilted_point((beta, *_tilt(_code_terms(mu, lengths), beta)))
 
 
 def _tilt(terms: tuple[np.ndarray, ...], beta):
@@ -591,7 +591,7 @@ def tilted_root(
     mu: Distribution,
     lengths: CodeLengths,
     radius: float,
-    tol: float = 1e-12,
+    tol: float = _ROOT_TOL,
 ) -> TiltedPoint | None:
     """Find beta with D(nu(beta)||mu) = radius for this fixed code.
 
@@ -619,7 +619,6 @@ def tilted_roots(
     mu: Distribution,
     codes: Sequence[CodeLengths],
     radius: float,
-    tol: float = 1e-12,
 ) -> list[TiltedPoint | None]:
     """tilted_root of every code, the codes searched in lockstep: one result per code, in order.
 
@@ -629,14 +628,13 @@ def tilted_roots(
     the pending searches' betas are evaluated by one _tilt call over their
     rows, each row that code's own tilt to the bit, and each search is sent
     its own; a search that returns leaves the batch.  So every result is
-    tilted_root's to the bit, in beta and point, or None where tilted_root's
-    is.  An empty list of codes gives an empty list.  The radius and tol are
-    checked as tilted_root checks them, and a code over another number of
-    symbols than mu raises DimensionMismatchError.
+    tilted_root's at its default tol to the bit, in beta and point, or None
+    where that is None.  An empty list of codes gives an empty list.  The
+    radius is checked as tilted_root checks it, and a code over another
+    number of symbols than mu raises DimensionMismatchError.
     """
     if not radius > 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
-    _check_tol(tol)
     for lengths in codes:
         if lengths.m != mu.m:
             raise DimensionMismatchError(f"dimension mismatch {mu.m} vs {lengths.m}")
@@ -645,7 +643,7 @@ def tilted_roots(
         return roots
     p, log_p, log_r, centred = _scaled_terms(
         mu, np.array([lengths.as_array() * math.log(lengths.arity) for lengths in codes]))
-    searches = {i: _root_search(radius, tol) for i in range(len(codes))
+    searches = {i: _root_search(radius, _ROOT_TOL) for i in range(len(codes))
                 if not _rootless((p, log_p, log_r[i], centred[i]), radius)}
     betas = {i: next(search) for i, search in searches.items()}
     while betas:

@@ -1204,7 +1204,5 @@ def test_tilted_roots_checks_its_inputs_as_tilted_root_does():
     codes = [L122, CodeLengths((2, 2, 1), arity=3)]
     with pytest.raises(DomainError):
         tilted_roots(SKEWED, codes, 0.0)
-    with pytest.raises(DomainError):
-        tilted_roots(SKEWED, codes, 0.1, tol=-1.0)
     with pytest.raises(DimensionMismatchError):
         tilted_roots(SKEWED, [L122, CodeLengths((1, 2, 3, 3))], 0.1)
